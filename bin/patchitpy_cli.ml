@@ -46,8 +46,8 @@ let stats_arg =
 let trace_arg =
   Arg.(value & opt (some string) None
        & info [ "trace" ] ~docv:"FILE"
-           ~doc:"Record a per-file request trace (phase spans: scan, \
-                 rescan, patch rounds; DFA cache and deadline events) \
+           ~doc:"Record a per-file request trace (phase spans: scan and \
+                 patch rounds; DFA cache and deadline events) \
                  and write it as Chrome trace_event JSON to $(docv) — \
                  load it in Perfetto or chrome://tracing.  The aggregate \
                  telemetry report (schema patchitpy-telemetry/1) is \

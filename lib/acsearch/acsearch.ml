@@ -293,14 +293,15 @@ let build patterns =
    former [<> [||]] emptiness test, which compiled to a polymorphic
    structural comparison per input byte — [Array.length] is one load. *)
 
-let search_mask_into t mask subject ~pos ~stop =
+let search_mask t subject =
+  let mask = Array.make t.npat false in
   let out = t.out in
   let mark st = Array.iter (fun id -> mask.(id) <- true) (Array.unsafe_get out st) in
   mark 0 (* empty patterns end at the root *);
-  match t.rep with
+  (match t.rep with
   | Dense16 { delta; smask; clsoff; cshift } ->
     let st = ref 0 in
-    for i = pos to stop - 1 do
+    for i = 0 to String.length subject - 1 do
       st :=
         get16u delta
           ((!st lsl cshift)
@@ -310,47 +311,14 @@ let search_mask_into t mask subject ~pos ~stop =
     done
   | Rows delta ->
     let st = ref 0 in
-    for i = pos to stop - 1 do
+    for i = 0 to String.length subject - 1 do
       st :=
         Array.unsafe_get
           (Array.unsafe_get delta !st)
           (Char.code (String.unsafe_get subject i));
       if Array.length (Array.unsafe_get out !st) > 0 then mark !st
-    done
-
-let search_hits_into t subject ~pos ~stop f =
-  Array.iter (fun id -> f id pos) t.out.(0) (* empty patterns end at the root *);
-  let out = t.out in
-  match t.rep with
-  | Dense16 { delta; smask; clsoff; cshift } ->
-    let st = ref 0 in
-    for i = pos to stop - 1 do
-      st :=
-        get16u delta
-          ((!st lsl cshift)
-          lor Array.unsafe_get clsoff (Char.code (String.unsafe_get subject i)))
-        land smask;
-      let outs = Array.unsafe_get out !st in
-      if Array.length outs > 0 then Array.iter (fun id -> f id i) outs
-    done
-  | Rows delta ->
-    let st = ref 0 in
-    for i = pos to stop - 1 do
-      st :=
-        Array.unsafe_get
-          (Array.unsafe_get delta !st)
-          (Char.code (String.unsafe_get subject i));
-      let outs = Array.unsafe_get out !st in
-      if Array.length outs > 0 then Array.iter (fun id -> f id i) outs
-    done
-
-let search_mask_range t subject ~pos ~stop =
-  let mask = Array.make t.npat false in
-  search_mask_into t mask subject ~pos ~stop;
+    done);
   mask
-
-let search_mask t subject =
-  search_mask_range t subject ~pos:0 ~stop:(String.length subject)
 
 let search t subject =
   let mask = search_mask t subject in

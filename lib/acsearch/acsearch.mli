@@ -32,31 +32,6 @@ val search_mask : t -> string -> bool array
     where slot [i] tells whether pattern [i] occurs in [subject] —
     the allocation-friendly variant of {!search} for hot paths. *)
 
-val search_mask_range : t -> string -> pos:int -> stop:int -> bool array
-(** [search_mask_range t subject ~pos ~stop] is {!search_mask}
-    restricted to occurrences lying entirely within
-    [subject.[pos..stop-1]] — the dirty-region form used by incremental
-    re-scanning, which only pays for the bytes a patch round touched.
-    The automaton starts from its root at [pos], so occurrences
-    straddling the window boundary are not reported; callers widen the
-    window so that every occurrence they care about is interior. *)
-
-val search_mask_into : t -> bool array -> string -> pos:int -> stop:int -> unit
-(** {!search_mask_range} accumulating into an existing mask (slots for
-    patterns seen in the window are set; others are left untouched) —
-    lets one mask collect hits across several dirty regions without
-    re-allocating. *)
-
-val search_hits_into :
-  t -> string -> pos:int -> stop:int -> (int -> int -> unit) -> unit
-(** [search_hits_into t subject ~pos ~stop f] calls [f pattern_index
-    end_offset] for every occurrence of a pattern lying within
-    [subject.[pos..stop-1]], where [end_offset] is the offset of the
-    occurrence's last byte.  Same boundary caveat as
-    {!search_mask_range}.  Incremental re-scanning uses the positions to
-    measure how far each candidate literal sits from the dirty lines —
-    a rule whose literals are all far away cannot gain a match. *)
-
 val mem : t -> string -> bool
 (** [mem t subject] is [true] iff any pattern occurs in [subject].
     Short-circuits on the first hit. *)

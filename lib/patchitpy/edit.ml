@@ -2,19 +2,6 @@ type t = { start : int; stop : int; repl : string }
 
 let delta e = String.length e.repl - (e.stop - e.start)
 
-let newlines ?(start = 0) ?stop s =
-  let stop = match stop with Some j -> j | None -> String.length s in
-  let count = ref 0 in
-  for i = start to stop - 1 do
-    if String.unsafe_get s i = '\n' then incr count
-  done;
-  !count
-
-let newline_delta_in source e =
-  newlines e.repl - newlines ~start:e.start ~stop:e.stop source
-
-let newline_delta e = newlines e.repl
-
 let valid source edits =
   let len = String.length source in
   let rec go pos = function
@@ -25,9 +12,7 @@ let valid source edits =
   go 0 edits
 
 (* The volume pushed through edit buffers: old-text bytes copied plus
-   replacement bytes written.  One of the incremental pipeline's three
-   headline telemetry series (with dirty-region fraction and
-   reused-vs-recomputed findings). *)
+   replacement bytes written. *)
 let bytes_moved_counter = Telemetry.Counter.make "edit_bytes_moved_total"
 
 let apply source edits =
@@ -49,28 +34,3 @@ let apply source edits =
     Telemetry.Counter.incr bytes_moved_counter ~by:(Buffer.length out);
     Buffer.contents out
   end
-
-let map_offset edits o =
-  let rec go shift = function
-    | [] -> o + shift
-    | e :: rest -> if e.stop <= o then go (shift + delta e) rest else o + shift
-  in
-  go 0 edits
-
-let map_offset_left edits o =
-  let rec go shift = function
-    | [] -> o + shift
-    | e :: rest ->
-      if e.stop < o || (e.stop = o && e.start < e.stop) then
-        go (shift + delta e) rest
-      else o + shift
-  in
-  go 0 edits
-
-let line_delta_before source edits o =
-  let rec go shift = function
-    | [] -> shift
-    | e :: rest ->
-      if e.stop <= o then go (shift + newline_delta_in source e) rest else shift
-  in
-  go 0 edits

@@ -1,13 +1,9 @@
-(** Edit deltas: the unit of change the incremental patch pipeline is
-    built on.
+(** Edit deltas: the unit of change of a patch round.
 
-    A patch round no longer rebuilds the source string once per
+    A patch round does not rebuild the source string once per
     application.  Each application is recorded as an edit — an old-text
     span and its replacement — and the whole round is materialized in a
-    single left-to-right pass through an edit buffer ({!apply}).  The
-    same deltas then drive offset/line remapping of findings that were
-    not touched by the round ({!map_offset}, {!line_delta_before}) and
-    the dirty-region computation of the incremental re-scan. *)
+    single left-to-right pass through an edit buffer ({!apply}). *)
 
 type t = {
   start : int;  (** first byte of the replaced old-text span *)
@@ -17,17 +13,6 @@ type t = {
 
 val delta : t -> int
 (** Byte-length change: [length repl - (stop - start)]. *)
-
-val newline_delta : t -> int
-(** Newline-count change: newlines in [repl] minus newlines removed.
-    Requires the old source to count removed newlines — see
-    {!newline_delta_in}. *)
-
-val newlines : ?start:int -> ?stop:int -> string -> int
-(** Newlines in [s.[start..stop-1]] (defaults: the whole string). *)
-
-val newline_delta_in : string -> t -> int
-(** {!newline_delta} against the old source the edit applies to. *)
 
 val valid : string -> t list -> bool
 (** The edits are sorted by [start], pairwise non-overlapping, and in
@@ -40,23 +25,3 @@ val apply : string -> t list -> string
     splice was O(|source|) {e each}.  [edits] must satisfy {!valid}.
     Records the bytes moved through the buffer in the
     [edit_bytes_moved_total] telemetry counter. *)
-
-val map_offset : t list -> int -> int
-(** [map_offset edits o] maps an old-source offset [o] that lies at or
-    after the end of every edit span it follows — i.e. outside every
-    edited span — to its new-source offset: [o] plus the byte deltas of
-    all edits ending at or before [o].  Offsets inside an edited span
-    have no well-defined image; callers only remap positions proven
-    clean. *)
-
-val map_offset_left : t list -> int -> int
-(** Like {!map_offset}, but an insertion sitting exactly at [o] does
-    {e not} shift it: the image is the position {e before} text the
-    insert added.  Dirty-region starts use this so a region beginning
-    at offset 0 (or exactly at an insertion point) still covers the
-    inserted text. *)
-
-val line_delta_before : string -> t list -> int -> int
-(** [line_delta_before old_source edits o] is the net newline-count
-    change of all edits ending at or before old offset [o] — the line
-    shift a clean finding at [o] experiences. *)

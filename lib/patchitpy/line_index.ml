@@ -6,7 +6,7 @@ type t = int array
 
 let build source =
   (* both passes jump newline to newline via memchr rather than walking
-     bytes — the index is rebuilt on every scan with findings *)
+     bytes — the index is built on every scan with findings *)
   let count = ref 1 in
   let i = ref 0 in
   (try
@@ -27,56 +27,6 @@ let build source =
    with Not_found -> ());
   starts
 
-(* Incremental re-index under a round of edits.  New line starts are
-   exactly: old starts at or before an edit's span (the text before it
-   is untouched), the positions following each '\n' of a replacement
-   text, and old starts after an edit shifted by its byte delta.  Old
-   starts whose preceding newline was inside a replaced span vanish with
-   it.  Pushes are strictly increasing, so the result is sorted without
-   a final sort. *)
-let update (starts : t) (edits : Edit.t list) : t =
-  if edits = [] then starts
-  else begin
-    let n = Array.length starts in
-    let buf = ref (Array.make (n + 16) 0) in
-    let count = ref 0 in
-    let push v =
-      if !count = Array.length !buf then begin
-        let grown = Array.make (2 * !count) 0 in
-        Array.blit !buf 0 grown 0 !count;
-        buf := grown
-      end;
-      !buf.(!count) <- v;
-      incr count
-    in
-    push 0;
-    let j = ref 1 (* starts.(0) = 0 is always kept *) in
-    let shift = ref 0 in
-    List.iter
-      (fun (e : Edit.t) ->
-        (* untouched prefix: a line start at or before [e.start] has its
-           newline strictly before the replaced span *)
-        while !j < n && starts.(!j) <= e.Edit.start do
-          push (starts.(!j) + !shift);
-          incr j
-        done;
-        (* line starts contributed by the replacement text *)
-        String.iteri
-          (fun k c -> if c = '\n' then push (e.Edit.start + !shift + k + 1))
-          e.Edit.repl;
-        (* drop old starts whose newline lived in the replaced span *)
-        while !j < n && starts.(!j) <= e.Edit.stop do
-          incr j
-        done;
-        shift := !shift + Edit.delta e)
-      edits;
-    while !j < n do
-      push (starts.(!j) + !shift);
-      incr j
-    done;
-    Array.sub !buf 0 !count
-  end
-
 (* Greatest i with starts.(i) <= offset. *)
 let locate starts offset =
   let lo = ref 0 and hi = ref (Array.length starts - 1) in
@@ -88,12 +38,3 @@ let locate starts offset =
 
 let line t offset = locate t offset + 1
 let column t offset = offset - t.(locate t offset)
-
-let line_count t = Array.length t
-
-let line_start t l =
-  let i = min (max (l - 1) 0) (Array.length t - 1) in
-  t.(i)
-
-let line_end_offset t ~source l =
-  if l >= Array.length t then String.length source else t.(l) - 1

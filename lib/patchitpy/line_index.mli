@@ -10,26 +10,6 @@ type t
 val build : string -> t
 (** One pass over the source, recording every line-start offset. *)
 
-val update : t -> Edit.t list -> t
-(** [update t edits] is the index of [Edit.apply source edits] computed
-    incrementally from the index of [source]: line starts before the
-    first edit are kept, starts inside edited spans are replaced by the
-    newline positions of each replacement text, and starts after an edit
-    are shifted by its byte delta — O(starts + Σ|repl|) instead of a
-    full O(|new source|) rebuild per patch round.  [edits] must satisfy
-    [Edit.valid] for the indexed source. *)
-
-val line_start : t -> int -> int
-(** [line_start t l] is the byte offset of 1-based line [l], clamped to
-    the first/last line. *)
-
-val line_count : t -> int
-
-val line_end_offset : t -> source:string -> int -> int
-(** One past the last byte of 1-based line [l] (excluding its
-    newline): the start of line [l+1] minus one, or [String.length
-    source] for the last line. *)
-
 val line : t -> int -> int
 (** [line t offset] is the 1-based line containing [offset].  Offsets
     past the end of the source report the last line, matching the seed

@@ -95,8 +95,11 @@ let import_line_rx = Rx.compile {|^(?:import\s|from\s)|}
 let insert_import_edit source imports =
   let lines = String.split_on_char '\n' source in
   let existing line = List.exists (fun l -> String.trim l = line) lines in
-  let to_add = List.filter (fun imp -> not (existing imp)) imports in
-  let to_add = List.sort_uniq compare to_add in
+  (* dedupe first: [imports] holds one entry per application, and each
+     [existing] probe walks every line *)
+  let to_add =
+    List.filter (fun imp -> not (existing imp)) (List.sort_uniq compare imports)
+  in
   if to_add = [] then None
   else begin
     (* Insertion point: after shebang, module docstring and the leading
@@ -183,22 +186,29 @@ let insert_imports source imports =
    it, so no dangling separator survives). *)
 let import_binding_rx = Rx.compile {|^import\s+([A-Za-z_][\w.]*)\s*$|}
 
-(* \b<name>\b usage probes, memoized: the same module roots (os, pickle,
-   yaml, ...) recur across every patched file, and compiling per call
-   put regex compilation on the per-sample hot path.  The table only
-   ever holds distinct import roots, so it stays small; the mutex makes
-   it safe under [Par.map_samples] domains. *)
-let word_rx_cache : (string, Rx.t) Hashtbl.t = Hashtbl.create 16
-let word_rx_lock = Mutex.create ()
-
-let word_rx name =
-  Mutex.protect word_rx_lock (fun () ->
-      match Hashtbl.find_opt word_rx_cache name with
-      | Some rx -> rx
-      | None ->
-        let rx = Rx.compile ("\\b" ^ name ^ "\\b") in
-        Hashtbl.add word_rx_cache name rx;
-        rx)
+(* The whole-word index of [lines]: every maximal run of
+   [A-Za-z0-9_] bytes.  For a name matching [A-Za-z_]\w*, an occurrence
+   with a word boundary on both sides is exactly such a run (\w and \b
+   are ASCII-only in [Rx]), so one membership test per name replaces a
+   \bname\b regex sweep over every line. *)
+let mentions lines =
+  let words = Hashtbl.create 64 in
+  List.iter
+    (fun line ->
+      let n = String.length line in
+      let i = ref 0 in
+      while !i < n do
+        if Rx.is_word_char (String.unsafe_get line !i) then begin
+          let start = !i in
+          while !i < n && Rx.is_word_char (String.unsafe_get line !i) do
+            incr i
+          done;
+          Hashtbl.replace words (String.sub line start (!i - start)) ()
+        end
+        else incr i
+      done)
+    lines;
+  fun name -> Hashtbl.mem words name
 
 let stale_import_edits source =
   let lines = String.split_on_char '\n' source in
@@ -215,23 +225,23 @@ let stale_import_edits source =
       Some root
     | None -> None
   in
-  (* Classify each line once; [used] then compiles one \bname\b regex per
-     distinct import and checks it against the non-import lines only. *)
+  (* Classify each line once; the word index then covers the non-import
+     lines only, and is built only when some line binds an import. *)
   let bindings = List.map (fun line -> (line, binding_of line)) lines in
-  let code_lines =
-    List.filter_map
-      (fun (line, binding) -> if binding = None then Some line else None)
-      bindings
-  in
-  let used name =
-    let rx = word_rx name in
-    List.exists (fun line -> Rx.matches rx line) code_lines
+  let used =
+    lazy
+      (mentions
+         (List.filter_map
+            (fun (line, binding) -> if binding = None then Some line else None)
+            bindings))
   in
   let stale =
     Array.of_list
       (List.map
          (fun (_, binding) ->
-           match binding with Some name -> not (used name) | None -> false)
+           match binding with
+           | Some name -> not (Lazy.force used name)
+           | None -> false)
          bindings)
   in
   let arr = Array.of_list lines in
@@ -263,16 +273,6 @@ let stale_import_edits source =
 
 let default_rounds = 4
 
-(* Escape hatch: with PATCHITPY_FULL_RESCAN set, every round re-scans
-   the whole source instead of re-scanning dirty regions.  The two modes
-   are byte-identical by construction; the variable exists so a
-   suspected incremental-scan bug can be ruled out in the field (and so
-   CI can diff the two pipelines). *)
-let full_rescan_forced () =
-  match Sys.getenv_opt "PATCHITPY_FULL_RESCAN" with
-  | Some ("1" | "true" | "yes") -> true
-  | _ -> false
-
 let patch ?scanner ?rules ?(rounds = default_rounds) ?(manage_imports = true)
     source =
   Telemetry.Span.record patch_span @@ fun () ->
@@ -285,24 +285,23 @@ let patch ?scanner ?rules ?(rounds = default_rounds) ?(manage_imports = true)
     | None, None -> Engine.default_scanner ()
     | None, Some rules -> Scanner.compile rules
   in
-  let full = full_rescan_forced () in
-  (* Each advance is one fix round's re-scan (the import pass reuses it
-     as its own closing round) — traced as a [Patch_round] span with the
-     scan/rescan span it drives nested inside. *)
+  (* Each advance is one fix round: apply its edits, then scan the
+     edited source in full (the import pass reuses it as its own closing
+     round) — traced as a [Patch_round] span with the [Scan] span nested
+     inside.  Rounds do not track dirty regions: a full fused scan costs
+     a few microseconds per sample, less than the region bookkeeping
+     (see DESIGN.md, "Patch rounds"). *)
   let advance st edits =
     Telemetry.Trace.ambient_span Telemetry.Trace.Patch_round @@ fun () ->
-    if full then
-      Scanner.scan_state scanner (Edit.apply (Scanner.state_source st) edits)
-    else Scanner.rescan scanner st edits
+    Scanner.scan_state scanner (Edit.apply (Scanner.state_source st) edits)
   in
   (* [rev_acc] holds the applications newest-first; a single reverse at
      the end replaces the seed's quadratic [acc @ apps] per round.
      [used] counts rounds that applied at least one fix; [converged]
      tells a reached fixpoint (a round found nothing left to fix) from
      a run cut off by the round cap with fixable findings possibly
-     remaining.  Only the first round scans the whole source: each
-     round's edits advance the scan state incrementally, and the final
-     state's findings are the residue — no closing full scan. *)
+     remaining.  The final state's findings are the residue — no
+     separate closing scan. *)
   let rec run st rev_acc used n =
     if n = 0 then (st, List.rev rev_acc, used, false)
     else begin

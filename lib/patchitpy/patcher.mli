@@ -45,5 +45,13 @@ val insert_imports : string -> string list -> string * string list
     already present, after the shebang/docstring/import prologue.
     Returns the new source and the imports actually added. *)
 
+val mentions : string list -> string -> bool
+(** [mentions lines] indexes the words of [lines] (maximal runs of
+    {!Rx.is_word_char} bytes); the returned predicate tells whether a
+    name occurs as a whole word in any of them.  For names matching
+    [[A-Za-z_]\w*] — every import root — this is exactly whether the
+    regex [\bname\b] matches some line.  The stale-import pass uses it
+    to decide which imports the rewritten code still references. *)
+
 val changed : result -> bool
 (** Whether patching modified the source at all. *)

@@ -10,13 +10,10 @@ type finding = {
 
 type warning = Budget_exhausted of string
 
-type rule_meta = { literals : string list; extent : (int * int) option }
+type rule_meta = { literals : string list }
 
 let derive_meta (rule : Rule.t) =
-  {
-    literals = Rx.required_literals rule.Rule.pattern;
-    extent = Rx.newline_budget rule.Rule.pattern;
-  }
+  { literals = Rx.required_literals rule.Rule.pattern }
 
 (* A rule slot.  Compile-built plans hold their rules directly;
    pack-loaded plans hold a decode thunk and materialize a rule the
@@ -60,8 +57,6 @@ type t = {
   prefilter : Acsearch.t;  (* one automaton over every rule's literals *)
   owner : int array;  (* automaton pattern index -> rule index *)
   unconditional : int list;  (* rules with no derivable literal *)
-  has_literals : bool array;
-  extent : (int * int) option array;  (* Rx.newline_budget per rule *)
   tele : Telemetry.Rules.def;  (* per-rule telemetry registration *)
   fused : fused_tier Atomic.t;
 }
@@ -108,13 +103,11 @@ let compile ?meta rule_list =
       arr
   in
   let literals = ref [] and owners = ref [] and unconditional = ref [] in
-  let has_literals = Array.make (Array.length rules_vec) false in
   Array.iteri
     (fun i m ->
       match m.literals with
       | [] -> unconditional := i :: !unconditional
       | lits ->
-        has_literals.(i) <- true;
         List.iter
           (fun lit ->
             literals := lit :: !literals;
@@ -126,8 +119,6 @@ let compile ?meta rule_list =
     prefilter = Acsearch.build (List.rev !literals);
     owner = Array.of_list (List.rev !owners);
     unconditional = List.rev !unconditional;
-    has_literals;
-    extent = Array.map (fun (m : rule_meta) -> m.extent) metas;
     tele =
       Telemetry.Rules.define
         (Array.map (fun (r : Rule.t) -> r.Rule.id) rules_vec);
@@ -243,47 +234,17 @@ let fused_wants fmask i =
 
 (* --- scan states ------------------------------------------------------ *)
 
-(* A raw match: one [Rx.find_all] result with its suppression verdict.
-   [raw_start]/[raw_stop] are offsets in the state's source; after a
-   carried re-scan they may differ from [raw_m]'s own offsets, which
-   refer to the source the match was originally found in — the matched
-   and captured text is byte-identical in both, which is all the patcher
-   reads from [raw_m]. *)
-type raw = {
-  raw_start : int;
-  raw_stop : int;
-  raw_suppressed : bool;
-  raw_m : Rx.m;
-}
+(* A raw match: one [Rx.find_all] result with its suppression verdict. *)
+type raw = { raw_suppressed : bool; raw_m : Rx.m }
 
 type state = {
   st_source : string;
   st_index : Line_index.t Lazy.t;
-  st_raw : raw list array;  (* per rule, ascending by raw_start *)
-  st_maxws : int Lazy.t;
-      (* upper bound on the newlines inside any maximal whitespace run
-         of [st_source]; monotone over re-scans (see [rescan]) *)
+  st_raw : raw list array;  (* per rule, ascending by match start *)
   st_warnings : warning list;
 }
 
 let state_source st = st.st_source
-let state_warnings st = st.st_warnings
-
-let is_ws = function
-  | ' ' | '\t' | '\n' | '\r' | '\011' | '\012' -> true
-  | _ -> false
-
-let max_ws_run_newlines source ~pos ~stop =
-  let best = ref 0 and cur = ref 0 in
-  for i = pos to stop - 1 do
-    let c = String.unsafe_get source i in
-    if c = '\n' then begin
-      incr cur;
-      if !cur > !best then best := !cur
-    end
-    else if not (is_ws c) then cur := 0
-  done;
-  !best
 
 (* The full scan, producing a [state].  Semantics are the seed engine's:
    suppress windows are the matched lines ±1, a rule that exhausts its
@@ -355,16 +316,15 @@ let scan_state t source =
           List.map
             (fun m ->
               incr nraw;
-              let start = Rx.m_start m and stop = Rx.m_stop m in
               let suppressed =
                 match rule.Rule.suppress with
                 | None -> false
                 | Some sup ->
-                  Rx.matches sup (context_window source start stop)
+                  Rx.matches sup
+                    (context_window source (Rx.m_start m) (Rx.m_stop m))
               in
               if suppressed then incr dropped;
-              { raw_start = start; raw_stop = stop; raw_suppressed = suppressed;
-                raw_m = m })
+              { raw_suppressed = suppressed; raw_m = m })
             matches
         in
         raws.(i) <- rule_raws;
@@ -390,8 +350,6 @@ let scan_state t source =
     st_source = source;
     st_index = lazy (Line_index.build source);
     st_raw = raws;
-    st_maxws =
-      lazy (max_ws_run_newlines source ~pos:0 ~stop:(String.length source));
     st_warnings = List.rev !warnings;
   }
 
@@ -407,13 +365,14 @@ let state_findings t st =
           (fun r ->
             if not r.raw_suppressed then begin
               let index = Lazy.force st.st_index in
+              let start = Rx.m_start r.raw_m in
               out :=
                 {
                   rule;
-                  line = Line_index.line index r.raw_start;
-                  column = Line_index.column index r.raw_start;
-                  offset = r.raw_start;
-                  stop = r.raw_stop;
+                  line = Line_index.line index start;
+                  column = Line_index.column index start;
+                  offset = start;
+                  stop = Rx.m_stop r.raw_m;
                   snippet = one_line (Rx.matched r.raw_m);
                   m = r.raw_m;
                 }
@@ -454,501 +413,6 @@ let scan_selection_with_warnings t source ~first_line ~last_line =
 let scan_selection t source ~first_line ~last_line =
   fst (scan_selection_with_warnings t source ~first_line ~last_line)
 
-(* --- incremental re-scan ---------------------------------------------- *)
-
-(* Telemetry for the incremental pipeline: how often re-scans run (and
-   fall back to a full scan), how much of each finding set is carried
-   over versus recomputed, and what fraction of the new source the dirty
-   regions cover. *)
-let rescan_counter = Telemetry.Counter.make "scanner_rescans_total"
-
-let rescan_fallback_counter =
-  Telemetry.Counter.make "scanner_rescan_full_fallbacks_total"
-
-let reused_counter = Telemetry.Counter.make "scanner_findings_reused_total"
-
-let recomputed_counter =
-  Telemetry.Counter.make "scanner_findings_recomputed_total"
-
-let dirty_pct_histogram = Telemetry.Histogram.make "scanner_dirty_region_pct"
-
-(* Raised when exactness cannot be maintained regionally (a budget
-   exhaustion mid-re-scan, or a defensive invariant check failing);
-   [rescan] then falls back to a full [scan_state], which is exact by
-   construction. *)
-exception Fallback
-
-(* A dirty region: the lines an edit touched, widened by the plan's line
-   extent bound plus two.  [rg_old_*] are offsets in the pre-edit
-   source, [rg_new_*] in the post-edit source (both line-aligned), and
-   [rg_fence] is the last new-source offset a region re-scan may start a
-   match attempt at: one bound past the region, so that any match found
-   beyond it is provably the old scan's exact continuation (see
-   DESIGN.md, "Incremental patch architecture"). *)
-type region = {
-  rg_old_start : int;
-  rg_old_stop : int;
-  rg_new_start : int;
-  rg_new_stop : int;
-  rg_fence : int;
-}
-
-(* New-source spans of the replacement texts, in ascending order. *)
-let new_spans edits =
-  let rec go shift acc = function
-    | [] -> List.rev acc
-    | (e : Edit.t) :: rest ->
-      let s = e.Edit.start + shift in
-      go (shift + Edit.delta e) ((s, s + String.length e.Edit.repl) :: acc) rest
-  in
-  go 0 [] edits
-
-(* The maxws bound for the edited source: whitespace runs in clean text
-   existed before the edits and are covered by the previous bound; runs
-   touching a replacement are re-measured after extending the span to
-   its enclosing run.  The result can over-approximate (the previous
-   bound is kept even if its run shrank), which only ever widens
-   regions — never a correctness risk. *)
-let maxws_after new_source spans prev_bound =
-  let len = String.length new_source in
-  List.fold_left
-    (fun acc (s, e) ->
-      let s = ref (min s len) in
-      while !s > 0 && is_ws new_source.[!s - 1] do
-        decr s
-      done;
-      let e = ref (min e len) in
-      while !e < len && is_ws new_source.[!e] do
-        incr e
-      done;
-      max acc (max_ws_run_newlines new_source ~pos:!s ~stop:!e))
-    prev_bound spans
-
-(* Sorted 1-based inclusive line ranges, overlapping or adjacent ones
-   merged. *)
-let merge_ranges ranges =
-  List.fold_left
-    (fun acc (a, b) ->
-      match acc with
-      | (pa, pb) :: rest when a <= pb + 1 -> (pa, max pb b) :: rest
-      | _ -> (a, b) :: acc)
-    []
-    (List.sort compare ranges)
-  |> List.rev
-
-(* Line distance from [l] to the nearest range (0 inside a range). *)
-let dist_to_ranges ranges l =
-  List.fold_left
-    (fun acc (a, b) ->
-      min acc (if l < a then a - l else if l > b then l - b else 0))
-    max_int ranges
-
-(* One rule's dirty regions: the base dirty line ranges widened by the
-   rule's own [pad], with fences [bound] lines past each region end.
-   Regions are per rule because pads differ widely across the catalog —
-   a worst-case shared pad would mark most of a small file dirty for
-   every rule. *)
-let regions_for ~old_index ~old_len ~new_index ~new_source ~edits ~base_old
-    ~pad ~bound =
-  let nlines_old = Line_index.line_count old_index in
-  let new_len = String.length new_source in
-  let nlines_new = Line_index.line_count new_index in
-  merge_ranges
-    (List.map
-       (fun (a, b) -> (max 1 (a - pad), min nlines_old (b + pad)))
-       base_old)
-  |> List.map (fun (la, lb) ->
-         let os = Line_index.line_start old_index la in
-         let oe =
-           if lb >= nlines_old then old_len
-           else Line_index.line_start old_index (lb + 1)
-         in
-         let ns = Edit.map_offset_left edits os in
-         let ne = Edit.map_offset edits oe in
-         let fence_line =
-           Line_index.line new_index (max 0 (ne - 1)) + bound + 1
-         in
-         let fence =
-           if fence_line >= nlines_new then new_len
-           else Line_index.line_start new_index (fence_line + 1) - 1
-         in
-         {
-           rg_old_start = os;
-           rg_old_stop = oe;
-           rg_new_start = ns;
-           rg_new_stop = ne;
-           rg_fence = fence;
-         })
-  |> Array.of_list
-
-(* Exact per-rule merge of the old raw matches with region re-scans.
-   Invariants (proved in DESIGN.md):
-   - old matches starting before a region are unchanged, byte-for-byte,
-     suppression window included — they are carried with remapped
-     offsets;
-   - matches relevant to the edits start inside a region; the re-scan
-     runs [Rx.exec] from the region start, fenced at [rg_fence];
-   - when the fenced scan finds nothing further, the remaining old
-     matches (all strictly beyond the fence) are the scan's exact
-     continuation, so carrying resumes. *)
-let merge_rule (rule : Rule.t) old_raws edits new_source regions ~steps ~count
-    =
-  let nregions = Array.length regions in
-  let exec_from pos limit =
-    if count then Rx.exec_counted ~pos ~limit rule.Rule.pattern new_source ~steps
-    else Rx.exec ~pos ~limit rule.Rule.pattern new_source
-  in
-  let map_o = Edit.map_offset edits in
-  let out = ref [] in
-  let fresh = ref 0 and carried = ref 0 in
-  let olds = ref old_raws in
-  let pos = ref 0 in
-  let k = ref 0 in
-  let carrying = ref true in
-  let finished = ref false in
-  let emit_carried r =
-    let start = map_o r.raw_start and stop = map_o r.raw_stop in
-    incr carried;
-    out := { r with raw_start = start; raw_stop = stop } :: !out;
-    pos := (if stop = start then stop + 1 else stop)
-  in
-  let emit_fresh m =
-    let start = Rx.m_start m and stop = Rx.m_stop m in
-    let suppressed =
-      match rule.Rule.suppress with
-      | None -> false
-      | Some sup -> Rx.matches sup (context_window new_source start stop)
-    in
-    incr fresh;
-    out :=
-      { raw_start = start; raw_stop = stop; raw_suppressed = suppressed;
-        raw_m = m }
-      :: !out;
-    pos := (if stop = start then stop + 1 else stop)
-  in
-  let rec drop_while p =
-    match !olds with
-    | r :: rest when p r ->
-      olds := rest;
-      drop_while p
-    | _ -> ()
-  in
-  while not !finished do
-    if !carrying then
-      if !k >= nregions then begin
-        List.iter emit_carried !olds;
-        olds := [];
-        finished := true
-      end
-      else begin
-        let rg = regions.(!k) in
-        (* carry the clean matches before the region, drop the ones the
-           region re-scan will recompute *)
-        let rec carry () =
-          match !olds with
-          | r :: rest when r.raw_start < rg.rg_old_start ->
-            olds := rest;
-            emit_carried r;
-            carry ()
-          | _ -> ()
-        in
-        carry ();
-        drop_while (fun r -> r.raw_start < rg.rg_old_stop);
-        pos := max !pos rg.rg_new_start;
-        carrying := false
-      end
-    else begin
-      (* a fence reaching into the next region fuses the two scans *)
-      let fused = ref true in
-      while !fused do
-        if
-          !k + 1 < nregions
-          && regions.(!k).rg_fence >= regions.(!k + 1).rg_new_start
-        then begin
-          incr k;
-          drop_while (fun r -> r.raw_start < regions.(!k).rg_old_stop)
-        end
-        else fused := false
-      done;
-      let fence = regions.(!k).rg_fence in
-      match exec_from !pos fence with
-      | Some m ->
-        emit_fresh m;
-        (* old matches the scan has passed are superseded: either they
-           were just re-found (and re-emitted fresh) or they vanished *)
-        drop_while (fun r -> map_o r.raw_start < !pos)
-      | None ->
-        (* no match starts in [pos, fence].  An old match mapping into
-           that window would be a positional match on clean text — a
-           contradiction; check defensively and fall back rather than
-           ever diverging from the full scan. *)
-        (match !olds with
-        | r :: _ when map_o r.raw_start <= fence -> raise Fallback
-        | _ -> ());
-        incr k;
-        carrying := true
-    end
-  done;
-  (List.rev !out, !carried, !fresh)
-
-let rescan_exn t st edits new_source =
-  let old_index = Lazy.force st.st_index in
-  let old_len = String.length st.st_source in
-  let new_index = Line_index.update old_index edits in
-  let maxws = maxws_after new_source (new_spans edits) (Lazy.force st.st_maxws) in
-  let nrules = Array.length t.rule_arr in
-  (* Per-rule line-extent bounds under the new maxws: a match of rule
-     [i] spans at most [bound.(i)] newlines. *)
-  let bound =
-    Array.map
-      (function Some (f, w) -> f + (w * maxws) | None -> 0)
-      t.extent
-  in
-  let max_bound = Array.fold_left max 0 bound in
-  let max_pad = max_bound + 2 in
-  (* Base dirty line ranges: the lines the edits touched, in old-source
-     and new-source coordinates.  Each rule widens these by its own pad
-     instead of sharing the worst rule's. *)
-  let base_old =
-    merge_ranges
-      (List.map
-         (fun (e : Edit.t) ->
-           ( Line_index.line old_index e.Edit.start,
-             Line_index.line old_index (max e.Edit.start (e.Edit.stop - 1)) ))
-         edits)
-  in
-  let new_len = String.length new_source in
-  let nlines_new = Line_index.line_count new_index in
-  let base_new =
-    merge_ranges
-      (List.map
-         (fun (s, e) ->
-           ( Line_index.line new_index s,
-             Line_index.line new_index (max s (e - 1)) ))
-         (new_spans edits))
-  in
-  (* Literal-distance prefilter.  One Aho–Corasick pass over the dirty
-     lines widened by [p] records, per rule, how many lines its nearest
-     literal hit sits from a dirty line.  [p] covers the worst rule's
-     decision threshold (pad + bound + 1 below), so a hit outside the
-     scanned span is provably irrelevant to every rule — including
-     literals straddling a span start, which a root-start scan cannot
-     see but which then lie > p lines out. *)
-  let min_lit_dist = Array.make nrules max_int in
-  let p = max_pad + max_bound + 1 in
-  let scan_spans =
-    merge_ranges
-      (List.map
-         (fun (a, b) -> (max 1 (a - p), min nlines_new (b + p)))
-         base_new)
-    |> List.map (fun (la, lb) ->
-           let bs = Line_index.line_start new_index la in
-           let be =
-             if lb >= nlines_new then new_len
-             else Line_index.line_start new_index (lb + 1)
-           in
-           (bs, be))
-  in
-  List.iter
-    (fun (bs, be) ->
-      if be > bs then
-        Acsearch.search_hits_into t.prefilter new_source ~pos:bs ~stop:be
-          (fun j i ->
-            let r = t.owner.(j) in
-            if min_lit_dist.(r) > 0 then begin
-              let d = dist_to_ranges base_new (Line_index.line new_index i) in
-              if d < min_lit_dist.(r) then min_lit_dist.(r) <- d
-            end))
-    scan_spans;
-  (* Distance from each rule's nearest old match to a dirty line: a
-     close old match may vanish or change, and its disappearance can
-     un-shadow a match further out, so closeness forces the full
-     region merge for that rule. *)
-  let min_old_dist = Array.make nrules max_int in
-  Array.iteri
-    (fun i olds ->
-      List.iter
-        (fun r ->
-          if min_old_dist.(i) > 0 then begin
-            let d =
-              dist_to_ranges base_old (Line_index.line old_index r.raw_start)
-            in
-            if d < min_old_dist.(i) then min_old_dist.(i) <- d
-          end)
-        olds)
-    st.st_raw;
-  (* Rules with no finite line extent are re-run over the whole source
-     when they could match at all; their candidacy needs the full-source
-     prefilter, computed at most once. *)
-  let full_wanted =
-    lazy
-      (let w = Array.make nrules false in
-       List.iter (fun i -> w.(i) <- true) t.unconditional;
-       let hits = Acsearch.search_mask t.prefilter new_source in
-       Array.iteri (fun j hit -> if hit then w.(t.owner.(j)) <- true) hits;
-       (* the fused pass sharpens the literal gate into an exact
-          existence gate for hosted rules: an unflagged hosted rule's
-          full re-scan would find nothing, so it is skipped outright *)
-       (match fused_mask t new_source with
-       | None -> ()
-       | Some (f, mask) ->
-         for i = 0 to nrules - 1 do
-           if w.(i) && Rx.Fused.is_hosted f i && Bytes.get mask i = '\000'
-           then w.(i) <- false
-         done);
-       w)
-  in
-  let block =
-    match Telemetry.installed () with
-    | None -> None
-    | Some sink ->
-      let b = B.block sink t.tele in
-      b.B.scans <- b.B.scans + 1;
-      Some b
-  in
-  let count = block <> None in
-  let t_prev = ref (if count then Telemetry.now_ticks () else 0) in
-  let new_raws = Array.make nrules [] in
-  let total_carried = ref 0 and total_fresh = ref 0 in
-  let record i nraw dropped steps =
-    match block with
-    | None -> ()
-    | Some b ->
-      b.B.candidates.(i) <- b.B.candidates.(i) + 1;
-      b.B.matched.(i) <- b.B.matched.(i) + nraw;
-      b.B.suppressed.(i) <- b.B.suppressed.(i) + dropped;
-      b.B.findings.(i) <- b.B.findings.(i) + (nraw - dropped);
-      b.B.steps.(i) <- b.B.steps.(i) + steps;
-      let now = Telemetry.now_ticks () in
-      b.B.time_ns.(i) <- b.B.time_ns.(i) + (now - !t_prev);
-      t_prev := now
-  in
-  Array.iteri
-    (fun i cell ->
-      let olds = st.st_raw.(i) in
-      match t.extent.(i) with
-      | Some _ ->
-        let pad = bound.(i) + 2 in
-        (* The rule must re-scan its regions iff a new match could start
-           near a dirty line (its literal sits within pad + bound + 1
-           lines — the extra bound + 1 covers a match whose start is up
-           to bound lines before its literal, plus the fence line) or an
-           old match sits within pad lines (it may vanish, and a
-           vanished match can un-shadow one starting up to bound lines
-           past the region, which the fence covers — so this case always
-           runs the full merge, never a drop-only shortcut). *)
-        let needs_merge =
-          (not t.has_literals.(i))
-          || min_lit_dist.(i) <= pad + bound.(i) + 1
-          || min_old_dist.(i) <= pad
-        in
-        if not needs_merge then begin
-          (* nothing near the dirty lines changed for this rule:
-             carry all matches with remapped offsets *)
-          if olds <> [] then begin
-            let map_o = Edit.map_offset edits in
-            new_raws.(i) <-
-              List.map
-                (fun r ->
-                  { r with
-                    raw_start = map_o r.raw_start;
-                    raw_stop = map_o r.raw_stop })
-                olds;
-            total_carried := !total_carried + List.length olds
-          end
-        end
-        else begin
-          let regions =
-            regions_for ~old_index ~old_len ~new_index ~new_source ~edits
-              ~base_old ~pad ~bound:bound.(i)
-          in
-          let rule = cell_rule cell in
-          let steps = ref 0 in
-          let merged, carried, fresh =
-            try merge_rule rule olds edits new_source regions ~steps ~count
-            with Rx.Budget_exceeded _ -> raise Fallback
-          in
-          new_raws.(i) <- merged;
-          total_carried := !total_carried + carried;
-          total_fresh := !total_fresh + fresh;
-          let dropped =
-            List.fold_left
-              (fun acc r -> if r.raw_suppressed then acc + 1 else acc)
-              0 merged
-          in
-          record i fresh dropped !steps
-        end
-      | None ->
-        (* no finite extent: full re-scan whenever the rule is a
-           candidate anywhere in the new source *)
-        if (Lazy.force full_wanted).(i) then begin
-          let rule = cell_rule cell in
-          let steps = ref 0 in
-          let matches =
-            try
-              if count then
-                Rx.find_all_counted rule.Rule.pattern new_source ~steps
-              else Rx.find_all rule.Rule.pattern new_source
-            with Rx.Budget_exceeded _ -> raise Fallback
-          in
-          let nraw = ref 0 and dropped = ref 0 in
-          new_raws.(i) <-
-            List.map
-              (fun m ->
-                incr nraw;
-                let start = Rx.m_start m and stop = Rx.m_stop m in
-                let suppressed =
-                  match rule.Rule.suppress with
-                  | None -> false
-                  | Some sup ->
-                    Rx.matches sup (context_window new_source start stop)
-                in
-                if suppressed then incr dropped;
-                { raw_start = start; raw_stop = stop;
-                  raw_suppressed = suppressed; raw_m = m })
-              matches;
-          total_fresh := !total_fresh + !nraw;
-          record i !nraw !dropped !steps
-        end)
-    t.rule_arr;
-  Telemetry.Counter.incr reused_counter ~by:!total_carried;
-  Telemetry.Counter.incr recomputed_counter ~by:!total_fresh;
-  if new_len > 0 then begin
-    let dirty =
-      List.fold_left (fun acc (bs, be) -> acc + (be - bs)) 0 scan_spans
-    in
-    Telemetry.Histogram.observe dirty_pct_histogram
-      (min 100 (dirty * 100 / new_len))
-  end;
-  {
-    st_source = new_source;
-    st_index = Lazy.from_val new_index;
-    st_raw = new_raws;
-    st_maxws = Lazy.from_val maxws;
-    st_warnings = [];
-  }
-
-let rescan t st edits =
-  if edits = [] then st
-  else begin
-    let new_source = Edit.apply st.st_source edits in
-    (* A state carrying budget warnings has rules whose match set is not
-       exactly known; only the full scan reproduces the reference
-       behaviour for those. *)
-    if st.st_warnings <> [] then scan_state t new_source
-    else begin
-      Telemetry.Counter.incr rescan_counter;
-      match
-        Telemetry.Trace.ambient_span Telemetry.Trace.Rescan (fun () ->
-            rescan_exn t st edits new_source)
-      with
-      | state -> state
-      | exception Fallback ->
-        Telemetry.Counter.incr rescan_fallback_counter;
-        scan_state t new_source
-    end
-  end
-
 (* --- binary codec ----------------------------------------------------------
 
    Plan serialization for rule packs: the rules (fully compiled), the
@@ -983,13 +447,7 @@ let write buf t =
     buf rules_vec;
   Acsearch.write buf t.prefilter;
   Binio.w_array (fun buf i -> Binio.w_u32 buf i) buf t.owner;
-  Binio.w_list (fun buf i -> Binio.w_u32 buf i) buf t.unconditional;
-  Binio.w_array Binio.w_bool buf t.has_literals;
-  Binio.w_array
-    (Binio.w_opt (fun buf (f, w) ->
-         Binio.w_u32 buf f;
-         Binio.w_u32 buf w))
-    buf t.extent
+  Binio.w_list (fun buf i -> Binio.w_u32 buf i) buf t.unconditional
 
 let read r =
   let ids = Binio.r_array Binio.r_str r in
@@ -1025,24 +483,11 @@ let read r =
   if Array.length owner <> Acsearch.pattern_count prefilter then
     raise (Binio.Corrupt "owner table does not match the prefilter");
   let unconditional = Binio.r_list (fun r -> check_rule (Binio.r_u32 r)) r in
-  let has_literals = Binio.r_array Binio.r_bool r in
-  let extent =
-    Binio.r_array
-      (Binio.r_opt (fun r ->
-           let f = Binio.r_u32 r in
-           let w = Binio.r_u32 r in
-           (f, w)))
-      r
-  in
-  if Array.length has_literals <> nrules || Array.length extent <> nrules then
-    raise (Binio.Corrupt "per-rule tables do not match the rule count");
   {
     rule_arr;
     prefilter;
     owner;
     unconditional;
-    has_literals;
-    extent;
     tele = Telemetry.Rules.define ids;
     (* default thunk fuses from the decoded rules on first scan;
        rule packs carrying a pre-built fused section replace it via

@@ -39,16 +39,15 @@ type t
 
 type rule_meta = {
   literals : string list;  (** {!Rx.required_literals} of the pattern *)
-  extent : (int * int) option;  (** {!Rx.newline_budget} of the pattern *)
 }
 (** The per-rule analysis {!compile} needs.  Deriving it walks the
-    pattern AST twice per rule; it is pure per rule, so callers may
-    compute it in parallel with {!derive_meta} and pass the results to
-    {!compile} via [?meta]. *)
+    pattern AST; it is pure per rule, so callers may compute it in
+    parallel with {!derive_meta} and pass the results to {!compile} via
+    [?meta]. *)
 
 val derive_meta : Rule.t -> rule_meta
-(** The analysis of one rule's pattern: prefilter literals and newline
-    budget.  Pure and domain-safe. *)
+(** The analysis of one rule's pattern: its prefilter literals.  Pure
+    and domain-safe. *)
 
 val compile : ?meta:rule_meta list -> Rule.t list -> t
 (** Derives every rule's prefilter literals and builds the shared
@@ -107,8 +106,7 @@ val telemetry_def : t -> Telemetry.Rules.def
     rules the fused pass flagged (plus unhosted rules) — so per-sample
     cost approaches one traversal of the input regardless of catalog
     size, while results stay byte-identical to the per-rule path by
-    construction.  The incremental {!rescan} path uses the same filter
-    to gate full re-scans of rules without a finite line extent.
+    construction.
 
     [PATCHITPY_SCAN_TIER=per-rule] in the environment pins plans built
     afterwards to the per-rule path (the escape hatch, mirroring
@@ -137,28 +135,20 @@ val set_fused_thunk : t -> (unit -> Rx.fused option) -> unit
     section instead of re-fusing from the rules.  No-op on plans with
     the tier pinned off. *)
 
-(** {1 Scan states and incremental re-scanning}
+(** {1 Scan states}
 
-    The incremental patch pipeline scans a source once ({!scan_state}),
-    then after each patch round re-scans only the dirty regions around
-    the round's edits ({!rescan}), carrying every finding outside those
-    regions over with remapped offsets.  The carried/re-scanned split is
-    invisible in the result: {!state_findings} of a re-scanned state is
-    byte-identical to a full scan of the edited source (any situation
-    where regional exactness cannot be maintained — a budget exhaustion
-    mid-re-scan, a prior state with warnings — falls back to the full
-    scan internally). *)
+    The patcher scans a source once ({!scan_state}), then after each
+    patch round scans the edited source again in full.  A state keeps
+    the per-rule match lists, suppression verdicts included, so findings
+    and their line/column positions are materialized only when asked
+    for. *)
 
 type state
-(** A scanned source with its findings and the bookkeeping {!rescan}
-    needs: the line index, the per-rule raw match lists (including
-    suppressed matches), and the source's maximal whitespace-run
-    newline count (which, with each rule's {!Rx.newline_budget},
-    bounds how many lines a dirty region must be widened by). *)
+(** A scanned source with its per-rule raw matches and budget
+    warnings. *)
 
 val scan_state : t -> string -> state
-(** The full scan of {!scan_with_warnings}, retaining the state the
-    incremental re-scan builds on. *)
+(** The full scan of {!scan_with_warnings}, as a state. *)
 
 val state_findings : t -> state -> finding list
 (** The findings of a state, sorted by offset then rule id — exactly
@@ -166,20 +156,6 @@ val state_findings : t -> state -> finding list
 
 val state_source : state -> string
 (** The source text the state describes. *)
-
-val state_warnings : state -> warning list
-(** The budget warnings of the scan that produced the state. *)
-
-val rescan : t -> state -> Edit.t list -> state
-(** [rescan t st edits] is the state of [Edit.apply (state_source st)
-    edits]: equivalent to [scan_state] of the edited source, but
-    re-running rules only over the dirty regions around the edits
-    whenever each rule's {!Rx.newline_budget} proves that safe.
-    [edits] must satisfy {!Edit.valid} against the state's source.
-    Records [scanner_rescans_total], [scanner_rescan_full_fallbacks_total],
-    [scanner_findings_reused_total], [scanner_findings_recomputed_total]
-    and the [scanner_dirty_region_pct] histogram when a telemetry sink
-    is installed. *)
 
 (** {1 Binary codec}
 

@@ -32,7 +32,7 @@
    comparison. *)
 
 let magic = "PITPACK\x00"
-let format_version = 1
+let format_version = 2
 
 let section_python = 1
 let section_javascript = 2

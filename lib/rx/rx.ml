@@ -28,7 +28,6 @@ type t = {
      shared across domains, so memoizing them lazily would need a lock
      on every read — and the scanner wants them for every rule anyway. *)
   req_literals : string list;
-  nl_budget : (int * int) option;
   (* The lazy-DFA execution tier (see [Rx_dfa]): [None] when the
      pattern needs features only the backtracker has (back-references,
      counted repetitions beyond the expansion bound), when the compiled
@@ -285,82 +284,6 @@ let derive_literals node0 =
   | Some set when List.for_all (fun s -> String.length s >= 2) set -> set
   | Some _ | None -> []
 
-(* Whether every character the node can consume is whitespace (the \s
-   set).  Zero-width nodes are vacuously pure.  Used by [newline_budget]:
-   an unbounded repetition over a whitespace-pure body matches one
-   contiguous whitespace substring of the subject, so its newline count
-   is bounded by the subject's longest whitespace run rather than being
-   statically unbounded. *)
-let rec whitespace_pure node =
-  match node with
-  | Rx_ast.Empty | Rx_ast.Bol | Rx_ast.Eol | Rx_ast.Eos | Rx_ast.Wordb
-  | Rx_ast.Nwordb -> true
-  | Rx_ast.Char c -> Rx_ast.is_space_char c
-  | Rx_ast.Any -> false
-  | Rx_ast.Class cls ->
-    let ok = ref true in
-    for i = 0 to 255 do
-      let c = Char.chr i in
-      if Rx_ast.class_matches cls c && not (Rx_ast.is_space_char c) then
-        ok := false
-    done;
-    !ok
-  | Rx_ast.Seq nodes -> List.for_all whitespace_pure nodes
-  | Rx_ast.Alt branches -> List.for_all whitespace_pure branches
-  | Rx_ast.Group (_, inner) -> whitespace_pure inner
-  | Rx_ast.Rep (inner, _, _, _) -> whitespace_pure inner
-  | Rx_ast.Backref _ -> false
-
-(* The newline budget of a match, as [(fixed, runs)]: any match contains
-   at most [fixed] newlines from individually counted atoms plus the
-   newlines of at most [runs] maximal whitespace runs of the subject.
-   The split is what makes [\s*] (ubiquitous in the rule catalog, and
-   statically unbounded since \s matches '\n') usable for incremental
-   re-scanning: a star over a whitespace-pure body matches a contiguous
-   all-whitespace substring, hence at most one maximal whitespace run,
-   so the subject-dependent bound [fixed + runs * longest-run-newlines]
-   is finite and, on typical sources, small.  [None] means no finite
-   budget exists (a back-reference, or an unbounded repetition that can
-   consume non-whitespace newlines). *)
-let derive_newline_budget node0 =
-  let cap = 1 lsl 20 (* keeps nested counted reps from overflowing *) in
-  let rec go node =
-    match node with
-    | Rx_ast.Char c -> Some ((if c = '\n' then 1 else 0), 0)
-    | Rx_ast.Any -> Some (0, 0) (* '.' never matches newline *)
-    | Rx_ast.Class cls ->
-      Some ((if Rx_ast.class_matches cls '\n' then 1 else 0), 0)
-    | Rx_ast.Empty | Rx_ast.Bol | Rx_ast.Eol | Rx_ast.Eos | Rx_ast.Wordb
-    | Rx_ast.Nwordb -> Some (0, 0)
-    | Rx_ast.Seq nodes ->
-      List.fold_left
-        (fun acc n ->
-          match (acc, go n) with
-          | Some (fa, wa), Some (fb, wb) ->
-            Some (min cap (fa + fb), min cap (wa + wb))
-          | _ -> None)
-        (Some (0, 0)) nodes
-    | Rx_ast.Alt branches ->
-      (* componentwise max over-approximates each branch's bound *)
-      List.fold_left
-        (fun acc n ->
-          match (acc, go n) with
-          | Some (fa, wa), Some (fb, wb) -> Some (max fa fb, max wa wb)
-          | _ -> None)
-        (Some (0, 0)) branches
-    | Rx_ast.Group (_, inner) -> go inner
-    | Rx_ast.Rep (inner, _, max_count, _) -> (
-      match go inner with
-      | Some (0, 0) -> Some (0, 0)
-      | Some (f, w) -> (
-        match max_count with
-        | Some m -> Some (min cap (f * m), min cap (w * m))
-        | None -> if whitespace_pure inner then Some (0, 1) else None)
-      | None -> None)
-    | Rx_ast.Backref _ -> None
-  in
-  go node0
-
 (* --- execution-tier selection -------------------------------------------- *)
 
 (* Beyond this many Pike instructions the DFA's per-state closures and
@@ -454,7 +377,6 @@ let compile_uncached source =
       start_prefixes = start_prefixes_node node;
       bol_only = bol_only_node node;
       req_literals = derive_literals node;
-      nl_budget = derive_newline_budget node;
       dfa = build_dfa node;
       end_exact = not (has_nullable_rep node);
       uid = Atomic.fetch_and_add uid_source 1;
@@ -513,13 +435,8 @@ let compile_opt source =
 let pattern t = t.source
 let group_count t = t.ngroups
 let required_literals t = t.req_literals
+let is_word_char = Rx_ast.is_word_char
 let start_literals t = Array.map fst t.start_prefixes
-let newline_budget t = t.nl_budget
-
-(* Purely static variant: finite only when no whitespace runs are
-   involved (a run's newline count depends on the subject). *)
-let max_newlines t =
-  match t.nl_budget with Some (f, 0) -> Some f | Some _ | None -> None
 
 let tier t = match t.dfa with None -> `Backtrack | Some _ -> `Dfa
 
@@ -964,17 +881,10 @@ let find_all t subject =
 
 let search_steps_histogram = Telemetry.Histogram.make "rx_search_steps"
 
-let exec_steps ~recorder ?(pos = 0) ?limit t subject ~steps =
+let exec_steps ~recorder ?(pos = 0) t subject ~steps =
   guarded ~steps_acc:steps (fun ?cap ?steps_acc () ->
       let steps = match steps_acc with Some acc -> acc | None -> steps in
-      tier_search ~recorder ?cap ~steps_acc:steps ?limit t subject pos)
-
-let exec_counted ?pos ?limit t subject ~steps =
-  let recorder = Telemetry.recorder () in
-  let before = !steps in
-  let result = exec_steps ~recorder ?pos ?limit t subject ~steps in
-  robserve recorder search_steps_histogram (!steps - before);
-  result
+      tier_search ~recorder ?cap ~steps_acc:steps t subject pos)
 
 let observe_sweep recorder before steps =
   robserve recorder search_steps_histogram (!steps - before)
@@ -1116,12 +1026,7 @@ let write_compiled buf t =
       Binio.w_u8 buf anchor)
     buf t.start_prefixes;
   Binio.w_bool buf t.bol_only;
-  Binio.w_list Binio.w_str buf t.req_literals;
-  Binio.w_opt
-    (fun buf (fixed, runs) ->
-      Binio.w_u32 buf fixed;
-      Binio.w_u32 buf runs)
-    buf t.nl_budget
+  Binio.w_list Binio.w_str buf t.req_literals
 
 let read_compiled r =
   let source = Binio.r_str r in
@@ -1144,14 +1049,6 @@ let read_compiled r =
   in
   let bol_only = Binio.r_bool r in
   let req_literals = Binio.r_list Binio.r_str r in
-  let nl_budget =
-    Binio.r_opt
-      (fun r ->
-        let fixed = Binio.r_u32 r in
-        let runs = Binio.r_u32 r in
-        (fixed, runs))
-      r
-  in
   {
     source;
     node;
@@ -1161,7 +1058,6 @@ let read_compiled r =
     start_prefixes;
     bol_only;
     req_literals;
-    nl_budget;
     dfa = build_dfa node;
     end_exact = not (has_nullable_rep node);
     uid = Atomic.fetch_and_add uid_source 1;

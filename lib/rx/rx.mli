@@ -142,27 +142,13 @@ val required_literals : t -> string list
     most (rule, file) pairs.  An empty list means no useful literal
     could be derived. *)
 
+val is_word_char : char -> bool
+(** The [\w] class: ASCII letters, digits and ['_'].  [\b] holds
+    exactly where one neighbour is a word character and the other is
+    not (or is the subject edge). *)
+
 val group_count : t -> int
 (** Number of capturing groups in the pattern. *)
-
-val newline_budget : t -> (int * int) option
-(** [newline_budget t] is [Some (fixed, runs)] when any match of [t]
-    contains at most [fixed] newline characters from individually
-    bounded atoms plus the newlines of at most [runs] maximal
-    whitespace runs of the subject; [None] when no such budget exists
-    (a back-reference, or an unbounded repetition able to consume
-    non-whitespace newlines).  The [runs] component is what keeps the
-    ubiquitous [\s*] finite: a star over a whitespace-only body matches
-    one contiguous whitespace run, so its newline count is bounded by
-    the subject's longest run rather than by the pattern.  Incremental
-    re-scanning widens dirty regions by
-    [fixed + runs * (longest whitespace-run newline count)] lines;
-    rules with no budget fall back to a full re-scan. *)
-
-val max_newlines : t -> int option
-(** The purely static specialisation of {!newline_budget}: an upper
-    bound on the newlines any match can contain regardless of subject,
-    or [None] when the bound is subject-dependent or infinite. *)
 
 (** {1 Matching} *)
 
@@ -191,8 +177,7 @@ val exec : ?pos:int -> ?limit:int -> t -> string -> m option
 (** [exec t s] finds the leftmost match of [t] in [s] at or after [pos]
     (default 0).  [limit], when given, restricts the {e start offsets}
     attempted to at most [limit] — the match itself may extend beyond
-    it, and anchors and word boundaries still see the whole subject.
-    Incremental re-scanning uses it to fence a dirty-region scan. *)
+    it, and anchors and word boundaries still see the whole subject. *)
 
 val matches : t -> string -> bool
 (** [matches t s] is [true] iff [t] matches somewhere in [s]. *)
@@ -230,10 +215,6 @@ val find_all : t -> string -> m list
     step budget is exhausted mid-search, so a {!Budget_exceeded} scan
     still reports the work it burned.  Every search observed this way
     also feeds the ["rx_search_steps"] telemetry histogram. *)
-
-val exec_counted :
-  ?pos:int -> ?limit:int -> t -> string -> steps:int ref -> m option
-(** {!exec}, adding the steps consumed to [steps]. *)
 
 val find_all_counted : t -> string -> steps:int ref -> m list
 (** {!find_all}, adding the steps consumed to [steps]. *)

@@ -182,10 +182,18 @@ let listener_loop pool ~max_request_bytes lfd =
 
 (* --- HTTP front-end -------------------------------------------------------- *)
 
+(* Replies go out as soon as they are written: without TCP_NODELAY a
+   pipelined reply waits behind the client's delayed ACK (~1 ms
+   against ~170 us with the option set, over loopback).  Best-effort —
+   a socket that rejects the option is still served. *)
+let set_nodelay fd =
+  try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ()
+
 let http_listener_loop gateway lfd =
   let rec loop () =
     match Unix.accept ~cloexec:true lfd with
     | fd, addr ->
+      set_nodelay fd;
       (* The per-connection quota fallback identity is the peer
          address without the ephemeral port, so reconnecting does not
          mint a fresh bucket. *)

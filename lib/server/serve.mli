@@ -56,6 +56,12 @@ val claim_unix_socket : string -> (unit, string) result
     removed; a live daemon or a non-socket file is an [Error] — the
     daemon refuses to steal either. *)
 
+val set_nodelay : Unix.file_descr -> unit
+(** Sets [TCP_NODELAY] on an accepted HTTP connection, so a reply is
+    sent as soon as it is written instead of waiting behind the
+    client's delayed ACK.  Errors (a socket without the option) are
+    ignored. *)
+
 val connection_loop : Pool.t -> max_request_bytes:int -> Unix.file_descr -> unit
 (** Serves one NDJSON connection to completion and closes the
     descriptor — the socket front-end runs this on a thread per

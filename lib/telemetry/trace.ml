@@ -49,7 +49,6 @@ type phase =
   | Queue_wait
   | Dispatch
   | Scan
-  | Rescan
   | Patch_round
   | Serialize
   | Write
@@ -62,7 +61,6 @@ let phase_name = function
   | Queue_wait -> "queue-wait"
   | Dispatch -> "dispatch"
   | Scan -> "scan"
-  | Rescan -> "rescan"
   | Patch_round -> "patch-round"
   | Serialize -> "serialize"
   | Write -> "write"

@@ -1,7 +1,7 @@
 (** Request-lifecycle tracing and the flight recorder.
 
     One {!record} per request: phase-decomposed {!span}s (intake →
-    queue wait → dispatch → scan → rescan/patch rounds → serialize →
+    queue wait → dispatch → scan → patch rounds → serialize →
     write) plus point events ({!instant}: DFA cache flushes and bails,
     deadline and budget trips), published on {!finish} into the
     finishing domain's fixed-size, overwrite-oldest ring buffer.  The
@@ -32,8 +32,9 @@ type phase =
   | Queue_wait  (** submit to worker pop *)
   | Dispatch  (** worker pop to execution start *)
   | Scan  (** full scan ([Scanner.scan_state]) *)
-  | Rescan  (** incremental rescan *)
-  | Patch_round  (** one patcher fix round advancing the scan state *)
+  | Patch_round
+      (** one patcher fix round: its full re-scan of the edited source
+          nests inside as a [Scan] span *)
   | Serialize  (** response body construction *)
   | Write  (** delivery back to the front-end *)
 
@@ -45,7 +46,7 @@ type instant =
 
 val phase_name : phase -> string
 (** Stable wire names: ["intake"], ["cache-lookup"], ["queue-wait"],
-    ["dispatch"], ["scan"], ["rescan"], ["patch-round"], ["serialize"],
+    ["dispatch"], ["scan"], ["patch-round"], ["serialize"],
     ["write"]. *)
 
 val instant_name : instant -> string

@@ -2,13 +2,13 @@
    through the fused multi-pattern pass (one tagged lazy DFA over the
    whole catalog, flagging which rules can match at all) must be
    indistinguishable from the per-rule path — same findings, same
-   warnings, same rescan states — because the fused pass is an *exact*
+   warnings, same patch results — because the fused pass is an *exact*
    existence filter and per-rule sweeps still resolve every span.
 
    Layers: unit checks on hosting decisions and the raw mask; QCheck
    over random pattern sets x random subjects (mask vs the pinned
    backtracker, full-size and deliberately thrashing caches); scanner
-   differentials including the incremental rescan path and
+   differentials including the patcher's round scans and
    deadline/budget edges; the fused rule-pack section (round-trip and
    forged-section degradation); and the 609-sample corpus under
    --jobs 1 and 4. *)
@@ -265,56 +265,28 @@ let prop_scan_differential =
       scan_fp (Lazy.force scanner_fused) src
       = scan_fp (Lazy.force scanner_per_rule) src)
 
-(* Rescan on the fused plan vs full per-rule scan of the edited source:
-   exercises the fused-gated [full_wanted] path and the carried/fresh
-   merge under fused routing. *)
-let repl_fragments =
-  [|
-    ""; "\n"; "\n\n"; "x"; "xy\nz"; "  "; "pickle.loads(data)";
-    "x = eval(s)\n"; "import json\n"; "json.loads(data)"; "# ok\n";
-  |]
+(* Patching on the fused plan vs the per-rule plan: every patch round
+   re-scans the edited source, so this routes rewritten text — fixed
+   calls, inserted and deleted imports — through the fused pass. *)
+let patch_fp t source =
+  let r = Patcher.patch ~scanner:t source in
+  ( r.Patcher.patched,
+    List.map
+      (fun (a : Patcher.application) ->
+        (a.Patcher.rule.Rule.id, a.Patcher.line, a.Patcher.before,
+         a.Patcher.after))
+      r.Patcher.applications,
+    r.Patcher.imports_added,
+    List.map finding_key r.Patcher.remaining,
+    r.Patcher.rounds_used,
+    r.Patcher.converged )
 
-let repl_gen =
-  QCheck.Gen.(
-    map (fun i -> repl_fragments.(i)) (int_range 0 (Array.length repl_fragments - 1)))
-
-let normalize_edits n raw =
-  let raw = List.sort (fun (a, _, _) (b, _, _) -> compare a b) raw in
-  let rec go pos acc = function
-    | [] -> List.rev acc
-    | (s, l, r) :: rest ->
-      let s = max s pos in
-      if s > n then List.rev acc
-      else
-        let stop = min n (s + l) in
-        go stop ({ Edit.start = s; stop; repl = r } :: acc) rest
-  in
-  go 0 [] raw
-
-let edits_gen n =
-  QCheck.Gen.(
-    map (normalize_edits n)
-      (list_size (int_range 0 4)
-         (triple (int_range 0 (max n 1)) (int_range 0 20) repl_gen)))
-
-let prop_rescan_differential =
-  QCheck.Test.make ~count:200
-    ~name:"fused rescan = per-rule full scan of the edited source"
-    (QCheck.make
-       QCheck.Gen.(
-         py_source_gen >>= fun src ->
-         edits_gen (String.length src) >>= fun edits -> return (src, edits)))
-    (fun (src, edits) ->
-      if not (Edit.valid src edits) then QCheck.assume_fail ()
-      else begin
-        let tf = Lazy.force scanner_fused in
-        let st = Scanner.scan_state tf src in
-        let st' = Scanner.rescan tf st edits in
-        let full_src = Edit.apply src edits in
-        Scanner.state_source st' = full_src
-        && List.map finding_key (Scanner.state_findings tf st')
-           = fst (scan_fp (Lazy.force scanner_per_rule) full_src)
-      end)
+let prop_patch_differential =
+  QCheck.Test.make ~count:200 ~name:"fused patch = per-rule patch"
+    (QCheck.make py_source_gen ~print:(Printf.sprintf "%S"))
+    (fun src ->
+      patch_fp (Lazy.force scanner_fused) src
+      = patch_fp (Lazy.force scanner_per_rule) src)
 
 (* --- deadline and budget edges ----------------------------------------- *)
 
@@ -470,36 +442,13 @@ let test_corpus_differential () =
         true
         (run (Lazy.force scanner_fused) jobs = reference))
     [ 1; 4 ];
-  (* rescan leg: edit every 7th sample and compare the incremental
-     fused state against the per-rule full scan *)
-  let tf = Lazy.force scanner_fused in
-  let edited = ref 0 in
-  List.iteri
-    (fun i (s : G.sample) ->
-      if i mod 7 = 0 then begin
-        let code = s.G.code in
-        let st = Scanner.scan_state tf code in
-        let mid = String.length code / 2 in
-        (* line-align the insertion point to keep the edit readable *)
-        let at =
-          match String.index_from_opt code mid '\n' with
-          | Some j -> j + 1
-          | None -> String.length code
-        in
-        let edits =
-          [ { Edit.start = at; stop = at; repl = "os.system(cmd)\n" } ]
-        in
-        let st' = Scanner.rescan tf st edits in
-        let full_src = Edit.apply code edits in
-        check_bool
-          (Printf.sprintf "rescan sample %d" i)
-          true
-          (List.map finding_key (Scanner.state_findings tf st')
-          = fst (scan_fp (Lazy.force scanner_per_rule) full_src));
-        incr edited
-      end)
-    samples;
-  check_bool "rescan leg ran" true (!edited > 80)
+  (* patch leg: every patch round re-scans rewritten text *)
+  let patched t =
+    List.map (fun (s : G.sample) -> patch_fp t s.G.code) samples
+  in
+  check_bool "fused patch = per-rule patch" true
+    (patched (Lazy.force scanner_fused)
+    = patched (Lazy.force scanner_per_rule))
 
 let () =
   let qt = List.map QCheck_alcotest.to_alcotest in
@@ -514,7 +463,7 @@ let () =
         ] );
       ("qcheck", qt [ qcheck_mask; qcheck_tiny_cache ]);
       ( "scanner",
-        qt [ prop_scan_differential; prop_rescan_differential ]
+        qt [ prop_scan_differential; prop_patch_differential ]
         @ [
             Alcotest.test_case "tier plumbing" `Quick test_tier_plumbing;
             Alcotest.test_case "deadline edges" `Quick test_deadline_edges;

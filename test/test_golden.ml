@@ -6,8 +6,9 @@
    random state.  The digests were recorded before the patch-round
    pipeline was last restructured; any change to findings, rewrites,
    import management or JSON rendering moves them.  A deliberate
-   behaviour change must re-record them (run with GOLDEN_PRINT=1 to
-   print the fresh values) and say why in the change log. *)
+   behaviour change must re-record them (run with GOLDEN_PRINT=1: the
+   fresh values appear in each test's output log) and say why in the
+   change log. *)
 
 open Patchitpy
 module G = Corpus.Generator

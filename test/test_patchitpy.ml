@@ -628,6 +628,210 @@ let test_scan_selection () =
   check_int "empty selection" 0
     (List.length (Engine.scan_selection src ~first_line:2 ~last_line:2))
 
+(* --- edits ---------------------------------------------------------------- *)
+
+(* Reference semantics of one round of edits: splice them right to left,
+   so earlier offsets stay valid while later spans are replaced. *)
+let splice source edits =
+  List.fold_left
+    (fun acc (e : Edit.t) ->
+      String.sub acc 0 e.Edit.start ^ e.Edit.repl
+      ^ String.sub acc e.Edit.stop (String.length acc - e.Edit.stop))
+    source (List.rev edits)
+
+let check_apply ~msg source edits =
+  check_bool (msg ^ ": valid") true (Edit.valid source edits);
+  let out = Edit.apply source edits in
+  Alcotest.(check string) msg (splice source edits) out;
+  out
+
+let finding_lines source =
+  List.map
+    (fun (f : Engine.finding) -> (f.Engine.rule.Rule.id, f.Engine.line))
+    (Engine.scan source)
+
+let test_edit_at_offset_zero () =
+  let src = "eval(x)\nprint(1)\n" in
+  let inserted =
+    check_apply ~msg:"insert at 0" src
+      [ { Edit.start = 0; stop = 0; repl = "import os\n" } ]
+  in
+  Alcotest.(check (list (pair string int)))
+    "finding moved down a line" [ ("PIT-005", 2) ] (finding_lines inserted);
+  let replaced =
+    check_apply ~msg:"replace at 0" src
+      [ { Edit.start = 0; stop = 7; repl = "ast.literal_eval(x)" } ]
+  in
+  check_int "replacement is clean" 0 (List.length (Engine.scan replaced))
+
+let test_edit_at_eof () =
+  let src = "print(1)\nx = 2" in
+  let len = String.length src in
+  let appended =
+    check_apply ~msg:"append at EOF" src
+      [ { Edit.start = len; stop = len; repl = "\nos.system(cmd)" } ]
+  in
+  Alcotest.(check (list (pair string int)))
+    "appended finding on the new last line" [ ("PIT-001", 3) ]
+    (finding_lines appended);
+  ignore
+    (check_apply ~msg:"delete to EOF" src
+       [ { Edit.start = 9; stop = len; repl = "" } ]);
+  ignore
+    (check_apply ~msg:"grow empty source" ""
+       [ { Edit.start = 0; stop = 0; repl = "y = eval(expr)\n" } ])
+
+let test_adjacent_edits () =
+  let src = "a = 1\nb = eval(s)\nc = 3\nd = pickle.loads(p)\n" in
+  (* two edits sharing a boundary (stop = next start) *)
+  ignore
+    (check_apply ~msg:"adjacent edits" src
+       [
+         { Edit.start = 6; stop = 17; repl = "b = 2" };
+         { Edit.start = 17; stop = 18; repl = "\n\n" };
+       ]);
+  (* chained rounds: each round's offsets refer to the previous output *)
+  let round1 =
+    check_apply ~msg:"round 1" src
+      [ { Edit.start = 6; stop = 17; repl = "b = input()" } ]
+  in
+  let round2 =
+    check_apply ~msg:"round 2" round1
+      [ { Edit.start = 0; stop = 0; repl = "import os\nos.system(cmd)\n" } ]
+  in
+  Alcotest.(check (list (pair string int)))
+    "findings of the chained result"
+    [ ("PIT-001", 2); ("PIT-070", 6) ]
+    (finding_lines round2)
+
+(* Overlapping findings: two rules matching overlapping spans — a patch
+   round fixes the first and leaves the second for a later round. *)
+let test_overlapping_applications () =
+  let rules =
+    [
+      Rule.make ~id:"T-OVER-1" ~title:"outer" ~cwe:94 ~severity:Rule.High
+        ~pattern:{|eval\(raw\)|} ~fix:(Rule.Replace_template "safe(raw)")
+        ~note:"" ();
+      Rule.make ~id:"T-OVER-2" ~title:"inner" ~cwe:94 ~severity:Rule.High
+        ~pattern:{|raw\)|} ~fix:(Rule.Replace_template "cooked)") ~note:"" ();
+    ]
+  in
+  let r = Patcher.patch ~rules ~manage_imports:false "x = eval(raw)\n" in
+  (* round 1 applies the outer fix; the inner rule then matches the
+     rewritten text and a later round rewrites it too *)
+  Alcotest.(check string) "overlap fixpoint" "x = safe(cooked)\n"
+    r.Patcher.patched;
+  check_int "both rules applied" 2 (List.length r.Patcher.applications);
+  check_bool "converged" true r.Patcher.converged
+
+let edit_source_gen =
+  QCheck.Gen.(
+    string_size ~gen:(frequency [ (8, char_range 'a' 'e'); (2, return '\n') ])
+      (int_range 0 80))
+
+let edits_gen n =
+  QCheck.Gen.(
+    map
+      (fun raw ->
+        (* sorted, non-overlapping, in bounds *)
+        let rec go pos acc = function
+          | [] -> List.rev acc
+          | (s, l, r) :: rest ->
+            let s = max s pos in
+            if s > n then List.rev acc
+            else
+              let stop = min n (s + l) in
+              go stop ({ Edit.start = s; stop; repl = r } :: acc) rest
+        in
+        go 0 [] (List.sort compare raw))
+      (list_size (int_range 0 5)
+         (triple (int_range 0 n) (int_range 0 10)
+            (oneofl [ ""; "\n"; "x"; "xy\nz"; "import json\n" ]))))
+
+let prop_apply_is_splice =
+  QCheck.Test.make ~name:"Edit.apply = right-to-left splices" ~count:300
+    (QCheck.make
+       QCheck.Gen.(
+         edit_source_gen >>= fun src ->
+         edits_gen (String.length src) >>= fun edits -> return (src, edits)))
+    (fun (src, edits) ->
+      Edit.valid src edits && Edit.apply src edits = splice src edits)
+
+(* --- stale imports -------------------------------------------------------- *)
+
+(* The stale-import pass's word index must agree with the \bname\b regex
+   it replaced, line by line.  Names are import roots (a letter or '_',
+   then word characters); lines mix word bytes, dots, brackets, spaces
+   and non-ASCII bytes, and the tiny alphabets make near-misses
+   (prefixes, suffixes, digits, '_') the common case. *)
+let regex_mentions name line =
+  Rx.matches (Rx.compile ("\\b" ^ name ^ "\\b")) line
+
+let word_regex_agrees name line =
+  Patcher.mentions [ line ] name = regex_mentions name line
+
+let prop_mentions_is_word_regex =
+  let name_gen =
+    QCheck.Gen.(
+      map2
+        (fun c rest -> String.make 1 c ^ rest)
+        (oneofl [ 'o'; 's'; '_'; 'O' ])
+        (string_size ~gen:(oneofl [ 'o'; 's'; '_'; '1' ]) (int_range 0 3)))
+  in
+  let line_gen =
+    QCheck.Gen.(
+      string_size
+        ~gen:
+          (oneofl
+             [ 'o'; 's'; '_'; '1'; 'O'; '.'; ' '; '('; ')'; '\t'; '\xc3';
+               '\xa9'; '\xff'; '\x80' ])
+        (int_range 0 24))
+  in
+  QCheck.Test.make ~name:"word index = \\bname\\b regex" ~count:2000
+    (QCheck.make
+       ~print:QCheck.Print.(pair string (list string))
+       QCheck.Gen.(pair name_gen (list_size (int_range 0 4) line_gen)))
+    (fun (name, lines) ->
+      List.for_all (word_regex_agrees name) lines
+      && Patcher.mentions lines name = List.exists (regex_mentions name) lines)
+
+let test_mentions_corners () =
+  List.iter
+    (fun (name, line, expected) ->
+      check_bool (Printf.sprintf "%S in %S" name line) expected
+        (Patcher.mentions [ line ] name);
+      check_bool (Printf.sprintf "regex agrees on %S in %S" name line) true
+        (word_regex_agrees name line))
+    [
+      ("os", "os", true);
+      ("os", "os.path.join(a, b)", true) (* dotted use, line start *);
+      ("os", "x = os", true) (* line end *);
+      ("os", "os2 = 1", false) (* digit suffix *);
+      ("os", "_os = 1", false) (* underscore prefix *);
+      ("os", "pos = 1", false);
+      ("os", "x.os_y", false);
+      ("os_1", "f(os_1)", true);
+      ("_x", "_x+1", true);
+      ("os", "\xc3\xa9os\xc3\xa9", true) (* non-ASCII bytes are not \w *);
+      ("os", "caf\xc3\xa9os", true);
+      ("os", "", false);
+    ];
+  check_bool "any line counts" true
+    (Patcher.mentions [ "x = 1"; "y = os.sep" ] "os")
+
+let test_stale_imports_dropped () =
+  let src =
+    "import os.path\nimport pickle\nimport sys\n\nobj = pickle.loads(blob)\n\
+     p = os.path.join(a, b)\n"
+  in
+  let r = Patcher.patch src in
+  (* the insertion point lies past the blank line: the prologue walk
+     skips blank and comment lines along with imports *)
+  Alcotest.(check string) "pickle and sys dropped, dotted os.path kept"
+    "import os.path\n\nimport json\nobj = json.loads(blob)\n\
+     p = os.path.join(a, b)\n"
+    r.Patcher.patched
+
 (* --- properties ----------------------------------------------------------- *)
 
 let pair_gen = QCheck.make (QCheck.Gen.oneofl pairs)
@@ -715,6 +919,23 @@ let () =
           Alcotest.test_case "scan selection" `Quick test_scan_selection;
         ] );
       ("report", [ Alcotest.test_case "renders" `Quick test_report_renders ]);
+      ( "edges",
+        [
+          Alcotest.test_case "edits at offset 0" `Quick test_edit_at_offset_zero;
+          Alcotest.test_case "edits at EOF" `Quick test_edit_at_eof;
+          Alcotest.test_case "adjacent edits and chained rounds" `Quick
+            test_adjacent_edits;
+          Alcotest.test_case "overlapping applications" `Quick
+            test_overlapping_applications;
+        ]
+        @ qt [ prop_apply_is_splice ] );
+      ( "stale imports",
+        [
+          Alcotest.test_case "word index corners" `Quick test_mentions_corners;
+          Alcotest.test_case "unused imports dropped" `Quick
+            test_stale_imports_dropped;
+        ]
+        @ qt [ prop_mentions_is_word_regex ] );
       ( "property",
         qt
           [

@@ -158,19 +158,29 @@ let test_bit_flips () =
 let test_version_skew () =
   (* Rewrite the version field and fix up the trailing checksum so the
      only inconsistency left is the version itself: the decoder must
-     report [Version_skew], not [Corrupted]. *)
-  let b = Bytes.of_string (Lazy.force pack_bytes) in
-  let n = Bytes.length b in
-  Bytes.set_int32_le b 8 (Int32.of_int (Rulepack.format_version + 1));
-  let h = Binio.hash64 ~pos:0 ~len:(n - 8) (Bytes.to_string b) in
-  Bytes.set_int64_le b (n - 8) h;
-  (match Rulepack.decode (Bytes.to_string b) with
-  | Error (Rulepack.Version_skew { found; expected }) ->
-    check_int "found" (Rulepack.format_version + 1) found;
-    check_int "expected" Rulepack.format_version expected
-  | Error e ->
-    Alcotest.failf "wanted Version_skew, got %s" (Rulepack.error_to_string e)
-  | Ok _ -> Alcotest.fail "future-version pack decoded to Ok");
+     report [Version_skew], not [Corrupted] — for a future writer, and
+     for a version-1 pack, whose plans still carried the per-rule
+     newline budgets of the removed incremental rescan. *)
+  let with_version v =
+    let b = Bytes.of_string (Lazy.force pack_bytes) in
+    let n = Bytes.length b in
+    Bytes.set_int32_le b 8 (Int32.of_int v);
+    let h = Binio.hash64 ~pos:0 ~len:(n - 8) (Bytes.to_string b) in
+    Bytes.set_int64_le b (n - 8) h;
+    Bytes.to_string b
+  in
+  check_bool "format version bumped past 1" true (Rulepack.format_version >= 2);
+  List.iter
+    (fun v ->
+      match Rulepack.decode (with_version v) with
+      | Error (Rulepack.Version_skew { found; expected }) ->
+        check_int "found" v found;
+        check_int "expected" Rulepack.format_version expected
+      | Error e ->
+        Alcotest.failf "version %d: wanted Version_skew, got %s" v
+          (Rulepack.error_to_string e)
+      | Ok _ -> Alcotest.failf "version-%d pack decoded to Ok" v)
+    [ Rulepack.format_version + 1; 1 ];
   (* and garbage that is not a pack at all *)
   match Rulepack.decode "#!/usr/bin/env python3\nprint('hi')\n" with
   | Error Rulepack.Bad_magic -> ()

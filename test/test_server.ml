@@ -884,6 +884,36 @@ let test_single_write_per_response () =
 
 (* --- stale unix socket claim ----------------------------------------------- *)
 
+(* The HTTP front door disables Nagle on every accepted connection;
+   checked on a real loopback pair, since socketpairs have no TCP
+   options. *)
+let test_nodelay_on_accepted () =
+  let lfd = Unix.socket ~cloexec:true PF_INET SOCK_STREAM 0 in
+  let client = Unix.socket ~cloexec:true PF_INET SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+        [ lfd; client ])
+    (fun () ->
+      Unix.bind lfd (ADDR_INET (Unix.inet_addr_loopback, 0));
+      Unix.listen lfd 1;
+      Unix.connect client (Unix.getsockname lfd);
+      let fd, _ = Unix.accept ~cloexec:true lfd in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          Alcotest.(check bool) "off by default" false
+            (Unix.getsockopt fd TCP_NODELAY);
+          Serve.set_nodelay fd;
+          Alcotest.(check bool) "on after set_nodelay" true
+            (Unix.getsockopt fd TCP_NODELAY));
+      (* a Unix-domain socket has no TCP options: ignored, not raised *)
+      let a, b = Unix.socketpair ~cloexec:true PF_UNIX SOCK_STREAM 0 in
+      Serve.set_nodelay a;
+      Unix.close a;
+      Unix.close b)
+
 let test_claim_unix_socket () =
   let path = Filename.temp_file "patchitpy-claim" ".sock" in
   Sys.remove path;
@@ -973,6 +1003,8 @@ let () =
             test_single_write_per_response;
           Alcotest.test_case "stale socket claim" `Quick
             test_claim_unix_socket;
+          Alcotest.test_case "accepted HTTP sockets set TCP_NODELAY" `Quick
+            test_nodelay_on_accepted;
         ] );
       ( "tracing",
         [
