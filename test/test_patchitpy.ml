@@ -929,7 +929,7 @@ let () =
             test_overlapping_applications;
         ]
         @ qt [ prop_apply_is_splice ] );
-      ( "stale imports",
+      ( "imports",
         [
           Alcotest.test_case "word index corners" `Quick test_mentions_corners;
           Alcotest.test_case "unused imports dropped" `Quick
