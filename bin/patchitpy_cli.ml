@@ -504,9 +504,9 @@ let serve_cmd =
     in
     (* Workers share the one plan; health replies carry the pack's
        identity so clients can tell which rules the daemon runs.  Each
-       worker domain prewarms the pack at spawn: transition-cache
-       seeding, table prefault and canary replay are per-domain, so
-       the thunk must run inside the worker, not here. *)
+       worker domain prewarms the pack at spawn: canary replay heats
+       per-domain transition caches, so the thunk must run inside the
+       worker, not here. *)
     let warm_boot =
       Option.map
         (fun (p : Rulepack.t) () -> ignore (Rulepack.prewarm p : int))
@@ -604,6 +604,9 @@ let rules_list_term =
   in
   Term.(const run $ cwe $ markdown $ json_arg $ lang_arg)
 
+let canary_bytes (pack : Rulepack.t) =
+  List.fold_left (fun a c -> a + String.length c) 0 pack.Rulepack.canaries
+
 let rules_pack_cmd =
   let output =
     Arg.(value & opt string "patchitpy.pack"
@@ -613,59 +616,40 @@ let rules_pack_cmd =
   let warm =
     Arg.(value & flag
          & info [ "warm" ]
-             ~doc:"Replay a corpus through the compiled catalog before \
-                   serializing and embed the heated DFA transition \
-                   tables in the pack, so a process that loads it scans \
-                   at steady-state speed from its first request.  Uses \
-                   the built-in generated corpus unless \
-                   $(b,--warm-corpus) names another.")
+             ~doc:"Embed an even spread of up to 16 samples of the \
+                   built-in generated corpus as canaries.  A server \
+                   started on the pack replays them in every worker \
+                   before its first request, so the first scan runs \
+                   near steady-state speed.")
   in
-  let warm_corpus =
-    Arg.(value & opt (some string) None
-         & info [ "warm-corpus" ] ~docv:"DIR"
-             ~doc:"Heat the tables by scanning the *.py files under \
-                   $(docv) instead of the built-in generated corpus.  \
-                   Implies $(b,--warm).")
-  in
-  let run output warm warm_corpus =
+  let run output warm =
     (* [create] compiles the catalog and validates every rewrite
        program, so a malformed rule fails here, not at patch time. *)
     let pack = Rulepack.create () in
-    let warm_tables =
-      if not (warm || warm_corpus <> None) then None
-      else begin
-        let corpus =
-          match warm_corpus with
-          | Some dir -> List.map read_file (collect_sources `Python dir)
-          | None ->
-            List.map
-              (fun (s : Corpus.Generator.sample) -> s.Corpus.Generator.code)
-              (Corpus.Generator.all_samples ())
-        in
-        Some (Rulepack.collect_warm ~corpus pack)
-      end
+    let pack =
+      if not warm then pack
+      else
+        Rulepack.with_canaries
+          ~corpus:
+            (List.map
+               (fun (s : Corpus.Generator.sample) -> s.Corpus.Generator.code)
+               (Corpus.Generator.all_samples ()))
+          pack
     in
-    Rulepack.save ?warm:warm_tables ~path:output pack;
+    Rulepack.save ~path:output pack;
     Printf.printf "wrote %s: %d bytes, format v%d, catalog %s\n" output
       (file_size output) pack.Rulepack.version pack.Rulepack.catalog_hash;
-    match warm_tables with
-    | None -> ()
-    | Some w ->
-      let i = Rulepack.warm_info_of w in
-      Printf.printf
-        "warm tables: %d patterns, %d dfa states (%d bytes), %d fused \
-         states (%d bytes), %d canaries (%d bytes)\n"
-        i.Rulepack.warm_patterns i.Rulepack.warm_dfa_states
-        i.Rulepack.warm_dfa_bytes i.Rulepack.warm_fused_states
-        i.Rulepack.warm_fused_bytes i.Rulepack.warm_canaries
-        i.Rulepack.warm_canary_bytes
+    if warm then
+      Printf.printf "warm section: %d canaries (%d bytes)\n"
+        (List.length pack.Rulepack.canaries)
+        (canary_bytes pack)
   in
   let doc =
     "Compile the full rule catalog (Python and JavaScript) into a \
      versioned binary pack for $(b,--rule-pack) / $(b,PATCHITPY_RULE_PACK), \
-     optionally with pre-warmed DFA transition tables ($(b,--warm))."
+     optionally with warm-start canaries ($(b,--warm))."
   in
-  Cmd.v (Cmd.info "pack" ~doc) Term.(const run $ output $ warm $ warm_corpus)
+  Cmd.v (Cmd.info "pack" ~doc) Term.(const run $ output $ warm)
 
 let rules_inspect_cmd =
   let file =
@@ -682,15 +666,12 @@ let rules_inspect_cmd =
     in
     if json then begin
       let warm_fields =
-        match pack.Rulepack.warm with
-        | None -> "\"warmSection\":false"
-        | Some w ->
+        match pack.Rulepack.canaries with
+        | [] -> "\"warmSection\":false"
+        | cs ->
           Printf.sprintf
-            "\"warmSection\":true,\"warmPatterns\":%d,\"warmDfaStates\":%d,\"warmDfaBytes\":%d,\"warmFusedStates\":%d,\"warmFusedBytes\":%d,\"warmCanaries\":%d,\"warmCanaryBytes\":%d"
-            w.Rulepack.warm_patterns w.Rulepack.warm_dfa_states
-            w.Rulepack.warm_dfa_bytes w.Rulepack.warm_fused_states
-            w.Rulepack.warm_fused_bytes w.Rulepack.warm_canaries
-            w.Rulepack.warm_canary_bytes
+            "\"warmSection\":true,\"warmCanaries\":%d,\"warmCanaryBytes\":%d"
+            (List.length cs) (canary_bytes pack)
       in
       Printf.printf
         "{\"file\":\"%s\",\"bytes\":%d,\"formatVersion\":%d,\"catalogHash\":\"%s\",\"pythonRules\":%d,\"jsRules\":%d,\"fusedSection\":%b,%s,\"matchesThisBuild\":%b}\n"
@@ -708,16 +689,11 @@ let rules_inspect_cmd =
       Printf.printf "fused section: %s\n"
         (if pack.Rulepack.fused_section then "present"
          else "absent (re-fused from rules on first scan)");
-      (match pack.Rulepack.warm with
-      | None -> Printf.printf "warm section: absent (cold first scan)\n"
-      | Some w ->
-        Printf.printf
-          "warm section: %d patterns, %d dfa states (%d bytes), %d fused \
-           states (%d bytes), %d canaries (%d bytes)\n"
-          w.Rulepack.warm_patterns w.Rulepack.warm_dfa_states
-          w.Rulepack.warm_dfa_bytes w.Rulepack.warm_fused_states
-          w.Rulepack.warm_fused_bytes w.Rulepack.warm_canaries
-          w.Rulepack.warm_canary_bytes)
+      match pack.Rulepack.canaries with
+      | [] -> Printf.printf "warm section: absent (cold first scan)\n"
+      | cs ->
+        Printf.printf "warm section: %d canaries (%d bytes)\n"
+          (List.length cs) (canary_bytes pack)
     end;
     if not catalog_matches then exit 1
   in

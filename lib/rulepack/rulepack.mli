@@ -28,17 +28,14 @@
     the validated rules instead of raising.  Packs without the section
     (older builds) load fine and fuse from rules on first scan.
 
-    A pack may additionally carry a {e warm} section: lazy-DFA
-    transition tables ({!Rx.warm_export} blobs) captured by replaying
-    a corpus at pack time ({!collect_warm}).  Decoding such a pack
-    registers the per-pattern tables in the process-wide warm registry
-    and attaches the fused tables to the fused machine, so every
-    per-domain cache created afterwards starts hot; {!prewarm} forces
-    that creation during the load phase.  Warm tables follow the same
-    degradation contract as the fused section — they re-validate
-    against the live programs at seed time, and any malformation means
-    an ordinary cold warm-up, never a load failure or a changed scan
-    result. *)
+    A pack may additionally carry a {e warm} section: up to 16 canary
+    subjects, an even spread of a corpus chosen at pack time
+    ({!with_canaries}).  {!prewarm} replays them in the calling domain
+    so its lazy-DFA tables and the hardware caches along the scan path
+    are hot before the first real request.  The section is plain data,
+    decoded and validated with the rest of the pack; canaries only
+    ever feed scans whose results are discarded, so they cannot change
+    a finding. *)
 
 type t = {
   version : int;  (** the pack's format version (= {!format_version}) *)
@@ -55,55 +52,23 @@ type t = {
       (** whether the pack carries the pre-built fused multi-pattern
           machine; packs from pre-fused-section builds report [false]
           and re-fuse from rules on first scan *)
-  warm : warm_info option;
-      (** summary of the warm section when the pack carries one
-          ([None] otherwise) — the tables themselves are installed in
-          the warm registry during decode *)
   canaries : string list;
-      (** warm-section canary subjects, replayed by {!prewarm} to heat
-          the hardware caches along the whole scan path; empty for
-          cold packs *)
+      (** warm-section canary subjects, replayed by {!prewarm}; empty
+          for cold packs *)
 }
 
-and warm_info = {
-  warm_patterns : int;  (** per-pattern table blobs carried *)
-  warm_dfa_states : int;
-      (** interned DFA states across those blobs, forward + backward *)
-  warm_dfa_bytes : int;  (** serialized size of the per-pattern blobs *)
-  warm_fused_states : int;
-      (** interned states in the fused machine's tables; [0] when the
-          section carries none *)
-  warm_fused_bytes : int;
-  warm_canaries : int;  (** canary subjects carried (at most 16) *)
-  warm_canary_bytes : int;  (** total size of the canary subjects *)
-}
-
-type warm
-(** Captured warm tables, ready to be written into a pack by
-    {!encode}/{!save}.  Produced by {!collect_warm}. *)
-
-val collect_warm : corpus:string list -> t -> warm
-(** [collect_warm ~corpus t] replays every subject in [corpus] through
-    the python plan to heat the calling domain's transition caches,
-    then snapshots them — per-pattern (and per-suppress-pattern)
-    lazy-DFA tables plus the fused machine's.  Patterns the corpus
-    never exercised contribute nothing, by design: the section should
-    carry the hot working set.  Also selects an even spread of at most
-    16 corpus subjects as canaries, carried verbatim in the section
-    and replayed by {!prewarm}. *)
-
-val warm_info_of : warm -> warm_info
+val with_canaries : corpus:string list -> t -> t
+(** [with_canaries ~corpus t] is [t] carrying an even spread of at
+    most 16 subjects of [corpus] as canaries; {!encode} writes them in
+    the warm section. *)
 
 val prewarm : t -> int
-(** Forces the calling domain's transition caches into existence — the
-    fused machine plus every rule and suppress pattern — so warm
-    seeding happens during the load phase rather than inside the first
-    scan, then replays the pack's canary subjects (results discarded)
-    so the first real request doesn't pay the hardware cold-cache
-    latency of the scan path either.  Forces the deferred rule decode
-    as a consequence.  Returns the number of per-pattern caches
-    touched.  Useful (but never required) whether or not the pack
-    carried warm tables. *)
+(** Forces the deferred decode of every python rule, then replays the
+    pack's canary subjects twice through the python plan in the
+    calling domain, results discarded, so that domain's first real
+    scan runs near steady-state speed.  Transition caches are
+    per-domain, so call it in every domain that will scan.  Returns
+    the number of canary scans run; [0] for a cold pack. *)
 
 type error =
   | Bad_magic  (** not a rule pack at all *)
@@ -122,16 +87,19 @@ val create : unit -> t
     compiles anything).  Validates every rewrite program so a bad rule
     fails here, at build time, not at patch time. *)
 
-val encode : ?warm:warm -> t -> string
-(** The serialized pack bytes.  [?warm] adds the warm section. *)
+val encode : t -> string
+(** The serialized pack bytes, with a warm section when [t] carries
+    canaries. *)
 
 val decode : string -> (t, error) result
 (** Parses and validates pack bytes.  Total: malformed input of any
     kind yields [Error]. *)
 
-val save : ?warm:warm -> path:string -> t -> unit
-(** Writes {!encode} to [path] via a temporary file and rename, so a
-    crash mid-write never leaves a truncated pack behind. *)
+val save : path:string -> t -> unit
+(** Writes {!encode} to [path] via {!Binio.save_atomic}: a crash or a
+    failed write never leaves a truncated pack behind.
+    @raise Sys_error when the write fails; an existing [path] is then
+    left untouched. *)
 
 val load : path:string -> (t, error) result
 (** Reads and {!decode}s a pack file.  Counts

@@ -447,15 +447,15 @@ type skip_shape =
    monotone in [s], hence the early stops.  False anchor hits never
    wake the state machine up: the in-place verify loop rejects them
    cheaper than DFA steps would. *)
-let rec hunt_prefix subject ~last ~len ~prefix ~anchor s =
+let rec hunt_prefix subject ~len ~prefix ~anchor s =
   let plen = String.length prefix in
-  if s > last || s + plen > len then last + 1
+  if s + plen > len then len + 1
   else
     match String.index_from subject (s + anchor) prefix.[anchor] with
-    | exception Not_found -> last + 1
+    | exception Not_found -> len + 1
     | ia ->
       let i = ia - anchor in
-      if i > last || i + plen > len then last + 1
+      if i + plen > len then len + 1
       else begin
         let j = ref 0 in
         while
@@ -465,7 +465,7 @@ let rec hunt_prefix subject ~last ~len ~prefix ~anchor s =
           incr j
         done;
         if !j = plen then i
-        else hunt_prefix subject ~last ~len ~prefix ~anchor (i + 1)
+        else hunt_prefix subject ~len ~prefix ~anchor (i + 1)
       end
 
 (* One lane of the multi-prefix shape: like [hunt_prefix] but records
@@ -491,10 +491,10 @@ let rec hunt_lane subject ~len ~prefix ~anchor ~best s =
       end
 
 (* Forward pass: returns the boundary where the leftmost-first match
-   ends, or -1 when there is no match with a start in [pos..last].
+   ends, or -1 when there is no match with a start at or after [pos].
    [stop_at_first] short-circuits at the first flag (boolean queries
    need no exact span). *)
-let forward_end cache ~stop_at_first ~cap ~steps ~last ~first_bytes ~first_byte
+let forward_end cache ~stop_at_first ~cap ~steps ~first_bytes ~first_byte
     ~prefixes ~bol_only subject pos =
   let stc = cache.st in
   let m = cache.fw in
@@ -513,7 +513,7 @@ let forward_end cache ~stop_at_first ~cap ~steps ~last ~first_bytes ~first_byte
     || Array.length prefixes > 0
   in
   (* [next_feasible s] is the first start offset >= s that the
-     compile-time start analysis allows, or [last + 1] when none
+     compile-time start analysis allows, or [len + 1] when none
      remains — the FIRST-byte / line-start skip of the backtracking
      search, kept on this tier.  The shape is selected once per search
      as a plain tag (the hunt helpers are top-level, so a detour
@@ -534,7 +534,7 @@ let forward_end cache ~stop_at_first ~cap ~steps ~last ~first_bytes ~first_byte
     match shape with
     | Skip_prefix1 ->
       let prefix, anchor = prefixes.(0) in
-      hunt_prefix subject ~last ~len ~prefix ~anchor s
+      hunt_prefix subject ~len ~prefix ~anchor s
     | Skip_prefixes ->
       (* several required-literal alternatives (a leading alternation):
          one memchr lane per branch — each anchored on its literal's
@@ -542,7 +542,7 @@ let forward_end cache ~stop_at_first ~cap ~steps ~last ~first_bytes ~first_byte
          earliest surviving hit.  Later lanes stop as soon as they pass
          the best hit so far, so the per-detour cost stays close to the
          single-prefix shape. *)
-      let best = ref (last + 1) in
+      let best = ref (len + 1) in
       for b = 0 to Array.length prefixes - 1 do
         let p, anchor = Array.unsafe_get prefixes b in
         hunt_lane subject ~len ~prefix:p ~anchor ~best s
@@ -550,8 +550,8 @@ let forward_end cache ~stop_at_first ~cap ~steps ~last ~first_bytes ~first_byte
       !best
     | Skip_memchr1 fb1 -> (
       match String.index_from_opt subject s fb1 with
-      | Some i when i <= last -> i
-      | _ -> last + 1)
+      | Some i -> i
+      | None -> len + 1)
     | Skip_table fb ->
       let s = ref s in
       while
@@ -561,11 +561,11 @@ let forward_end cache ~stop_at_first ~cap ~steps ~last ~first_bytes ~first_byte
       do
         incr s
       done;
-      if !s < len && !s <= last then !s else last + 1
+      if !s < len then !s else len + 1
     | Skip_bol_table fb ->
       let s = ref s in
       while
-        !s <= last
+        !s <= len
         && not
              ((!s = 0 || String.unsafe_get subject (!s - 1) = '\n')
              && !s < len
@@ -574,17 +574,17 @@ let forward_end cache ~stop_at_first ~cap ~steps ~last ~first_bytes ~first_byte
       do
         incr s
       done;
-      if !s <= last then !s else last + 1
+      if !s <= len then !s else len + 1
     | Skip_bol ->
       (* [skippable] implies [bol_only] here *)
       let s = ref s in
       while
-        !s <= last
+        !s <= len
         && not (!s = 0 || String.unsafe_get subject (!s - 1) = '\n')
       do
         incr s
       done;
-      if !s <= last then !s else last + 1
+      if !s <= len then !s else len + 1
   in
   let stay ch =
     (* whether the hot loop should keep stepping in place on a dead
@@ -601,7 +601,7 @@ let forward_end cache ~stop_at_first ~cap ~steps ~last ~first_bytes ~first_byte
     | _ -> false
   in
   let p0 = if skippable then next_feasible pos else pos in
-  if p0 > last then -1
+  if p0 > len then -1
   else begin
     let flushes = ref 0 in
     let intern_sid ctx raw =
@@ -640,17 +640,17 @@ let forward_end cache ~stop_at_first ~cap ~steps ~last ~first_bytes ~first_byte
        match possible *)
     let verdict = ref 0 in
     (* Phase 1a, the hot loop: the unanchored stretch over start
-       offsets < [last].  Step accounting is segment-based — [p - seg]
+       offsets < [len].  Step accounting is segment-based — [p - seg]
        bytes are flushed into [steps] at every exit — which folds the
        deadline check into the loop bound instead of paying a tick per
        byte. *)
-    while !verdict = 0 && !p < last do
+    while !verdict = 0 && !p < len do
       let stop =
-        if cap = max_int then last
+        if cap = max_int then len
         else begin
           let allowed = cap - !steps in
           if allowed <= 0 then raise step_allowance_exceeded
-          else if allowed >= last - !p then last
+          else if allowed >= len - !p then len
           else !p + allowed
         end
       in
@@ -683,7 +683,7 @@ let forward_end cache ~stop_at_first ~cap ~steps ~last ~first_bytes ~first_byte
                  (* jump to the next offset the start analysis allows *)
                  steps := !steps + (!p - !seg);
                  let q = next_feasible !p in
-                 if q > last then verdict := 2
+                 if q > len then verdict := 2
                  else begin
                    p := q;
                    seg := q;
@@ -716,8 +716,8 @@ let forward_end cache ~stop_at_first ~cap ~steps ~last ~first_bytes ~first_byte
         steps := !steps + (!p - !seg);
         raise ex)
     done;
-    (* Phase 1b, cold: start offsets in [last .. len] run anchored —
-       no fresh attempts are injected past the fence. *)
+    (* Phase 1b: the end-of-subject boundary, stepped on the anchored
+       table with the sentinel class — no fresh attempt starts there. *)
     while !verdict = 0 do
       incr steps;
       if !steps > cap then raise step_allowance_exceeded;
@@ -876,16 +876,14 @@ let backward_start cache ~cap ~steps ~low ~e subject =
   done;
   !best
 
-let search cache ?recorder ?(cap = max_int) ?steps_acc ?limit ?first_bytes
+let search cache ?recorder ?(cap = max_int) ?steps_acc ?first_bytes
     ?first_byte ?(prefixes = [||]) ~bol_only subject pos =
   if pos < 0 then invalid_arg "Rx: negative position";
-  let len = String.length subject in
-  let last = match limit with Some l -> min l len | None -> len in
   let steps = match steps_acc with Some r -> r | None -> ref 0 in
   let t0 = !steps in
   match
     let e =
-      forward_end cache ~stop_at_first:false ~cap ~steps ~last ~first_bytes
+      forward_end cache ~stop_at_first:false ~cap ~steps ~first_bytes
         ~first_byte ~prefixes ~bol_only subject pos
     in
     if e < 0 then None
@@ -902,15 +900,13 @@ let search cache ?recorder ?(cap = max_int) ?steps_acc ?limit ?first_bytes
     publish cache ~recorder ~ticks:(!steps - t0);
     raise ex
 
-let is_match cache ?recorder ?(cap = max_int) ?steps_acc ?limit ?first_bytes
+let is_match cache ?recorder ?(cap = max_int) ?steps_acc ?first_bytes
     ?first_byte ?(prefixes = [||]) ~bol_only subject pos =
   if pos < 0 then invalid_arg "Rx: negative position";
-  let len = String.length subject in
-  let last = match limit with Some l -> min l len | None -> len in
   let steps = match steps_acc with Some r -> r | None -> ref 0 in
   let t0 = !steps in
   match
-    forward_end cache ~stop_at_first:true ~cap ~steps ~last ~first_bytes
+    forward_end cache ~stop_at_first:true ~cap ~steps ~first_bytes
       ~first_byte ~prefixes ~bol_only subject pos
   with
   | e ->
@@ -922,191 +918,3 @@ let is_match cache ?recorder ?(cap = max_int) ?steps_acc ?limit ?first_bytes
 
 (* Introspection for benchmarks and tests. *)
 let state_count cache = (cache.fw.nstates, cache.rv.nstates)
-
-(* --- warm transition-table export/import ----------------------------------
-
-   A warm blob snapshots the interned states, the materialized
-   transition rows and the start-state memos of both machines so a
-   fresh cache in another process can start hot.  Imported states are
-   ordinary cache entries: flush/[Bail] semantics are untouched, and
-   the start memo is stamped with the importing cache's flush
-   generation, so a later flush drops the imported table exactly like a
-   self-built one — a stale import can never outlive a flush.
-
-   Layout (all ints varint unless noted):
-
-     u8 version | u16 fw_nstates | u16 rv_nstates
-     per machine (fw then rv):
-       ncols
-       per state (sid order): u8 ctx | raw_len | raw pcs
-       per state: ncols urow values, encoded v + 2   (v in {-2,-1,enc})
-       per state: ncols arow values, encoded v + 1   (v in {-1,enc})
-       4 start memos, encoded sid + 1 (0 = unset)
-
-   The fixed-width state counts in the header let [warm_counts] report
-   table sizes without parsing the body.  Import validates everything —
-   pc ranges, context facts, row successor ids, duplicate state keys —
-   against the importing machine before committing; any mismatch
-   (truncated bytes, a different program, a smaller [max_states])
-   rejects the whole blob and the cache simply warms up cold. *)
-
-let warm_seeded_counter = Telemetry.Counter.make "rx_dfa_warm_seeded_states_total"
-let warm_version = 1
-
-let warm_export_mach buf m =
-  Binio.w_varint buf m.ncols;
-  for sid = 0 to m.nstates - 1 do
-    let s = m.states.(sid) in
-    Binio.w_u8 buf s.st_ctx;
-    Binio.w_varint buf (Array.length s.st_raw);
-    Array.iter (fun pc -> Binio.w_varint buf pc) s.st_raw
-  done;
-  for sid = 0 to m.nstates - 1 do
-    let row = m.urows.(sid) in
-    for c = 0 to m.ncols - 1 do
-      Binio.w_varint buf (row.(c) + 2)
-    done
-  done;
-  for sid = 0 to m.nstates - 1 do
-    let row = m.arows.(sid) in
-    for c = 0 to m.ncols - 1 do
-      Binio.w_varint buf (row.(c) + 1)
-    done
-  done;
-  for i = 0 to 3 do
-    let s = m.start_sids.(i) in
-    Binio.w_varint buf (if m.start_gen = m.fgen && s >= 0 then s + 1 else 0)
-  done
-
-let warm_export cache =
-  if cache.fw.nstates = 0 && cache.rv.nstates = 0 then None
-  else begin
-    let buf = Buffer.create 4096 in
-    Binio.w_u8 buf warm_version;
-    Binio.w_u16 buf cache.fw.nstates;
-    Binio.w_u16 buf cache.rv.nstates;
-    warm_export_mach buf cache.fw;
-    warm_export_mach buf cache.rv;
-    Some (Buffer.contents buf)
-  end
-
-(* Parses and fully validates one machine's section, committing into
-   [m] only entries already proven consistent: states are interned in
-   sid order, so row values referencing any sid < nstates stay valid.
-   Raises [Binio.Truncated]/[Binio.Corrupt] on any mismatch — the
-   caller treats both as "stay cold". *)
-let warm_import_mach r m nstates =
-  if m.nstates <> 0 then raise (Binio.Corrupt "warm import into a used cache");
-  if nstates > m.max_states then raise (Binio.Corrupt "warm table too large");
-  let ncols = Binio.r_varint r in
-  if ncols <> m.ncols then raise (Binio.Corrupt "byte-class mismatch");
-  let proglen = Array.length m.prog in
-  let states = Array.make nstates dead_or_dummy in
-  for sid = 0 to nstates - 1 do
-    let ctx = Binio.r_u8 r in
-    if ctx > 3 then raise (Binio.Corrupt "bad context fact");
-    let n = Binio.r_varint r in
-    if n > proglen then raise (Binio.Corrupt "thread set too large");
-    let raw =
-      Array.init n (fun _ ->
-          let pc = Binio.r_varint r in
-          if pc >= proglen || pc > 0xffff then
-            raise (Binio.Corrupt "pc out of range");
-          pc)
-    in
-    states.(sid) <- { st_ctx = ctx; st_raw = raw; st_dead = n = 0 }
-  done;
-  let read_rows ~floor =
-    Array.init nstates (fun _ ->
-        Array.init m.ncols (fun _ ->
-            let v = Binio.r_varint r - (-floor) in
-            if v < floor then raise (Binio.Corrupt "bad row value");
-            if v >= 0 && v lsr 1 >= nstates then
-              raise (Binio.Corrupt "row successor out of range");
-            v))
-  in
-  let urows = read_rows ~floor:(-2) in
-  let arows = read_rows ~floor:(-1) in
-  let starts =
-    Array.init 4 (fun _ ->
-        let s = Binio.r_varint r - 1 in
-        if s >= nstates then raise (Binio.Corrupt "start memo out of range");
-        s)
-  in
-  (* Everything validated; commit.  Duplicate state keys would leave
-     [itbl] pointing at only one of the twins, so they reject too. *)
-  for sid = 0 to nstates - 1 do
-    let s = states.(sid) in
-    let key = key_of s.st_ctx s.st_raw in
-    if Hashtbl.mem m.itbl key then raise (Binio.Corrupt "duplicate state");
-    Hashtbl.add m.itbl key sid;
-    m.states.(sid) <- s;
-    m.urows.(sid) <- urows.(sid);
-    m.arows.(sid) <- arows.(sid)
-  done;
-  m.nstates <- nstates;
-  Array.blit starts 0 m.start_sids 0 4;
-  m.start_gen <- m.fgen
-
-let warm_import cache blob =
-  if cache.fw.nstates <> 0 || cache.rv.nstates <> 0 then false
-  else
-    let attempt () =
-      let r = Binio.reader blob in
-      if Binio.r_u8 r <> warm_version then
-        raise (Binio.Corrupt "warm version skew");
-      let fw_n = Binio.r_u16 r in
-      let rv_n = Binio.r_u16 r in
-      warm_import_mach r cache.fw fw_n;
-      warm_import_mach r cache.rv rv_n;
-      if not (Binio.at_end r) then raise (Binio.Corrupt "trailing bytes");
-      fw_n + rv_n
-    in
-    match attempt () with
-    | n ->
-      Telemetry.Counter.incr ~by:n warm_seeded_counter;
-      true
-    | exception (Binio.Truncated | Binio.Corrupt _) ->
-      (* A half-committed machine must not survive a rejected blob:
-         stretch [nstates] over every possibly-touched slot and flush,
-         so the cache is exactly cold again. *)
-      cache.fw.nstates <- cache.fw.max_states;
-      cache.rv.nstates <- cache.rv.max_states;
-      flush cache cache.fw;
-      flush cache cache.rv;
-      cache.c_flushes <- 0;
-      false
-
-let warm_counts blob =
-  if String.length blob < 5 || Char.code blob.[0] <> warm_version then None
-  else
-    Some
-      ( Char.code blob.[1] lor (Char.code blob.[2] lsl 8),
-        Char.code blob.[3] lor (Char.code blob.[4] lsl 8) )
-
-(* Sequentially read every materialized cell so the tables are hot in
-   the CPU caches before the first search.  A warm import allocates the
-   whole working set in one burst; without this pass the first request
-   pays a cold miss per table access, which is most of what the import
-   was supposed to save. *)
-let prefault_mach m acc =
-  for sid = 0 to m.nstates - 1 do
-    let raw = m.states.(sid).st_raw in
-    for i = 0 to Array.length raw - 1 do
-      acc := !acc + raw.(i)
-    done;
-    let u = m.urows.(sid) in
-    for i = 0 to Array.length u - 1 do
-      acc := !acc + u.(i)
-    done;
-    let a = m.arows.(sid) in
-    for i = 0 to Array.length a - 1 do
-      acc := !acc + a.(i)
-    done
-  done
-
-let prefault cache =
-  let acc = ref 0 in
-  prefault_mach cache.fw acc;
-  prefault_mach cache.rv acc;
-  ignore (Sys.opaque_identity !acc)

@@ -51,7 +51,6 @@ val search :
   ?recorder:Telemetry.recorder ->
   ?cap:int ->
   ?steps_acc:int ref ->
-  ?limit:int ->
   ?first_bytes:Bytes.t ->
   ?first_byte:char ->
   ?prefixes:(string * int) array ->
@@ -64,8 +63,8 @@ val search :
     [pos] and [e] the boundary where the forward pass saw that match
     end — an end of {e some} match from [start], not necessarily the
     backtracker-preferred one, which is why callers re-run the
-    backtracker at [start] for authoritative spans.  [limit],
-    [first_bytes] and [bol_only] have {!Rx_match.search}'s semantics;
+    backtracker at [start] for authoritative spans.  [first_bytes]
+    and [bol_only] have {!Rx_match.search}'s semantics;
     [first_byte], when the FIRST set is a singleton, lets dead
     stretches be skipped with [String.index_from] (memchr).
     [prefixes], when every match starts with one of a few literals of
@@ -87,7 +86,6 @@ val is_match :
   ?recorder:Telemetry.recorder ->
   ?cap:int ->
   ?steps_acc:int ref ->
-  ?limit:int ->
   ?first_bytes:Bytes.t ->
   ?first_byte:char ->
   ?prefixes:(string * int) array ->
@@ -101,33 +99,3 @@ val is_match :
 val state_count : cache -> int * int
 (** Interned (forward, backward) state counts — cache-pressure
     introspection for tests and benchmarks. *)
-
-val warm_export : cache -> string option
-(** Snapshots the cache's interned states, materialized transition
-    rows and start-state memos into a compact validated byte form —
-    the payload of a rule pack's warm section.  [None] when the cache
-    has interned nothing (nothing to warm with). *)
-
-val warm_import : cache -> string -> bool
-(** [warm_import cache blob] seeds a {e fresh} cache (no interned
-    states yet) from a {!warm_export} blob.  Every byte is validated
-    against the cache's own program and byte classes before anything
-    commits; [false] — with the cache left exactly cold — on any
-    mismatch: truncation, corruption, version skew, a different
-    pattern's tables, or a table larger than this cache's
-    [max_states].  Imported states are ordinary cache entries: flush
-    and {!Bail} semantics are unchanged, and the imported start memo
-    is fenced to the current flush generation, so a later flush drops
-    the import exactly like self-built state. *)
-
-val warm_counts : string -> (int * int) option
-(** [(forward, backward)] interned-state counts carried in a warm
-    blob's header, without parsing the body — [None] if [blob] is not
-    a recognizable warm blob.  Powers [rules inspect]. *)
-
-val prefault : cache -> unit
-(** Sequentially read every materialized table cell so a just-imported
-    cache is hot in the CPU caches before its first search.  Without
-    it the first request pays the cold-miss latency of the freshly
-    allocated tables — the very cost a warm import exists to move into
-    the load phase. *)

@@ -236,8 +236,7 @@ type cache = {
    interned, so an idle cache costs little).  The ceiling must also
    hold the catalog's whole steady-state working set: the 609-sample
    corpus demands 2552 distinct states, and a ceiling under that
-   flushes mid-traffic — rebuilding tables forever and truncating what
-   a warm export can capture. *)
+   flushes mid-traffic, rebuilding tables forever. *)
 let default_max_states = 4096
 let max_search_flushes = 4
 
@@ -685,187 +684,3 @@ let read_static r =
   if String.length class_repr <> nclasses then
     raise (Binio.Corrupt "fused class reprs do not match the class count");
   { prog; owner; nslots; classes; nclasses; class_fact; class_repr }
-
-(* --- warm transition-table export/import ----------------------------------
-
-   [Rx_dfa]'s warm codec adapted to the fused machine's single-direction
-   shape: one row array, plus the [mrows] side table (flagged slots per
-   transition) and the start-state memos.  Imported states are ordinary
-   cache entries — flush/[Bail] semantics unchanged, start memo fenced
-   to the importing cache's flush generation.
-
-   Layout (varints unless noted):
-
-     u8 version | u16 nstates
-     ncols | nslots
-     per state (sid order): u8 ctx | raw_len | raw pcs
-     per state: ncols row values, encoded v + 1
-     mrows entry count; per entry: sid | col | slot count | slots
-     4 start memos, encoded sid + 1 (0 = unset) *)
-
-let warm_seeded_counter =
-  Telemetry.Counter.make "rx_fused_warm_seeded_states_total"
-
-let warm_version = 1
-
-let warm_export cache =
-  if cache.nstates = 0 then None
-  else begin
-    let buf = Buffer.create 8192 in
-    Binio.w_u8 buf warm_version;
-    Binio.w_u16 buf cache.nstates;
-    Binio.w_varint buf cache.ncols;
-    Binio.w_varint buf cache.st.nslots;
-    for sid = 0 to cache.nstates - 1 do
-      let s = cache.states.(sid) in
-      Binio.w_u8 buf s.st_ctx;
-      Binio.w_varint buf (Array.length s.st_raw);
-      Array.iter (fun pc -> Binio.w_varint buf pc) s.st_raw
-    done;
-    for sid = 0 to cache.nstates - 1 do
-      let row = cache.rows.(sid) in
-      for c = 0 to cache.ncols - 1 do
-        Binio.w_varint buf (row.(c) + 1)
-      done
-    done;
-    Binio.w_varint buf (Hashtbl.length cache.mrows);
-    Hashtbl.iter
-      (fun k slots ->
-        Binio.w_varint buf (k / cache.ncols);
-        Binio.w_varint buf (k mod cache.ncols);
-        Binio.w_varint buf (Array.length slots);
-        Array.iter (fun s -> Binio.w_varint buf s) slots)
-      cache.mrows;
-    for i = 0 to 3 do
-      let s = cache.start_sids.(i) in
-      Binio.w_varint buf
-        (if cache.start_gen = cache.fgen && s >= 0 then s + 1 else 0)
-    done;
-    Some (Buffer.contents buf)
-  end
-
-let warm_import cache blob =
-  if cache.nstates <> 0 then false
-  else
-    let attempt () =
-      let r = Binio.reader blob in
-      if Binio.r_u8 r <> warm_version then
-        raise (Binio.Corrupt "warm version skew");
-      let nstates = Binio.r_u16 r in
-      if nstates > cache.max_states then
-        raise (Binio.Corrupt "warm table too large");
-      if Binio.r_varint r <> cache.ncols then
-        raise (Binio.Corrupt "byte-class mismatch");
-      if Binio.r_varint r <> cache.st.nslots then
-        raise (Binio.Corrupt "slot count mismatch");
-      let proglen = Array.length cache.st.prog in
-      let states = Array.make nstates dummy_state in
-      for sid = 0 to nstates - 1 do
-        let ctx = Binio.r_u8 r in
-        if ctx > 3 then raise (Binio.Corrupt "bad context fact");
-        let n = Binio.r_varint r in
-        if n > proglen then raise (Binio.Corrupt "thread set too large");
-        let raw =
-          Array.init n (fun _ ->
-              let pc = Binio.r_varint r in
-              if pc >= proglen || pc > 0xffff then
-                raise (Binio.Corrupt "pc out of range");
-              pc)
-        in
-        states.(sid) <- { st_ctx = ctx; st_raw = raw }
-      done;
-      let rows =
-        Array.init nstates (fun _ ->
-            Array.init cache.ncols (fun _ ->
-                let v = Binio.r_varint r - 1 in
-                if v >= 0 && v lsr 1 >= nstates then
-                  raise (Binio.Corrupt "row successor out of range");
-                v))
-      in
-      let nmr = Binio.r_varint r in
-      if nmr > nstates * cache.ncols then
-        raise (Binio.Corrupt "mrows count out of range");
-      let mrows =
-        Array.init nmr (fun _ ->
-            let sid = Binio.r_varint r in
-            let c = Binio.r_varint r in
-            if sid >= nstates || c >= cache.ncols then
-              raise (Binio.Corrupt "mrows key out of range");
-            let n = Binio.r_varint r in
-            if n > cache.st.nslots then
-              raise (Binio.Corrupt "mrows slot list too long");
-            let slots =
-              Array.init n (fun _ ->
-                  let s = Binio.r_varint r in
-                  if s >= cache.st.nslots then
-                    raise (Binio.Corrupt "mrows slot out of range");
-                  s)
-            in
-            ((sid * cache.ncols) + c, slots))
-      in
-      let starts =
-        Array.init 4 (fun _ ->
-            let s = Binio.r_varint r - 1 in
-            if s >= nstates then
-              raise (Binio.Corrupt "start memo out of range");
-            s)
-      in
-      if not (Binio.at_end r) then raise (Binio.Corrupt "trailing bytes");
-      (* Everything validated; commit. *)
-      for sid = 0 to nstates - 1 do
-        let s = states.(sid) in
-        let key = key_of s.st_ctx s.st_raw in
-        if Hashtbl.mem cache.itbl key then
-          raise (Binio.Corrupt "duplicate state");
-        Hashtbl.add cache.itbl key sid;
-        cache.states.(sid) <- s;
-        cache.rows.(sid) <- rows.(sid)
-      done;
-      cache.nstates <- nstates;
-      Array.iter (fun (k, slots) -> Hashtbl.replace cache.mrows k slots) mrows;
-      Array.blit starts 0 cache.start_sids 0 4;
-      cache.start_gen <- cache.fgen;
-      nstates
-    in
-    match attempt () with
-    | n ->
-      Telemetry.Counter.incr ~by:n warm_seeded_counter;
-      true
-    | exception (Binio.Truncated | Binio.Corrupt _) ->
-      (* The duplicate-state check can fire after a partial commit into
-         [itbl]/[states]; flush so the cache is exactly cold again. *)
-      if cache.nstates > 0 || Hashtbl.length cache.itbl > 0 then begin
-        cache.nstates <- cache.max_states;
-        flush cache;
-        cache.c_flushes <- 0
-      end;
-      false
-
-let warm_counts blob =
-  if String.length blob < 3 || Char.code blob.[0] <> warm_version then None
-  else Some (Char.code blob.[1] lor (Char.code blob.[2] lsl 8))
-
-(* Sequentially read every materialized cell (state sets, rows, match
-   lists) so a freshly imported cache is hot in the CPU caches before
-   the first search — otherwise the first request pays the cold-miss
-   latency the import was meant to move into the load phase. *)
-let prefault cache =
-  let acc = ref 0 in
-  for sid = 0 to cache.nstates - 1 do
-    let raw = cache.states.(sid).st_raw in
-    for i = 0 to Array.length raw - 1 do
-      acc := !acc + raw.(i)
-    done;
-    let row = cache.rows.(sid) in
-    for i = 0 to Array.length row - 1 do
-      acc := !acc + row.(i)
-    done
-  done;
-  Hashtbl.iter
-    (fun k m ->
-      acc := !acc + k;
-      for i = 0 to Array.length m - 1 do
-        acc := !acc + m.(i)
-      done)
-    cache.mrows;
-  ignore (Sys.opaque_identity !acc)

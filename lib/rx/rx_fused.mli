@@ -80,23 +80,3 @@ val read_static : Binio.r -> static
 (** Re-validates every index the runner dereferences (jump targets,
     owners, class ids, table lengths).
     @raise Binio.Corrupt on malformed bytes. *)
-
-val warm_export : cache -> string option
-(** Snapshots the interned states, transition rows, flagged-slot side
-    table and start memos into a compact byte form; [None] when the
-    cache is empty.  See {!Rx_dfa.warm_export}. *)
-
-val warm_import : cache -> string -> bool
-(** Seeds a fresh cache from a {!warm_export} blob; [false] — cache
-    left exactly cold — on any validation failure.  Imported states
-    are ordinary entries: flush/{!Bail} semantics unchanged,
-    generation-fenced start memo.  See {!Rx_dfa.warm_import}. *)
-
-val warm_counts : string -> int option
-(** Interned-state count carried in a warm blob's header, without
-    parsing the body; [None] for unrecognizable bytes. *)
-
-val prefault : cache -> unit
-(** Sequentially read every materialized cell (state sets, transition
-    rows, match lists) so a just-imported cache is hot before its
-    first search.  See {!Rx_dfa.prefault}. *)

@@ -140,10 +140,7 @@ let match_whole ?(budget = default_budget) ?cap ?steps_acc node ngroups
   | Some r -> r.m_stop = len
   | None -> false
 
-(* Leftmost search: tries every start offset from [pos].  [limit], when
-   given, caps the start offsets attempted (a match may still extend past
-   it): incremental re-scanning uses this to fence a region scan without
-   disturbing anchors or context, which still see the whole subject.
+(* Leftmost search: tries every start offset from [pos].
 
    [first_bytes], when given, is a 256-slot table of the bytes a match
    can start with — derived by the caller from the pattern, and only
@@ -151,10 +148,9 @@ let match_whole ?(budget = default_budget) ?cap ?steps_acc node ngroups
    asserts every match starts at a line start.  Both let the loop skip
    start offsets without paying a [match_at] attempt (and its groups
    allocation); soundness of the derivation makes the skip invisible. *)
-let search ?budget ?cap ?steps_acc ?limit ?first_bytes ?(bol_only = false)
-    node ngroups subject pos =
+let search ?budget ?cap ?steps_acc ?first_bytes ?(bol_only = false) node
+    ngroups subject pos =
   let len = String.length subject in
-  let last = match limit with Some l -> min l len | None -> len in
   let can_try s =
     (not bol_only || s = 0 || String.unsafe_get subject (s - 1) = '\n')
     && (match first_bytes with
@@ -166,7 +162,7 @@ let search ?budget ?cap ?steps_acc ?limit ?first_bytes ?(bol_only = false)
             <> '\000')
   in
   let rec loop start =
-    if start > last then None
+    if start > len then None
     else if not (can_try start) then loop (start + 1)
     else
       match match_at ?budget ?cap ?steps_acc node ngroups subject start with

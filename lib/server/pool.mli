@@ -40,9 +40,10 @@ val create :
     requests and delivers hits synchronously; misses populate it at
     delivery time.  Its salt must be the rule-pack fingerprint of
     [scanner]'s catalog.  [warm_boot] runs once inside every worker
-    domain before it takes its first job — transition caches are
-    per-domain, so per-domain heat (e.g. {!Rulepack.prewarm} of a warm
-    pack) must run there, not in the spawning domain. *)
+    domain before it takes its first job.  Transition caches are
+    per-domain, so heat applied in the spawning domain would not reach
+    the workers: {!Rulepack.prewarm} of a warm pack, which replays its
+    canaries, must run here. *)
 
 val rcache : t -> Rcache.t option
 (** The result cache given to {!create}, for stats and invalidation. *)

@@ -279,14 +279,7 @@ let save_snapshot t ~path =
   let trailer = Bytes.create 8 in
   Bytes.set_int64_le trailer 0 checksum;
   Buffer.add_bytes buf trailer;
-  let tmp = path ^ ".tmp" in
-  match
-    let oc = open_out_bin tmp in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () -> Buffer.output_buffer oc buf);
-    Sys.rename tmp path
-  with
+  match Binio.save_atomic ~path (fun oc -> Buffer.output_buffer oc buf) with
   | () -> Ok !count
   | exception Sys_error msg -> Error msg
 

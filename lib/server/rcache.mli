@@ -70,10 +70,12 @@ val stats : t -> stats
 
 val save_snapshot : t -> path:string -> (int, string) result
 (** Persists the cache — salt, generation and every entry (128-bit
-    key + response body), checksummed — to [path] via a temporary file
-    and rename, so a crash mid-write never leaves a torn snapshot.
-    Returns the number of entries written.  The serve drain path calls
-    this best-effort on graceful shutdown. *)
+    key + response body), checksummed — to [path] via
+    {!Binio.save_atomic}, so a crash mid-write never leaves a torn
+    snapshot.  Returns the number of entries written, or [Error] when
+    any write fails (a full disk included); an existing [path] is then
+    left untouched.  The serve drain path calls this best-effort on
+    graceful shutdown. *)
 
 val restore_snapshot : t -> path:string -> (int, string) result
 (** Replays a {!save_snapshot} file into the cache, re-keying entries

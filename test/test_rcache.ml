@@ -346,6 +346,36 @@ let test_snapshot_empty_cache () =
       | Ok n -> Alcotest.(check int) "zero entries restored" 0 n
       | Error e -> Alcotest.failf "restore: %s" e)
 
+(* A write that fails on its final flush — [path.tmp] pointed at
+   /dev/full, where every write reports ENOSPC — must surface as [Error],
+   leave the previous snapshot byte-identical and remove the temporary
+   file. *)
+let test_snapshot_failed_write () =
+  if not (Sys.file_exists "/dev/full") then Alcotest.skip ();
+  with_temp_file (fun path ->
+      let t = mk () in
+      Rcache.add t (key t "a") "A";
+      (match Rcache.save_snapshot t ~path with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "save: %s" e);
+      let good = read_file path in
+      let tmp = path ^ ".tmp" in
+      Unix.symlink "/dev/full" tmp;
+      let tmp_present () =
+        match Unix.lstat tmp with
+        | _ -> true
+        | exception Unix.Unix_error (Unix.ENOENT, _, _) -> false
+      in
+      Fun.protect
+        ~finally:(fun () -> if tmp_present () then Sys.remove tmp)
+        (fun () ->
+          Rcache.add t (key t "b") "B";
+          (match Rcache.save_snapshot t ~path with
+          | Ok _ -> Alcotest.fail "a write to a full device reported Ok"
+          | Error _ -> ());
+          Alcotest.(check string) "old snapshot untouched" good (read_file path);
+          Alcotest.(check bool) "temporary file removed" false (tmp_present ())))
+
 (* --- concurrency ----------------------------------------------------------- *)
 
 let test_concurrent_domains () =
@@ -426,6 +456,8 @@ let () =
             test_snapshot_corruption_sweeps;
           Alcotest.test_case "empty cache round-trips" `Quick
             test_snapshot_empty_cache;
+          Alcotest.test_case "failed write keeps the old file" `Quick
+            test_snapshot_failed_write;
         ] );
       ( "races",
         [

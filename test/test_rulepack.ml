@@ -44,6 +44,35 @@ let test_save_load () =
       | Ok p ->
         check_string "bytes identical" (Lazy.force pack_bytes) (Rulepack.encode p))
 
+(* A save whose write fails — [path.tmp] pointed at /dev/full, where
+   every write reports ENOSPC — must raise, leave the previous pack
+   byte-identical and remove the temporary file. *)
+let test_failed_save () =
+  if not (Sys.file_exists "/dev/full") then Alcotest.skip ();
+  with_temp_file (fun path ->
+      let old = "an earlier pack" in
+      let oc = open_out_bin path in
+      output_string oc old;
+      close_out oc;
+      let tmp = path ^ ".tmp" in
+      Unix.symlink "/dev/full" tmp;
+      let tmp_present () =
+        match Unix.lstat tmp with
+        | _ -> true
+        | exception Unix.Unix_error (Unix.ENOENT, _, _) -> false
+      in
+      Fun.protect
+        ~finally:(fun () -> if tmp_present () then Sys.remove tmp)
+        (fun () ->
+          (match Rulepack.save ~path (Lazy.force pack) with
+          | () -> Alcotest.fail "a save to a full device returned normally"
+          | exception Sys_error _ -> ());
+          let ic = open_in_bin path in
+          let now = really_input_string ic (in_channel_length ic) in
+          close_in ic;
+          check_string "old pack untouched" old now;
+          check_bool "temporary file removed" false (tmp_present ())))
+
 (* --- corpus differential --------------------------------------------------
 
    The pack's whole reason to exist: scanning and patching through a
@@ -323,6 +352,8 @@ let () =
         [
           Alcotest.test_case "encode/decode round-trip" `Quick test_roundtrip;
           Alcotest.test_case "save/load round-trip" `Quick test_save_load;
+          Alcotest.test_case "failed save keeps the old file" `Quick
+            test_failed_save;
         ] );
       ( "differential",
         [

@@ -1,8 +1,9 @@
-(* Warm-start tests: transition-table export/import at the Rx level,
-   the rule pack's warm section, the corpus-wide differential proving
-   warm-seeded scans byte-identical to cold ones, and adversarial
-   sweeps over the warm section bytes (typed error or clean cold
-   fall-back — never a crash, never a changed result). *)
+(* Warm-start tests: the rule pack's warm section (canary subjects),
+   the corpus-wide differential proving scans after [Rulepack.prewarm]
+   byte-identical to cold ones, prewarm in a freshly spawned domain,
+   version skew, and adversarial sweeps over the warm section bytes
+   (typed error or clean load — never a crash, never a changed
+   result). *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -16,123 +17,17 @@ let sample_flask =
   \    os.system(cmd)\n\
   \    return f\"<p>{cmd}</p>\"\n"
 
-(* --- Rx-level export/import ------------------------------------------------ *)
+let corpus () =
+  List.map
+    (fun (s : Corpus.Generator.sample) -> s.Corpus.Generator.code)
+    (Corpus.Generator.all_samples ())
 
-(* The observable for "the cache is hot" without poking internals:
-   [warm_export] is [None] over an empty cache and [Some blob] (with
-   header state counts) over a heated one. *)
-
-let test_rx_export_import () =
-  Rx.warm_registry_clear ();
-  let p = Rx.compile {|\bos\.system\(|} in
-  Rx.dfa_cache_clear p;
-  check_bool "fresh cache exports nothing" true (Rx.warm_export p = None);
-  ignore (Rx.exec p sample_flask);
-  let blob =
-    match Rx.warm_export p with
-    | Some b -> b
-    | None -> Alcotest.fail "heated cache exports nothing"
-  in
-  let counts =
-    match Rx.warm_blob_counts blob with
-    | Some c -> c
-    | None -> Alcotest.fail "own blob header unreadable"
-  in
-  check_bool "some states captured" true (fst counts + snd counts > 0);
-  (* register, drop, recreate: the seeded cache must export the same
-     table shape without a single search having run *)
-  Rx.warm_register ~source:(Rx.pattern p) blob;
-  Rx.dfa_cache_clear p;
-  Rx.dfa_cache_touch p;
-  (match Rx.warm_export p with
-  | None -> Alcotest.fail "seeded cache exports nothing"
-  | Some b2 ->
-    check_bool "seeded counts match" true (Rx.warm_blob_counts b2 = Some counts));
-  (* and matching over the seeded cache is unchanged *)
-  check_bool "seeded match agrees" true (Rx.matches p sample_flask);
-  Rx.warm_registry_clear ()
-
-let test_rx_import_garbage () =
-  Rx.warm_registry_clear ();
-  let p = Rx.compile {|\beval\(|} in
-  ignore (Rx.exec p "eval(x)\n");
-  let blob =
-    match Rx.warm_export p with Some b -> b | None -> Alcotest.fail "no blob"
-  in
-  (* a blob registered for the wrong pattern, truncated blobs, flipped
-     blobs: seeding must degrade to cold, matching must not change *)
-  let q = Rx.compile {|\bsubprocess\.call\(|} in
-  let corrupt =
-    [
-      blob;
-      String.sub blob 0 (String.length blob / 2);
-      "";
-      "\xff\xff\xff\xff";
-      (let b = Bytes.of_string blob in
-       Bytes.set b (Bytes.length b / 2)
-         (Char.chr (Char.code (Bytes.get b (Bytes.length b / 2)) lxor 0x55));
-       Bytes.to_string b);
-    ]
-  in
-  List.iter
-    (fun bad ->
-      Rx.warm_registry_clear ();
-      Rx.warm_register ~source:(Rx.pattern q) bad;
-      Rx.dfa_cache_clear q;
-      Rx.dfa_cache_touch q;
-      check_bool "corrupt seed: match unchanged" true
-        (Rx.matches q "subprocess.call(cmd)\n");
-      check_bool "corrupt seed: no match unchanged" false
-        (Rx.matches q "subprocess.run(cmd)\n"))
-    corrupt;
-  Rx.warm_registry_clear ()
-
-let test_fused_export_import () =
-  let patterns =
-    Array.of_list
-      (List.map
-         (fun (r : Patchitpy.Rule.t) -> r.Patchitpy.Rule.pattern)
-         Patchitpy.(Catalog.all ()))
-  in
-  let f =
-    match Rx.Fused.compile patterns with
-    | Some f -> f
-    | None -> Alcotest.fail "catalog not fusable"
-  in
-  let mask1 = Rx.Fused.run f sample_flask in
-  let blob =
-    match Rx.Fused.warm_export f with
-    | Some b -> b
-    | None -> Alcotest.fail "heated fused cache exports nothing"
-  in
-  let states =
-    match Rx.Fused.warm_blob_counts blob with
-    | Some n -> n
-    | None -> Alcotest.fail "own fused blob header unreadable"
-  in
-  check_bool "fused states captured" true (states > 0);
-  Rx.Fused.warm_attach f blob;
-  Rx.Fused.cache_clear f;
-  Rx.Fused.cache_touch f;
-  check_int "seeded fused state count" states (Rx.Fused.state_count f);
-  let mask2 = Rx.Fused.run f sample_flask in
-  check_bool "seeded fused mask identical" true (Bytes.equal mask1 mask2)
-
-(* --- warm pack: build, inspect, differential ------------------------------- *)
+(* --- warm pack: build, inspect, version ------------------------------------ *)
 
 let warm_pack_bytes =
   lazy
-    (let pack = Rulepack.create () in
-     let corpus =
-       List.map
-         (fun (s : Corpus.Generator.sample) -> s.Corpus.Generator.code)
-         (Corpus.Generator.all_samples ())
-     in
-     let warm = Rulepack.collect_warm ~corpus pack in
-     let info = Rulepack.warm_info_of warm in
-     if info.Rulepack.warm_patterns = 0 then
-       Alcotest.fail "corpus replay heated no pattern at all";
-     Rulepack.encode ~warm pack)
+    (Rulepack.encode
+       (Rulepack.with_canaries ~corpus:(corpus ()) (Rulepack.create ())))
 
 let decode_ok bytes =
   match Rulepack.decode bytes with
@@ -141,25 +36,38 @@ let decode_ok bytes =
 
 let test_warm_pack_info () =
   let p = decode_ok (Lazy.force warm_pack_bytes) in
-  match p.Rulepack.warm with
-  | None -> Alcotest.fail "decoded warm pack reports no warm section"
-  | Some w ->
-    check_bool "patterns carried" true (w.Rulepack.warm_patterns > 0);
-    check_bool "dfa states carried" true (w.Rulepack.warm_dfa_states > 0);
-    check_bool "fused states carried" true (w.Rulepack.warm_fused_states > 0);
-    check_bool "dfa bytes accounted" true (w.Rulepack.warm_dfa_bytes > 0);
-    check_int "canaries carried" 16 w.Rulepack.warm_canaries;
-    check_bool "canary bytes accounted" true (w.Rulepack.warm_canary_bytes > 0);
-    check_int "canaries decoded" 16 (List.length p.Rulepack.canaries)
+  check_int "canaries decoded" 16 (List.length p.Rulepack.canaries);
+  check_bool "canary bytes accounted" true
+    (List.fold_left (fun a c -> a + String.length c) 0 p.Rulepack.canaries > 0);
+  check_int "prewarm replays every canary twice" 32 (Rulepack.prewarm p)
 
-(* A cold pack decoded from the same catalog must report no warm
-   section and register nothing. *)
+(* A cold pack carries no warm section: prewarm has nothing to
+   replay. *)
 let test_cold_pack_unaffected () =
-  Rx.warm_registry_clear ();
-  let cold = Rulepack.encode (Rulepack.create ()) in
-  let p = decode_ok cold in
-  check_bool "no warm info" true (p.Rulepack.warm = None);
-  check_int "nothing registered" 0 (Rx.warm_registry_size ())
+  let p = decode_ok (Rulepack.encode (Rulepack.create ())) in
+  check_int "no canaries" 0 (List.length p.Rulepack.canaries);
+  check_int "prewarm replays nothing" 0 (Rulepack.prewarm p)
+
+let refix_checksum bytes =
+  let b = Bytes.of_string bytes in
+  let dlen = Bytes.length b - 8 in
+  Bytes.set_int64_le b dlen (Binio.hash64 ~len:dlen (Bytes.sub_string b 0 dlen));
+  Bytes.to_string b
+
+(* A format-2 pack carried serialized transition tables in its warm
+   section; this build reads only format 3.  The version field sits
+   right after the 8-byte magic. *)
+let test_v2_refused () =
+  check_int "format version" 3 Rulepack.format_version;
+  let b = Bytes.of_string (Lazy.force warm_pack_bytes) in
+  Bytes.set_int32_le b 8 2l;
+  match Rulepack.decode (refix_checksum (Bytes.to_string b)) with
+  | Error (Rulepack.Version_skew { found = 2; expected = 3 }) -> ()
+  | Error e ->
+    Alcotest.failf "wanted Version_skew, got %s" (Rulepack.error_to_string e)
+  | Ok _ -> Alcotest.fail "a v2 pack decoded to Ok"
+
+(* --- differentials -------------------------------------------------------- *)
 
 let finding_key (f : Patchitpy.Scanner.finding) =
   Printf.sprintf "%s:%d:%d:%d:%d:%s" f.rule.Patchitpy.Rule.id f.line f.column
@@ -168,25 +76,25 @@ let finding_key (f : Patchitpy.Scanner.finding) =
 let scan_fingerprint scanner code =
   String.concat "\n" (List.map finding_key (Patchitpy.Scanner.scan scanner code))
 
-(* The acceptance differential: scans through a warm-seeded plan are
+(* The acceptance differential: scans through a prewarmed warm pack are
    byte-identical to the source-compiled catalog's over the whole
-   corpus.  At jobs 4 every worker domain creates (and warm-seeds) its
-   own caches, so the parallel run exercises seeding in domains that
-   never scanned cold. *)
+   corpus.  Every domain that scans prewarms once first, as a serve
+   worker does at spawn, so at jobs 4 the replay runs in worker domains
+   that never scanned before. *)
 let warm_differential ~jobs () =
-  Rx.warm_registry_clear ();
   let catalog = Patchitpy.Engine.default_scanner () in
-  let packed =
-    let p = decode_ok (Lazy.force warm_pack_bytes) in
-    check_bool "warm tables registered" true (Rx.warm_registry_size () > 0);
-    ignore (Rulepack.prewarm p : int);
-    Rulepack.scanner p `Python
-  in
+  let pack = decode_ok (Lazy.force warm_pack_bytes) in
+  let packed = Rulepack.scanner pack `Python in
+  let prewarmed = Domain.DLS.new_key (fun () -> false) in
   let samples = Corpus.Generator.all_samples () in
   check_bool "corpus is non-trivial" true (List.length samples > 500);
   let pairs =
     Experiments.Par.map_samples ~jobs
       (fun (s : Corpus.Generator.sample) ->
+        if not (Domain.DLS.get prewarmed) then begin
+          Domain.DLS.set prewarmed true;
+          ignore (Rulepack.prewarm pack : int)
+        end;
         (scan_fingerprint catalog s.code, scan_fingerprint packed s.code))
       samples
   in
@@ -195,22 +103,52 @@ let warm_differential ~jobs () =
       if a <> b then
         Alcotest.failf "sample %d diverges between catalog and warm pack:\n%s\n---\n%s"
           i a b)
-    pairs;
-  Rx.warm_registry_clear ()
+    pairs
+
+(* [prewarm] in a freshly spawned domain heats that domain's own caches,
+   and its first scan renders byte-identical JSON to a cold scan in
+   another fresh domain — for a canary and for a subject no canary
+   covers. *)
+let test_prewarm_fresh_domain () =
+  let pack = decode_ok (Lazy.force warm_pack_bytes) in
+  let scanner = Rulepack.scanner pack `Python in
+  let fused =
+    match Patchitpy.Scanner.fused_machine scanner with
+    | Some f -> f
+    | None -> Alcotest.fail "warm pack has no fused machine"
+  in
+  let first_scan ~prewarm victim =
+    Domain.join
+      (Domain.spawn (fun () ->
+           if prewarm then ignore (Rulepack.prewarm pack : int);
+           let states = Rx.Fused.state_count fused in
+           let json =
+             Patchitpy.Jsonout.findings_to_json ~file:"victim.py"
+               (Patchitpy.Scanner.scan scanner victim)
+           in
+           (states, json)))
+  in
+  let canary = List.hd pack.Rulepack.canaries in
+  check_bool "sample_flask is not a canary" false
+    (List.mem sample_flask pack.Rulepack.canaries);
+  check_bool "sample_flask has findings" true
+    (Patchitpy.Scanner.scan scanner sample_flask <> []);
+  List.iter
+    (fun (label, victim) ->
+      let cold_states, cold = first_scan ~prewarm:false victim in
+      let warm_states, warm = first_scan ~prewarm:true victim in
+      check_int (label ^ ": fresh domain starts cold") 0 cold_states;
+      check_bool (label ^ ": prewarm heats the domain") true (warm_states > 0);
+      Alcotest.(check string) (label ^ ": first scan identical") cold warm)
+    [ ("canary", canary); ("unseen", sample_flask) ]
 
 (* --- adversarial warm-section bytes ---------------------------------------
 
    Truncations and un-fixed bit flips anywhere fail the whole-pack
-   checksum: typed [Error].  Flips *inside the warm section* with the
-   trailer re-checksummed decode fine — the warm payload is the one
-   part allowed to degrade — and any seeding they cause must fall back
-   cold without changing a single scan result. *)
-
-let refix_checksum bytes =
-  let b = Bytes.of_string bytes in
-  let dlen = Bytes.length b - 8 in
-  Bytes.set_int64_le b dlen (Binio.hash64 ~len:dlen (Bytes.sub_string b 0 dlen));
-  Bytes.to_string b
+   checksum: typed [Error].  Flips inside the warm section with the
+   trailer re-checksummed either break its structure (typed [Error]) or
+   decode to different canary bytes — which only ever feed scans whose
+   results are discarded, so no scan result may change. *)
 
 (* Walks the section table to find the warm section's payload window.
    Layout: magic(8) | version u32 | hash str(4+n) | nsections u8 |
@@ -251,7 +189,6 @@ let test_warm_truncations () =
   done
 
 let test_warm_section_flips () =
-  Rx.warm_registry_clear ();
   let b = Lazy.force warm_pack_bytes in
   let off, len = warm_section_window b in
   let catalog = Patchitpy.Engine.default_scanner () in
@@ -264,43 +201,32 @@ let test_warm_section_flips () =
     Bytes.set flipped (off + !k)
       (Char.chr (Char.code (Bytes.get flipped (off + !k)) lxor 0x80));
     let forged = refix_checksum (Bytes.to_string flipped) in
-    Rx.warm_registry_clear ();
     (match Rulepack.decode forged with
-    | Error _ ->
-      (* a flip that lands in the section length/tag can break pack
-         structure — a typed error is an acceptable outcome *)
-      ()
+    | Error _ -> ()
     | Ok p ->
       let scanner = Rulepack.scanner p `Python in
       ignore (Rulepack.prewarm p : int);
       if scan_fingerprint scanner sample_flask <> reference then
         Alcotest.failf "flip at warm+%d changed scan results" !k);
     k := !k + step
-  done;
-  Rx.warm_registry_clear ()
+  done
 
 let () =
   Alcotest.run "warmstart"
     [
-      ( "rx",
-        [
-          Alcotest.test_case "dfa export/import round-trip" `Quick
-            test_rx_export_import;
-          Alcotest.test_case "garbage seeds degrade cold" `Quick
-            test_rx_import_garbage;
-          Alcotest.test_case "fused export/import round-trip" `Quick
-            test_fused_export_import;
-        ] );
       ( "pack",
         [
           Alcotest.test_case "warm section info" `Quick test_warm_pack_info;
           Alcotest.test_case "cold pack registers nothing" `Quick
             test_cold_pack_unaffected;
+          Alcotest.test_case "v2 pack refused" `Quick test_v2_refused;
         ] );
       ( "differential",
         [
           Alcotest.test_case "warm scan, jobs=1" `Slow (warm_differential ~jobs:1);
           Alcotest.test_case "warm scan, jobs=4" `Slow (warm_differential ~jobs:4);
+          Alcotest.test_case "prewarm in a fresh domain" `Quick
+            test_prewarm_fresh_domain;
         ] );
       ( "adversarial",
         [
