@@ -374,6 +374,40 @@ let measure_cache_rows () =
     ("patchitpy/serve-cache-scan-p50", percentile scan_ns 0.50);
   ]
 
+(* Fused-pass layer rows, ns per KB of subject: one fused pass over the
+   30 long files (0.5-64 KB, ~1 MB in all) the golden digests use.  The
+   cold row drops the calling domain's fused cache first, so the pass
+   materializes every state it reaches — the work a one-shot CLI
+   command does on its first scan; the warm row repeats the pass on the
+   heated cache, one table load per byte.  Medians over repeated
+   passes; reported, not gated. *)
+let measure_fused_pass_rows () =
+  let f = Option.get (Patchitpy.Scanner.fused_machine catalog_scanner) in
+  let files = List.map snd (Corpus.Generator.long_files ()) in
+  let kb =
+    float_of_int (List.fold_left (fun a s -> a + String.length s) 0 files)
+    /. 1024.
+  in
+  let pass () = List.iter (fun s -> ignore (Rx.Fused.run f s)) files in
+  let per_kb ~iters ~before =
+    let ns = Array.make iters 0.0 in
+    for i = 0 to iters - 1 do
+      before ();
+      let t0 = Telemetry.now_ns () in
+      pass ();
+      ns.(i) <- float_of_int (Telemetry.now_ns () - t0) /. kb
+    done;
+    Array.sort compare ns;
+    percentile ns 0.50
+  in
+  let cold = per_kb ~iters:40 ~before:(fun () -> Rx.Fused.cache_clear f) in
+  pass ();
+  let warm = per_kb ~iters:200 ~before:ignore in
+  [
+    ("patchitpy/fused-cold-pass-per-kb", cold);
+    ("patchitpy/fused-warm-pass-per-kb", warm);
+  ]
+
 (* Warm-start rows: the first scan in freshly created per-domain
    caches, cold (states materialized lazily from the NFA during the
    scan) versus warm (the warm pack's canaries replayed via
@@ -612,6 +646,7 @@ let measure_micro () =
     results;
   List.sort compare
     (!rows @ measure_serve_rows () @ measure_cache_rows ()
+    @ measure_fused_pass_rows ()
     @ measure_warm_start_rows () @ measure_loadgen_rows ())
 
 let run_micro () =

@@ -15,8 +15,14 @@ let noise persona code tag =
 
 (* --- detection ----------------------------------------------------------- *)
 
+(* The signal and replacement sets are compiled on first use through
+   [Rx.once], which the parallel corpus runner may force from several
+   domains at once; commands that never run a simulated reviewer never
+   compile them. *)
+
 (* Overt dangerous-API signals every competent reviewer flags. *)
 let strong_signals =
+  Rx.once @@ fun () ->
   List.map Rx.compile
     [
       {|\beval\(|}; {|\bexec\(|}; {|pickle\.loads?\(|}; {|marshal\.loads\(|};
@@ -45,6 +51,7 @@ let strong_signals =
 
 (* Semantic weaknesses the LLMs reason about but lexical rules miss. *)
 let semantic_signals =
+  Rx.once @@ fun () ->
   List.map Rx.compile
     [
       {|int\(request\.args|};
@@ -65,6 +72,7 @@ let semantic_signals =
    positives.  A cautious human would check the context; the ZS-RO
    prompt's yes/no format encourages flagging. *)
 let weak_signals =
+  Rx.once @@ fun () ->
   List.map Rx.compile
     [
       {|subprocess\.|}; {|request\.(?:args|form|files|json)|}; {|\bopen\(|};
@@ -76,9 +84,9 @@ let count_hits signals code =
   List.length (List.filter (fun rx -> Rx.matches rx code) signals)
 
 let flags persona code =
-  let strong = count_hits strong_signals code > 0 in
-  let semantic = count_hits semantic_signals code > 0 in
-  let weak = count_hits weak_signals code in
+  let strong = count_hits (strong_signals ()) code > 0 in
+  let semantic = count_hits (semantic_signals ()) code > 0 in
+  let weak = count_hits (weak_signals ()) code in
   match persona with
   | Chatgpt ->
     (* balanced: overt or semantic issues, plus suspicion-driven guessing
@@ -149,9 +157,8 @@ let advanced_replacements =
     ({|RSA\.generate\(\s*(?:512|768|1024)|}, "RSA.generate(2048");
   ]
 
-(* Compiled eagerly at module init: a [lazy] here would race when the
-   parallel corpus runner forces it from several domains at once. *)
 let compiled =
+  Rx.once @@ fun () ->
   ( List.map (fun (p, t) -> (Rx.compile p, t)) common_replacements,
     List.map (fun (p, t) -> (Rx.compile p, t)) advanced_replacements )
 
@@ -256,7 +263,7 @@ let add_imports code =
   | imports -> String.concat "\n" imports ^ "\n" ^ code
 
 let patch persona code =
-  let common, advanced = compiled in
+  let common, advanced = compiled () in
   (* Hallucination: sometimes the model restructures without actually
      removing the dangerous API. *)
   let hallucinate_p =

@@ -84,19 +84,24 @@ type ast_rule = {
   a_suggestion : string option;
 }
 
+(* Both rule sets are built on first scan ([Rx.once]: the experiment
+   runner scans from several domains at once), so processes that never
+   run the baseline never compile them. *)
 let ast_rules =
+  Rx.once @@ fun () ->
   List.map
     (fun (a_id, pattern, a_message, a_suggestion) ->
       { a_id; pat = Semgrep_pat.parse_exn pattern; a_message; a_suggestion })
     ast_rules_src
 
 let rules =
+  Rx.once @@ fun () ->
   List.map
     (fun (id, pat, message, suggestion) ->
       { id; rx = Rx.compile pat; message; suggestion })
     rules_src
 
-let rule_count = List.length rules + List.length ast_rules
+let rule_count = List.length rules_src + List.length ast_rules_src
 
 let line_of source offset =
   let n = ref 1 in
@@ -120,7 +125,7 @@ let scan_unchecked source =
                    | Some s -> Baseline.Suggestion s
                    | None -> Baseline.No_fix_support);
                }))
-      rules
+      (rules ())
   in
   let ast_findings =
     match Pyast.parse source with
@@ -139,7 +144,7 @@ let scan_unchecked source =
                      | Some s -> Baseline.Suggestion s
                      | None -> Baseline.No_fix_support);
                  }))
-        ast_rules
+        (ast_rules ())
   in
   regex_findings @ ast_findings
 

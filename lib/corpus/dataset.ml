@@ -175,17 +175,18 @@ let expand source prefix specs =
           f ~sid ~source ~alt:i))
     specs
 
-let security_eval =
-  lazy
-    (expand Scenario.Security_eval "SE" security_eval_specs
-    |> List.mapi shape_prompt)
-
-let llmsec_eval =
-  lazy (expand Scenario.Llmsec_eval "LS" llmsec_specs |> List.mapi shape_prompt)
-
-let all = lazy (Lazy.force security_eval @ Lazy.force llmsec_eval)
-
-let scenarios () = Lazy.force all
+(* Built on first use through [Rx.once]: the corpus generator may run
+   on several domains at once. *)
+let scenarios =
+  Rx.once @@ fun () ->
+  let security_eval =
+    expand Scenario.Security_eval "SE" security_eval_specs
+    |> List.mapi shape_prompt
+  in
+  let llmsec_eval =
+    expand Scenario.Llmsec_eval "LS" llmsec_specs |> List.mapi shape_prompt
+  in
+  security_eval @ llmsec_eval
 
 let find sid =
   List.find_opt (fun s -> s.Scenario.sid = sid) (scenarios ())
@@ -193,14 +194,14 @@ let find sid =
 (* Number of scenarios labelled with this CWE (rarity signal used by the
    generator personas). *)
 let cwe_counts =
-  lazy
-    (let table = Hashtbl.create 64 in
-     List.iter
-       (fun s ->
-         let c = s.Scenario.cwe in
-         Hashtbl.replace table c (1 + Option.value (Hashtbl.find_opt table c) ~default:0))
-       (scenarios ());
-     table)
+  Rx.once @@ fun () ->
+  let table = Hashtbl.create 64 in
+  List.iter
+    (fun s ->
+      let c = s.Scenario.cwe in
+      Hashtbl.replace table c (1 + Option.value (Hashtbl.find_opt table c) ~default:0))
+    (scenarios ());
+  table
 
 let cwe_instance_count cwe =
-  Option.value (Hashtbl.find_opt (Lazy.force cwe_counts) cwe) ~default:0
+  Option.value (Hashtbl.find_opt (cwe_counts ()) cwe) ~default:0

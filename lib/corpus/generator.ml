@@ -131,6 +131,7 @@ let insert_docstring code =
    cyclomatic-complexity experiment (Fig. 3) measures, so the corpus
    carries the 1-4-branch functions real generations show. *)
 let def_with_param_rx =
+  Rx.once @@ fun () ->
   Rx.compile {|^(\s*)def\s+\w+\(\s*([A-Za-z_]\w*)[^)]*\)[^:]*:\s*$|}
 
 let guard_templates =
@@ -149,7 +150,7 @@ let guard_templates =
 let add_guards key code =
   (* every parameterized function gets 0-3 guards; inserted bottom-up so
      match offsets stay valid *)
-  let matches = Rx.find_all def_with_param_rx code in
+  let matches = Rx.find_all (def_with_param_rx ()) code in
   List.fold_left
     (fun code m ->
       let pad = Option.value (Rx.group m 1) ~default:"" in
@@ -181,10 +182,11 @@ let add_guards key code =
 (* Handlers read request parameters and then check them — the guard
    shape models emit for zero-parameter route functions. *)
 let request_get_rx =
+  Rx.once @@ fun () ->
   Rx.compile {|^(\s+)([A-Za-z_]\w*) = request\.(?:args|form|values)(?:\.get)?[(\[][^\n]*$|}
 
 let add_request_guards key code =
-  let matches = Rx.find_all request_get_rx code in
+  let matches = Rx.find_all (request_get_rx ()) code in
   List.fold_left
     (fun code m ->
       let pad = Option.value (Rx.group m 1) ~default:"" in
@@ -248,3 +250,16 @@ let samples model =
   List.map (generate chosen model) scenarios
 
 let all_samples () = List.concat_map samples models
+
+let long_files () =
+  let samples = Array.of_list (all_samples ()) in
+  let st = Random.State.make [| 12 |] in
+  List.init 30 (fun i ->
+      let target = 512 + Random.State.int st (65536 - 512) in
+      let buf = Buffer.create (target + 4096) in
+      while Buffer.length buf < target do
+        let s = samples.(Random.State.int st (Array.length samples)) in
+        Buffer.add_string buf s.code;
+        Buffer.add_char buf '\n'
+      done;
+      (Printf.sprintf "long-%02d.py" i, Buffer.contents buf))

@@ -34,5 +34,13 @@ val samples : model -> sample list
 val all_samples : unit -> sample list
 (** All three personas over all scenarios: 609 samples. *)
 
+val long_files : unit -> (string * string) list
+(** Thirty long inputs, [("long-NN.py", contents)]: each concatenates
+    corpus samples drawn with a fixed random state until it reaches a
+    target size drawn uniformly from 512 B - 64 KB.  Many samples share
+    imports, so these files carry dozens to hundreds of import lines.
+    The golden digests and the fused-pass benchmark rows run over
+    them. *)
+
 val style_label : model -> string
 (** Short description of the persona's code style quirks. *)

@@ -1,28 +1,28 @@
-(* The catalog compiles lazily: forcing [all] (or [javascript]) is what
-   runs [Rule.make] over the per-category rule lists, so a process that
-   gets its scanner from a rule pack never pays for source compilation.
+(* The catalog compiles on first use: calling [all] (or [javascript])
+   is what runs [Rule.make] over the per-category rule lists, so a
+   process that gets its scanner from a rule pack never pays for source
+   compilation.  Every list sits in an [Rx.once] cell, which several
+   domains may force at once.
    The sanity checks run inside the same force — violations are
    programming errors and surface the first time the catalog is
    actually used (every test forces it). *)
 
-let all_compiled =
-  lazy
-    (let all =
-       Catalog_injection.rules () @ Catalog_crypto.rules ()
-       @ Catalog_misconfig.rules () @ Catalog_access.rules ()
-       @ Catalog_integrity.rules () @ Catalog_disclosure.rules ()
-     in
-     (* Catalog sanity: ids unique. *)
-     let seen = Hashtbl.create 128 in
-     List.iter
-       (fun (r : Rule.t) ->
-         if Hashtbl.mem seen r.Rule.id then
-           invalid_arg (Printf.sprintf "duplicate rule id %s" r.Rule.id);
-         Hashtbl.replace seen r.Rule.id ())
-       all;
-     all)
-
-let all () = Lazy.force all_compiled
+let all =
+  Rx.once @@ fun () ->
+  let all =
+    Catalog_injection.rules () @ Catalog_crypto.rules ()
+    @ Catalog_misconfig.rules () @ Catalog_access.rules ()
+    @ Catalog_integrity.rules () @ Catalog_disclosure.rules ()
+  in
+  (* Catalog sanity: ids unique. *)
+  let seen = Hashtbl.create 128 in
+  List.iter
+    (fun (r : Rule.t) ->
+      if Hashtbl.mem seen r.Rule.id then
+        invalid_arg (Printf.sprintf "duplicate rule id %s" r.Rule.id);
+      Hashtbl.replace seen r.Rule.id ())
+    all;
+  all
 
 let count () = List.length (all ())
 
@@ -37,15 +37,13 @@ let covered_cwes () =
 
 let fixable_count () = List.length (List.filter Rule.fixable (all ()))
 
-let js_compiled =
-  lazy
-    (let js = Catalog_js.rules () in
-     (* id namespaces must not collide *)
-     List.iter
-       (fun (r : Rule.t) ->
-         if find r.Rule.id <> None then
-           invalid_arg (Printf.sprintf "JS rule id %s collides" r.Rule.id))
-       js;
-     js)
-
-let javascript () = Lazy.force js_compiled
+let javascript =
+  Rx.once @@ fun () ->
+  let js = Catalog_js.rules () in
+  (* id namespaces must not collide *)
+  List.iter
+    (fun (r : Rule.t) ->
+      if find r.Rule.id <> None then
+        invalid_arg (Printf.sprintf "JS rule id %s collides" r.Rule.id))
+    js;
+  js

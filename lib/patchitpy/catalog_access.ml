@@ -4,8 +4,8 @@
 
 let r = Rule.make
 
-let compiled =
-  lazy
+let rules =
+  Rx.once @@ fun () ->
   [
     r ~id:"PIT-061" ~title:"File opened from raw request data"
       ~cwe:22 ~severity:Rule.High
@@ -70,5 +70,3 @@ let compiled =
       ~note:
         "Asserts vanish under python -O; raise an explicit error instead." ();
   ]
-
-let rules () = Lazy.force compiled

@@ -4,8 +4,8 @@
 
 let r = Rule.make
 
-let compiled =
-  lazy
+let rules =
+  Rx.once @@ fun () ->
   [
     r ~id:"PIT-021" ~title:"MD5 is a broken hash algorithm"
       ~cwe:327 ~severity:Rule.High
@@ -154,5 +154,3 @@ let compiled =
                    [ Lit {|"verify_signature": True|} ] ) ])
       ~note:"Verify JWT signatures; unverified tokens are attacker input." ();
   ]
-
-let rules () = Lazy.force compiled

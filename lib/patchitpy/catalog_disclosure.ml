@@ -11,8 +11,8 @@ let redact_password =
       (Whole, [ Subst { pat = {|\{\s*\w*[Pp]assword\w*\s*\}|}; with_ = "***" } ])
   ]
 
-let compiled =
-  lazy
+let rules =
+  Rx.once @@ fun () ->
   [
     r ~id:"PIT-077" ~title:"Timing-unsafe comparison of a secret"
       ~cwe:287 ~severity:Rule.Medium
@@ -70,5 +70,3 @@ let compiled =
         "Server-side request forgery: resolve the target against an \
          allowlist of hosts." ();
   ]
-
-let rules () = Lazy.force compiled

@@ -63,8 +63,8 @@ let parameterize_fstring =
         [ Lit "()" ] );
     Lit ")" ]
 
-let compiled =
-  lazy
+let rules =
+  Rx.once @@ fun () ->
   [
     r ~id:"PIT-001" ~title:"os.system() enables shell command injection"
       ~cwe:78 ~severity:Rule.High
@@ -201,5 +201,3 @@ let compiled =
            {|.headers[$1] = $2.replace("\r", "").replace("\n", "")|})
       ~note:"Strip CR/LF from values placed into response headers." ();
   ]
-
-let rules () = Lazy.force compiled

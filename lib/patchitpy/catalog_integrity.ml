@@ -3,8 +3,8 @@
 
 let r = Rule.make
 
-let compiled =
-  lazy
+let rules =
+  Rx.once @@ fun () ->
   [
     r ~id:"PIT-070" ~title:"pickle.loads on untrusted bytes executes code"
       ~cwe:502 ~severity:Rule.Critical
@@ -55,5 +55,3 @@ let compiled =
       ~pattern:{|(?:__import__|importlib\.import_module)\(\s*request\.|}
       ~note:"Import targets must come from a fixed allowlist." ();
   ]
-
-let rules () = Lazy.force compiled

@@ -7,8 +7,8 @@
 
 let r = Rule.make
 
-let compiled =
-  lazy
+let rules =
+  Rx.once @@ fun () ->
   [
     r ~id:"PIT-JS-001" ~title:"eval() on dynamic input"
       ~cwe:95 ~severity:Rule.Critical
@@ -100,5 +100,3 @@ let compiled =
       ~pattern:{|algorithms\s*:\s*\[\s*["']none["']|}
       ~note:"Never accept unsigned tokens; pin a real algorithm list." ();
   ]
-
-let rules () = Lazy.force compiled

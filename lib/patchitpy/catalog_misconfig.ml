@@ -13,8 +13,8 @@ let safe_load_rewrite =
     Str (Grp 1, [ Subst { pat = {|\s*,\s*Loader\s*=\s*[\w.]+|}; with_ = "" } ]);
     Lit ")" ]
 
-let compiled =
-  lazy
+let rules =
+  Rx.once @@ fun () ->
   [
     r ~id:"PIT-045" ~title:"Flask running in debug mode"
       ~cwe:489 ~severity:Rule.High
@@ -111,5 +111,3 @@ let compiled =
       ~fix:(Rule.Replace_template "$1DEBUG = False")
       ~note:"DEBUG leaks settings and stack traces in production." ();
   ]
-
-let rules () = Lazy.force compiled

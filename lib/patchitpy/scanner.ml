@@ -20,23 +20,14 @@ let derive_meta (rule : Rule.t) =
    first time a scan needs it — [candidates] prunes most rules for any
    one source, so a short-lived process decodes only the rules it
    actually runs, and pack cold start stays free of the per-rule decode
-   cost.  The slot is an [Atomic] rather than a [lazy] because one plan
-   is shared across serve worker domains (concurrent forcing of a lazy
-   is unsafe): concurrent first uses at worst decode twice, and
+   cost.  The slot is an [Rx.once] cell rather than a [lazy] because one
+   plan is shared across serve worker domains (concurrent forcing of a
+   lazy is unsafe): concurrent first uses at worst decode twice, and
    whichever value wins the CAS is served from then on. *)
-type cell = { filled : Rule.t option Atomic.t; decode : unit -> Rule.t }
+type cell = unit -> Rule.t
 
-let cell_of_rule rule =
-  { filled = Atomic.make (Some rule); decode = (fun () -> rule) }
-
-let cell_rule cell =
-  match Atomic.get cell.filled with
-  | Some rule -> rule
-  | None ->
-    let rule = cell.decode () in
-    if Atomic.compare_and_set cell.filled None (Some rule) then rule
-    else (
-      match Atomic.get cell.filled with Some winner -> winner | None -> rule)
+let cell_of_rule rule () = rule
+let cell_rule (cell : cell) = cell ()
 
 (* The fused-tier slot of a plan.  Like rule [cell]s it defers the
    expensive step — fusing the whole catalog into one tagged DFA — to
@@ -403,10 +394,23 @@ let scan_selection_with_warnings t source ~first_line ~last_line =
     |> String.concat "\n"
   in
   let findings, warnings = scan_with_warnings t selected in
+  (* byte offset of the selection's first line in [source] *)
+  let rec base i line =
+    if line >= first_line then i
+    else
+      match String.index_from_opt source i '\n' with
+      | Some j -> base (j + 1) (line + 1)
+      | None -> String.length source
+  in
+  let base = base 0 1 in
   ( List.map
       (fun f ->
-        let line = f.line + first_line - 1 in
-        { f with line })
+        {
+          f with
+          line = f.line + first_line - 1;
+          offset = f.offset + base;
+          stop = f.stop + base;
+        })
       findings,
     warnings )
 
@@ -460,18 +464,14 @@ let read r =
         let len = Binio.r_u32 r in
         let view = Binio.r_view r len in
         let id = ids.(i) in
-        {
-          filled = Atomic.make None;
-          decode =
-            (fun () ->
-              let r = Binio.sub_reader view in
-              let rule = Rule.read r in
-              if not (Binio.at_end r) then
-                raise (Binio.Corrupt "trailing bytes in rule blob");
-              if not (String.equal rule.Rule.id id) then
-                raise (Binio.Corrupt "rule blob id mismatch");
-              rule);
-        })
+        Rx.once (fun () ->
+            let r = Binio.sub_reader view in
+            let rule = Rule.read r in
+            if not (Binio.at_end r) then
+              raise (Binio.Corrupt "trailing bytes in rule blob");
+            if not (String.equal rule.Rule.id id) then
+              raise (Binio.Corrupt "rule blob id mismatch");
+            rule))
   in
   let check_rule i =
     if i < 0 || i >= nrules then

@@ -85,8 +85,10 @@ val scan_with_warnings : t -> string -> finding list * warning list
 val is_vulnerable : t -> string -> bool
 
 val scan_selection : t -> string -> first_line:int -> last_line:int -> finding list
-(** Scans only the selected line range (1-based, inclusive); finding
-    positions refer to the whole file. *)
+(** Scans only the selected line range (1-based, inclusive).  Finding
+    positions ([line], [column], [offset], [stop]) refer to the whole
+    file; the match value [m] spans the selected text, so its offsets
+    and [Rx.matched] are relative to the selection. *)
 
 val scan_selection_with_warnings :
   t -> string -> first_line:int -> last_line:int -> finding list * warning list

@@ -71,20 +71,6 @@ type t = {
          scan path in one go; empty for cold packs *)
 }
 
-(* Domain-safe once-memoization for the deferred section: an [Atomic]
-   rather than a [lazy] because a pack can be shared across serve
-   worker domains, and forcing a [lazy] concurrently is unsafe.
-   Concurrent first calls at worst decode twice. *)
-let memo f =
-  let cell = Atomic.make None in
-  fun () ->
-    match Atomic.get cell with
-    | Some v -> v
-    | None ->
-      let v = f () in
-      if Atomic.compare_and_set cell None (Some v) then v
-      else (match Atomic.get cell with Some winner -> winner | None -> v)
-
 type error =
   | Bad_magic
   | Version_skew of { found : int; expected : int }
@@ -269,7 +255,7 @@ let decode data =
                  that already ran — see the [t.javascript] comment *)
               javascript :=
                 Some
-                  (memo (fun () ->
+                  (Rx.once (fun () ->
                        let pr = Binio.sub_reader view in
                        let scanner = Patchitpy.Scanner.read pr in
                        if not (Binio.at_end pr) then

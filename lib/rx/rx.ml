@@ -426,6 +426,20 @@ let compile_cache_stats () =
   ( Atomic.get compile_cache_hits,
     Mutex.protect compile_cache_lock (fun () -> Hashtbl.length compile_cache) )
 
+(* The CAS discipline for values built on first use by any domain: an
+   [Atomic] rather than a [lazy], because two domains forcing the same
+   [lazy] at once raise [CamlinternalLazy.Undefined].  Concurrent first
+   calls at worst build twice; the CAS winner is served from then on. *)
+let once build =
+  let cell = Atomic.make None in
+  fun () ->
+    match Atomic.get cell with
+    | Some v -> v
+    | None -> (
+      let v = build () in
+      if Atomic.compare_and_set cell None (Some v) then v
+      else match Atomic.get cell with Some winner -> winner | None -> v)
+
 let compile_opt source =
   match compile source with
   | t -> Ok t

@@ -51,6 +51,15 @@ val compile : string -> t
 val compile_opt : string -> (t, string) result
 (** Like {!compile} but returning an error message instead of raising. *)
 
+val once : (unit -> 'a) -> unit -> 'a
+(** [once build] is a domain-safe once-cell: the first call runs
+    [build], later calls return its value.  Concurrent first calls from
+    several domains may each run [build]; all of them return the one
+    value that won the publication.  Module-level pattern sets that a
+    process may never use are built through it, so a command pays only
+    for the patterns it runs.  Unlike [Lazy.force], concurrent first
+    forcing from several domains is safe. *)
+
 val compile_cache_stats : unit -> int * int
 (** [(hits, entries)] of the process-wide compile memo: {!compile}
     returns the already-compiled [t] when the same source (under the

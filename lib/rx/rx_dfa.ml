@@ -85,66 +85,132 @@ let rec reverse_node (n : Rx_ast.node) : Rx_ast.node =
   | Rx_ast.Group (i, inner) -> Rx_ast.Group (i, reverse_node inner)
   | Rx_ast.Backref _ as n -> n (* tier selection rejects these earlier *)
 
-let build ~fwd ~rev =
-  (* Bytes are equivalent when every consuming instruction of either
-     program treats them alike and they agree on the assertion facts. *)
-  let consuming =
-    let collect acc prog =
-      Array.fold_left
-        (fun acc inst ->
-          match inst with
-          | Rx_pike.I_char _ | Rx_pike.I_any | Rx_pike.I_class _ -> inst :: acc
-          | _ -> acc)
-        acc prog
-    in
-    collect (collect [] fwd) rev
+let inst_accepts inst c =
+  match inst with
+  | Rx_pike.I_char c' -> c = c'
+  | Rx_pike.I_any -> c <> '\n'
+  | Rx_pike.I_class cls -> Rx_ast.class_matches cls c
+  | _ -> false
+
+(* Consuming instructions deduplicated structurally: [pred.(pc)] is the
+   id of [prog.(pc)]'s predicate (-1 for non-consuming pcs), and the
+   distinct predicates come in first-appearance order.  The same [\s],
+   [\w] and quote classes recur all over a pattern (and, fused, over a
+   whole catalog), so the distinct count is a small fraction of the
+   consuming count. *)
+let predicates prog =
+  (* chars by code, [I_any] at 256; only classes need structural keys *)
+  let simple = Array.make 257 (-1) in
+  let classes : (Rx_ast.cls, int) Hashtbl.t = Hashtbl.create 64 in
+  let distinct = ref [] and next = ref 0 in
+  let fresh inst =
+    let id = !next in
+    incr next;
+    distinct := inst :: !distinct;
+    id
   in
-  let nsig = List.length consuming in
-  let sig_tbl : (string, int) Hashtbl.t = Hashtbl.create 64 in
+  let simple_id i inst =
+    if simple.(i) < 0 then simple.(i) <- fresh inst;
+    simple.(i)
+  in
+  let pred =
+    Array.map
+      (fun inst ->
+        match inst with
+        | Rx_pike.I_char c -> simple_id (Char.code c) inst
+        | Rx_pike.I_any -> simple_id 256 inst
+        | Rx_pike.I_class cls -> (
+          match Hashtbl.find_opt classes cls with
+          | Some id -> id
+          | None ->
+            let id = fresh inst in
+            Hashtbl.add classes cls id;
+            id)
+        | _ -> -1)
+      prog
+  in
+  (pred, Array.of_list (List.rev !distinct))
+
+(* [inst]'s acceptance over the whole byte alphabet, one byte per
+   value — filled item by item, with no per-byte walk of a class's
+   item list. *)
+let accept_table inst =
+  let t = Bytes.make 256 '\000' in
+  let set b = Bytes.unsafe_set t b '\001' in
+  (match inst with
+  | Rx_pike.I_char c -> set (Char.code c)
+  | Rx_pike.I_any ->
+    Bytes.fill t 0 256 '\001';
+    Bytes.set t (Char.code '\n') '\000'
+  | Rx_pike.I_class { Rx_ast.negated; items } ->
+    List.iter
+      (function
+        | Rx_ast.Cchar c -> set (Char.code c)
+        | Rx_ast.Crange (lo, hi) ->
+          for b = Char.code lo to Char.code hi do
+            set b
+          done
+        | Rx_ast.Cset kind ->
+          for b = 0 to 255 do
+            if Rx_ast.set_matches kind (Char.chr b) then set b
+          done)
+      items;
+    if negated then
+      for b = 0 to 255 do
+        Bytes.unsafe_set t b
+          (if Bytes.unsafe_get t b = '\000' then '\001' else '\000')
+      done
+  | _ -> ());
+  t
+
+(* Byte-class derivation: bytes are equivalent when every predicate
+   treats them alike and they agree on the assertion facts.  Partition
+   refinement: start from the four fact blocks and split every block by
+   each predicate in turn, numbering blocks in the order bytes 0..255
+   first reach them.  The final numbering is therefore the order in
+   which bytes first show a new (fact, acceptance) signature — it does
+   not depend on how the predicates are listed or how often each
+   recurs — and each class's representative is its lowest byte. *)
+let derive_classes preds =
+  let cls = Array.init 256 (fun b -> fact_of_char (Char.chr b)) in
+  let remap = Array.make 512 (-1) in
+  let renumber key =
+    Array.fill remap 0 512 (-1);
+    let next = ref 0 in
+    for b = 0 to 255 do
+      let k = key b in
+      if remap.(k) < 0 then begin
+        remap.(k) <- !next;
+        incr next
+      end;
+      cls.(b) <- remap.(k)
+    done;
+    !next
+  in
+  let nclasses = ref (renumber (fun b -> cls.(b))) in
+  Array.iter
+    (fun inst ->
+      let t = accept_table inst in
+      nclasses :=
+        renumber (fun b -> (2 * cls.(b)) + Char.code (Bytes.unsafe_get t b)))
+    preds;
+  let nclasses = !nclasses in
   let classes = Bytes.create 256 in
-  let reprs = Buffer.create 32 in
-  let facts_rev = ref [] in
-  let next = ref 0 in
-  for b = 0 to 255 do
-    let c = Char.chr b in
-    let sg = Bytes.create (nsig + 1) in
-    List.iteri
-      (fun i inst ->
-        let m =
-          match inst with
-          | Rx_pike.I_char c' -> c = c'
-          | Rx_pike.I_any -> c <> '\n'
-          | Rx_pike.I_class cls -> Rx_ast.class_matches cls c
-          | _ -> false
-        in
-        Bytes.set sg i (if m then '1' else '0'))
-      consuming;
-    Bytes.set sg nsig (Char.chr (fact_of_char c));
-    let key = Bytes.to_string sg in
-    let id =
-      match Hashtbl.find_opt sig_tbl key with
-      | Some id -> id
-      | None ->
-        let id = !next in
-        incr next;
-        Hashtbl.add sig_tbl key id;
-        Buffer.add_char reprs c;
-        facts_rev := fact_of_char c :: !facts_rev;
-        id
-    in
-    Bytes.set classes b (Char.chr id)
-  done;
-  let nclasses = !next in
+  let reprs = Bytes.make nclasses '\000' in
   let class_fact = Array.make (nclasses + 1) fact_boundary in
-  List.iteri (fun i f -> class_fact.(nclasses - 1 - i) <- f) !facts_rev;
-  {
-    fwd_prog = fwd;
-    rev_prog = rev;
-    classes = Bytes.to_string classes;
-    nclasses;
-    class_fact;
-    class_repr = Buffer.contents reprs;
-  }
+  for b = 255 downto 0 do
+    let c = cls.(b) in
+    Bytes.set classes b (Char.chr c);
+    Bytes.set reprs c (Char.chr b);
+    class_fact.(c) <- fact_of_char (Char.chr b)
+  done;
+  (Bytes.to_string classes, nclasses, class_fact, Bytes.to_string reprs)
+
+let build ~fwd ~rev =
+  (* one class table serves both programs *)
+  let _, preds = predicates (Array.append fwd rev) in
+  let classes, nclasses, class_fact, class_repr = derive_classes preds in
+  { fwd_prog = fwd; rev_prog = rev; classes; nclasses; class_fact; class_repr }
 
 (* A DFA state: the left-context fact plus the pending NFA threads (the
    program counters stepped into this boundary, in priority order, not

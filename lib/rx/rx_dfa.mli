@@ -34,6 +34,22 @@ val reverse_node : Rx_ast.node -> Rx_ast.node
     the backward machine evaluates them with the boundary sides
     swapped. *)
 
+val inst_accepts : Rx_pike.inst -> char -> bool
+(** Whether a consuming instruction steps on the byte ([false] for
+    every non-consuming instruction). *)
+
+val predicates : Rx_pike.inst array -> int array * Rx_pike.inst array
+(** [predicates prog] deduplicates the consuming instructions of
+    [prog] structurally: [(pred, distinct)] where [pred.(pc)] indexes
+    [distinct] for consuming pcs and is [-1] elsewhere. *)
+
+val derive_classes : Rx_pike.inst array -> string * int * int array * string
+(** [derive_classes distinct] is the byte-class compression induced by
+    the predicates [distinct] and the context facts:
+    [(classes, nclasses, class_fact, class_repr)] — the byte-to-class
+    table, the class count, each class's fact (one extra entry, the
+    end-of-input sentinel), and one representative byte per class. *)
+
 val build : fwd:Rx_pike.inst array -> rev:Rx_pike.inst array -> static
 (** [build ~fwd ~rev] derives the byte-class compression and packages
     both programs.  [rev] must be the Pike compilation of

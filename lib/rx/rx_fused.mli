@@ -39,16 +39,16 @@ val build : Rx_pike.inst array array -> static
 (** [build progs] fuses one compiled Pike program per slot into a
     single tagged program.  Slot [i] of the machine reports on
     [progs.(i)].
-    @raise Invalid_argument when [progs] is empty or the fused program
-    exceeds the 16-bit pc budget (the composer in [Rx.Fused] caps
-    totals well below it). *)
+    @raise Invalid_argument when [progs] is empty, when the fused
+    program exceeds {!max_program} (the composer in [Rx.Fused] caps
+    totals well below it), or when some program can match the empty
+    string (the composer hosts none that can). *)
 
 val nslots : static -> int
 val program_size : static -> int
 
 val max_program : int
-(** Hard size cap on a fused program (pcs pack into 16 bits in state
-    keys). *)
+(** Hard size cap on a fused program. *)
 
 val make_cache : ?max_states:int -> static -> cache
 (** Default [max_states] is 2048 — a fused state carries threads of
@@ -78,5 +78,6 @@ val write_static : Buffer.t -> static -> unit
 
 val read_static : Binio.r -> static
 (** Re-validates every index the runner dereferences (jump targets,
-    owners, class ids, table lengths).
+    owners, class ids, table lengths) and that no program can match
+    the empty string.
     @raise Binio.Corrupt on malformed bytes. *)

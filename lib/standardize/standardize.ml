@@ -138,7 +138,8 @@ let collect_standardizable source tokens =
   done;
   List.rev !ordered
 
-let fstring_ident_rx = Rx.compile "\\{([A-Za-z_][A-Za-z0-9_]*)\\}"
+let fstring_ident_rx =
+  Rx.once @@ fun () -> Rx.compile "\\{([A-Za-z_][A-Za-z0-9_]*)\\}"
 
 let apply_mapping source tokens table =
   (* Splices replacements over the original text, preserving everything
@@ -171,7 +172,7 @@ let apply_mapping source tokens table =
           (* Rewrite mapped names interpolated in f-strings. *)
           if String.contains prefix 'f' then begin
             let rewritten =
-              Rx.replace_f fstring_ident_rx
+              Rx.replace_f (fstring_ident_rx ())
                 ~f:(fun m ->
                   match Rx.group m 1 with
                   | Some ident -> (

@@ -420,6 +420,102 @@ let test_pack_fused_section () =
      still loads and fuses from rules. *)
   ()
 
+(* --- catalog scale -------------------------------------------------------
+
+   The whole python catalog fused, against each pattern on the
+   backtracking tier, over the 609 corpus samples and the 30 long
+   files.  At this scale nearly every fused state carries the re-arm
+   fan-out, so a miss's closure is built from the per-(fact, class)
+   fan-out table — first with the default cache, then with a 64-state
+   cache whose flushes land mid-search while the table is only partly
+   built. *)
+
+let catalog_fused =
+  lazy
+    (let ts =
+       Array.of_list
+         (List.map (fun (r : Rule.t) -> r.Rule.pattern) (Catalog.all ()))
+     in
+     (ts, Option.get (Rx.Fused.compile ts)))
+
+let catalog_subjects =
+  lazy
+    (List.map (fun (s : G.sample) -> s.G.code) (G.all_samples ())
+    @ List.map snd (G.long_files ()))
+
+(* Per subject, per pattern: [Some matched] from the backtracker, or
+   [None] where it ran out of budget (no reference; skipped). *)
+let catalog_reference =
+  lazy
+    (let ts, _ = Lazy.force catalog_fused in
+     List.map
+       (fun subject ->
+         Array.map
+           (fun t ->
+             match Rx.matches (Rx.backtrack_tier t) subject with
+             | m -> Some m
+             | exception Rx.Budget_exceeded _ -> None)
+           ts)
+       (Lazy.force catalog_subjects))
+
+(* Runs the fused pass over every subject and checks each mask against
+   the reference; returns how many searches bailed. *)
+let check_catalog_masks ~name f =
+  let bails = ref 0 in
+  List.iteri
+    (fun k (subject, want) ->
+      match Rx.Fused.run f subject with
+      | exception Rx.Fused.Bail -> incr bails
+      | mask ->
+        Array.iteri
+          (fun i w ->
+            let flagged = Bytes.get mask i = '\001' in
+            match w with
+            | Some m when Rx.Fused.is_hosted f i && m <> flagged ->
+              Alcotest.failf "%s: subject %d, pattern %d: backtracker %b, fused %b"
+                name k i m flagged
+            | Some _ | None ->
+              if flagged && not (Rx.Fused.is_hosted f i) then
+                Alcotest.failf "%s: unhosted pattern %d flagged" name i)
+          want)
+    (List.combine (Lazy.force catalog_subjects) (Lazy.force catalog_reference));
+  !bails
+
+(* The state count the corpus drives is recorded next to
+   [Rx_fused.default_max_states]; it is also evidence that the fan-out
+   table interns exactly the states a full closure of pc 0 would. *)
+let corpus_fused_states = 2552
+
+let test_catalog_default_cache () =
+  let _, f = Lazy.force catalog_fused in
+  Rx.Fused.cache_clear f;
+  List.iter
+    (fun (s : G.sample) -> ignore (Rx.Fused.run f s.G.code))
+    (G.all_samples ());
+  check_int "fused states the corpus drives" corpus_fused_states
+    (Rx.Fused.state_count f);
+  check_int "no search bails" 0 (check_catalog_masks ~name:"default" f)
+
+let test_catalog_small_cache () =
+  let _, f = Lazy.force catalog_fused in
+  Rx.Fused.shrink_cache f ~max_states:64;
+  let sink = Telemetry.create () in
+  let bails =
+    Fun.protect
+      ~finally:(fun () -> Rx.Fused.cache_clear f)
+      (fun () ->
+        Telemetry.with_sink sink (fun () ->
+            check_catalog_masks ~name:"64 states" f))
+  in
+  let flushes =
+    Option.value ~default:0
+      (List.assoc_opt "rx_fused_cache_flushes_total"
+         (Telemetry.Report.of_sink sink).Telemetry.Report.counters)
+  in
+  check_bool "flushes landed mid-search" true (flushes > 0);
+  check_bool "most searches completed" true
+    (bails * 10 < List.length (Lazy.force catalog_subjects))
+
 (* --- corpus differential ------------------------------------------------ *)
 
 let test_corpus_differential () =
@@ -476,5 +572,12 @@ let () =
         [
           Alcotest.test_case "609-sample differential (jobs 1 and 4)" `Slow
             test_corpus_differential;
+        ] );
+      ( "catalog",
+        [
+          Alcotest.test_case "masks = backtracker, default cache" `Slow
+            test_catalog_default_cache;
+          Alcotest.test_case "masks = backtracker, 64-state cache" `Slow
+            test_catalog_small_cache;
         ] );
     ]

@@ -20,24 +20,10 @@ let long_patch_digest = "9452fc263d2e625f6cb0230114341ebc"
 
 let samples = lazy (Array.of_list (G.all_samples ()))
 
-(* Long inputs: each file concatenates uniformly drawn corpus samples
-   until it reaches a target size drawn uniformly from 512 B - 64 KB.
-   Many samples share imports, so these files carry dozens to hundreds
-   of import lines — the shape that stresses stale-import removal and
-   multi-round patching. *)
-let long_files =
-  lazy
-    (let samples = Lazy.force samples in
-     let st = Random.State.make [| 12 |] in
-     List.init 30 (fun i ->
-         let target = 512 + Random.State.int st (65536 - 512) in
-         let buf = Buffer.create (target + 4096) in
-         while Buffer.length buf < target do
-           let s = samples.(Random.State.int st (Array.length samples)) in
-           Buffer.add_string buf s.G.code;
-           Buffer.add_char buf '\n'
-         done;
-         (Printf.sprintf "long-%02d.py" i, Buffer.contents buf)))
+(* Long inputs (0.5-64 KB of concatenated corpus samples, dozens to
+   hundreds of import lines each): the shape that stresses stale-import
+   removal and multi-round patching. *)
+let long_files = lazy (G.long_files ())
 
 let corpus_inputs () =
   Array.to_list

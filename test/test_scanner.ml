@@ -191,6 +191,28 @@ let test_selection_whole_file () =
       check_int "same line" e.Scanner.line s.Scanner.line)
     full sel
 
+(* Byte positions of a selection that starts mid-file point into the
+   whole file, exactly as the whole-file scan reports them. *)
+let test_selection_mid_file_offsets () =
+  let scanner = Lazy.force sel_scanner in
+  let full = Scanner.scan scanner sel_src in
+  let sel = Scanner.scan_selection scanner sel_src ~first_line:3 ~last_line:5 in
+  let expected =
+    List.filter (fun (f : Scanner.finding) -> f.Scanner.line >= 3) full
+  in
+  check_bool "the selection has findings" true (expected <> []);
+  Alcotest.(check (list string)) "selection rules" (ids expected) (ids sel);
+  List.iter2
+    (fun (e : Scanner.finding) (s : Scanner.finding) ->
+      check_int "line" e.Scanner.line s.Scanner.line;
+      check_int "column" e.Scanner.column s.Scanner.column;
+      check_int "offset" e.Scanner.offset s.Scanner.offset;
+      check_int "stop" e.Scanner.stop s.Scanner.stop;
+      Alcotest.(check string)
+        "offsets index the whole file" e.Scanner.snippet
+        (String.sub sel_src s.Scanner.offset (s.Scanner.stop - s.Scanner.offset)))
+    expected sel
+
 let test_selection_empty_range () =
   let scanner = Lazy.force sel_scanner in
   (* inverted range selects nothing and must not raise *)
@@ -311,6 +333,8 @@ let () =
           Alcotest.test_case "file end + past-EOF clamp" `Quick
             test_selection_file_end;
           Alcotest.test_case "whole file" `Quick test_selection_whole_file;
+          Alcotest.test_case "mid-file offsets" `Quick
+            test_selection_mid_file_offsets;
           Alcotest.test_case "empty range" `Quick test_selection_empty_range;
           Alcotest.test_case "multi-line match split" `Quick
             test_selection_splits_multiline_match;
