@@ -110,18 +110,9 @@ let micro_tests =
         (Staged.stage (fun () -> ignore (Pylex.tokenize sample_flask)));
       Test.make ~name:"pyast-parse (substrate)"
         (Staged.stage (fun () -> ignore (Pyast.parse sample_flask)));
-      Test.make ~name:"rx-pike-compile (substrate)"
-        (Staged.stage (fun () ->
-             List.iter
-               (fun (r : Patchitpy.Rule.t) ->
-                 ignore (Rx.compile_linear r.Patchitpy.Rule.pattern))
-               Patchitpy.(Catalog.all ())));
       Test.make ~name:"scanner-compile-catalog"
         (Staged.stage (fun () ->
              ignore (Patchitpy.Scanner.compile Patchitpy.(Catalog.all ()))));
-      Test.make ~name:"scanner-compile-catalog (parallel)"
-        (Staged.stage (fun () ->
-             ignore (Experiments.compile_catalog_parallel ())));
       Test.make ~name:"rulepack-load-cold"
         (Staged.stage (fun () ->
              match Rulepack.load ~path:bench_pack_path with
@@ -408,6 +399,45 @@ let measure_fused_pass_rows () =
     ("patchitpy/fused-warm-pass-per-kb", warm);
   ]
 
+(* Bail-path row, ns per long file: the 30 golden long files scanned
+   through a plan whose fused pass bails on every one of them, so each
+   scan sweeps every rule — the price of the path a scan takes when the
+   fused cache thrashes.  No input was found that bails at the default
+   4096-state cache (the pass interns a few thousand states even on
+   adversarial fragment soups), so the plan's cache is shrunk with
+   [Rx.Fused.shrink_cache ~max_states:3], re-applied before every pass
+   because a domain may drop its fused caches.  The pass bails after a
+   handful of bytes, so the row is essentially the sweep.  Median over
+   repeated passes; reported, not gated. *)
+let measure_fused_bail_rows () =
+  let plan = Patchitpy.Scanner.compile Patchitpy.(Catalog.all ()) in
+  let f = Option.get (Patchitpy.Scanner.fused_machine plan) in
+  let files = List.map snd (Corpus.Generator.long_files ()) in
+  let shrink () = Rx.Fused.shrink_cache f ~max_states:3 in
+  shrink ();
+  List.iter
+    (fun s ->
+      match Rx.Fused.run f s with
+      | _ -> failwith "scan-fused-bail-per-sample: a long file did not bail"
+      | exception Rx.Fused.Bail -> ())
+    files;
+  let pass () =
+    shrink ();
+    List.iter (fun s -> ignore (Patchitpy.Scanner.scan plan s)) files
+  in
+  pass ();
+  let iters = 7 in
+  let ns = Array.make iters 0.0 in
+  for i = 0 to iters - 1 do
+    let t0 = Telemetry.now_ns () in
+    pass ();
+    ns.(i) <-
+      float_of_int (Telemetry.now_ns () - t0)
+      /. float_of_int (List.length files)
+  done;
+  Array.sort compare ns;
+  [ ("patchitpy/scan-fused-bail-per-sample", percentile ns 0.50) ]
+
 (* Warm-start rows: the first scan in freshly created per-domain
    caches, cold (states materialized lazily from the NFA during the
    scan) versus warm (the warm pack's canaries replayed via
@@ -646,7 +676,7 @@ let measure_micro () =
     results;
   List.sort compare
     (!rows @ measure_serve_rows () @ measure_cache_rows ()
-    @ measure_fused_pass_rows ()
+    @ measure_fused_pass_rows () @ measure_fused_bail_rows ()
     @ measure_warm_start_rows () @ measure_loadgen_rows ())
 
 let run_micro () =

@@ -40,7 +40,7 @@ let stats_arg =
   Arg.(value & flag
        & info [ "stats" ]
            ~doc:"Collect telemetry during the run and print a summary \
-                 (per-rule hot spots, prefilter effectiveness, patch \
+                 (per-rule hot spots, fused-pass effectiveness, patch \
                  rounds) to stderr.")
 
 let trace_arg =
@@ -847,7 +847,7 @@ let profile_cmd =
   in
   let doc =
     "Profile the scanner over the 609-sample corpus: per-rule hit counts, \
-     prefilter skip ratios and matcher cost, as a hot-spot table or JSON."
+     fused-pass skip ratios and matcher cost, as a hot-spot table or JSON."
   in
   Cmd.v (Cmd.info "profile" ~doc)
     Term.(const run $ jobs_arg $ json_arg $ wall $ top $ limit $ patch

@@ -1,5 +1,5 @@
 (* Little-endian binary primitives shared by the compiled-artifact
-   codecs (Acsearch, Rx, Rulepack).  Writers append to a Buffer; readers
+   codecs (Rx, Scanner, Rulepack).  Writers append to a Buffer; readers
    consume a string through a cursor and raise [Truncated]/[Corrupt] —
    callers wrap a whole decode in [protect] to get a result instead. *)
 

@@ -1,7 +1,7 @@
 (** Little-endian binary encode/decode primitives.
 
-    Shared by the compiled-artifact codecs ({!Acsearch}, {!Rx},
-    {!Rulepack}).  Writers append to a [Buffer.t].  Readers consume a
+    Shared by the compiled-artifact codecs of {!Rx}, the scan plan and
+    {!Rulepack}.  Writers append to a [Buffer.t].  Readers consume a
     string through a mutable cursor; running off the end raises
     {!Truncated} and malformed content {!Corrupt} — wrap a whole decode
     in {!protect} to turn both into a [result].  Decoders never read

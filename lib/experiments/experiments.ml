@@ -10,19 +10,6 @@ module Profile = Profile
 module G = Corpus.Generator
 module S = Metrics.Stats
 
-(* Scan-plan compilation is per-rule independent until the shared
-   prefilter is assembled, so the expensive pattern analyses
-   ({!Patchitpy.Scanner.derive_meta}) fan out across domains and only
-   the cheap assembly ({!Patchitpy.Scanner.compile} with [~meta]) stays
-   sequential.  [compile ~meta] validates the metas positionally, so the
-   result is the same scan plan sequential compilation builds. *)
-let compile_rules_parallel ?jobs rules =
-  let meta = Par.map_samples ?jobs Patchitpy.Scanner.derive_meta rules in
-  Patchitpy.Scanner.compile ~meta rules
-
-let compile_catalog_parallel ?jobs () =
-  compile_rules_parallel ?jobs Patchitpy.(Catalog.all ())
-
 let prompt_stats () =
   let toks = List.map float_of_int (Corpus.prompt_token_counts ()) in
   let s = S.summarize toks in

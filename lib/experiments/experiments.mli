@@ -28,17 +28,6 @@ module Profile = Profile
 (** Corpus profiling under {!Telemetry}: the per-rule hot-spot table
     behind [patchitpy profile]. *)
 
-val compile_rules_parallel :
-  ?jobs:int -> Patchitpy.Rule.t list -> Patchitpy.Scanner.t
-(** Compiles a scan plan with the per-rule pattern analyses (prefilter
-    literals, newline budgets) mapped across domains via {!Par};
-    deterministic — the plan scans identically to
-    [Patchitpy.Scanner.compile rules].  Cuts the catalog cold-start
-    roughly by the domain count. *)
-
-val compile_catalog_parallel : ?jobs:int -> unit -> Patchitpy.Scanner.t
-(** {!compile_rules_parallel} on {!Patchitpy.Catalog.all}. *)
-
 val prompt_stats : unit -> string
 (** E1: token statistics of the 203 prompts. *)
 

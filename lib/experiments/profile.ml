@@ -118,7 +118,7 @@ let render ?(wall = false) ?top t =
   in
   Printf.sprintf
     "profile: %d samples, %d scans, %d-rule catalog\n\
-     prefilter: %d of %d (rule, sample) pairs skipped without running the \
+     fused pass: %d of %d (rule, sample) pairs skipped without running the \
      matcher (%.1f%%)\n\
      cost unit: rx backtracking steps (deterministic; wall time %s)\n\n"
     t.samples t.scans t.rule_count (pairs - total_candidates) pairs
@@ -194,7 +194,7 @@ let summary (report : Telemetry.Report.t) =
       let pairs = r.R.r_scans * n in
       Buffer.add_string buf
         (Printf.sprintf
-           "scan plan %d: %d rules, %d scans, prefilter skipped %.1f%% of \
+           "scan plan %d: %d rules, %d scans, fused pass skipped %.1f%% of \
             (rule, scan) pairs\n"
            set n r.R.r_scans
            (if pairs = 0 then 0.0

@@ -4,8 +4,9 @@
     {!run} scans the whole 609-sample corpus under a private
     {!Telemetry} sink (optionally patching every sample too) and folds
     the merged per-rule statistics into one table: per rule, how often
-    the prefilter let it run, how often it matched, what the suppress
-    window dropped, and how much backtracking work it burned.
+    it was swept (the fused pass flagged it), how often it matched,
+    what the suppress window dropped, and how much backtracking work it
+    burned.
 
     {b Determinism.}  The default table and JSON are byte-identical at
     any [--jobs] value: every column is a count summed over samples
@@ -17,14 +18,14 @@
 
 type rule_row = {
   id : string;
-  candidates : int;  (** scans in which the prefilter passed the rule *)
+  candidates : int;  (** scans in which the rule was swept *)
   matched : int;  (** raw pattern matches *)
   suppressed : int;  (** matches dropped by the suppress window *)
   findings : int;  (** findings reported *)
   budget_exhausted : int;  (** scans the rule aborted on its budget *)
   steps : int;  (** backtracking steps consumed (deterministic cost) *)
   time_ns : int;  (** wall time consumed (not reproducible) *)
-  skip_ratio : float;  (** share of scans the prefilter skipped the rule *)
+  skip_ratio : float;  (** share of scans in which the rule was not swept *)
 }
 
 type t = {
@@ -44,7 +45,7 @@ val run : ?jobs:int -> ?limit:int -> ?patch:bool -> unit -> t
 
 val render : ?wall:bool -> ?top:int -> t -> string
 (** The hot-spot table: one line per rule (or the [top] costliest),
-    with candidate counts, prefilter skip ratio, match/suppress/finding
+    with candidate counts, fused-pass skip ratio, match/suppress/finding
     counts and the steps share.  [~wall:true] appends the wall-time
     column and per-rule microseconds. *)
 

@@ -10,14 +10,9 @@ type finding = {
 
 type warning = Budget_exhausted of string
 
-type rule_meta = { literals : string list }
-
-let derive_meta (rule : Rule.t) =
-  { literals = Rx.required_literals rule.Rule.pattern }
-
 (* A rule slot.  Compile-built plans hold their rules directly;
    pack-loaded plans hold a decode thunk and materialize a rule the
-   first time a scan needs it — [candidates] prunes most rules for any
+   first time a scan needs it — the fused pass flags few rules for any
    one source, so a short-lived process decodes only the rules it
    actually runs, and pack cold start stays free of the per-rule decode
    cost.  The slot is an [Rx.once] cell rather than a [lazy] because one
@@ -35,8 +30,8 @@ let cell_rule (cell : cell) = cell ()
    processes that may never scan; and like them it is an [Atomic]
    because serve workers share one plan across domains.  [F_off] pins
    the plan to the per-rule path and is never overwritten — it is how
-   [PATCHITPY_SCAN_TIER=per-rule] and the differential tests' reference
-   plans stay fused-free even when a pack tries to install a thunk. *)
+   [per_rule_tier] copies (the differential tests' reference plans)
+   stay fused-free even when a pack tries to install a thunk. *)
 type fused_tier =
   | F_off  (* per-rule path forced; never upgraded *)
   | F_pending of (unit -> Rx.fused option)  (* fuse on first scan *)
@@ -45,71 +40,28 @@ type fused_tier =
 
 type t = {
   rule_arr : cell array;  (* compilation order = reporting tie-break *)
-  prefilter : Acsearch.t;  (* one automaton over every rule's literals *)
-  owner : int array;  (* automaton pattern index -> rule index *)
-  unconditional : int list;  (* rules with no derivable literal *)
   tele : Telemetry.Rules.def;  (* per-rule telemetry registration *)
   fused : fused_tier Atomic.t;
 }
 
-(* The scan-tier escape hatch, mirroring [PATCHITPY_RX_TIER]: checked
-   when a plan is built, so it governs plans compiled or loaded
-   afterwards.  [PATCHITPY_RX_TIER=backtrack] also lands here — with
-   every pattern pinned to the backtracker nothing is hostable, so
-   fusing could only waste a compile. *)
-let scan_tier_forced () =
-  (match Sys.getenv_opt "PATCHITPY_SCAN_TIER" with
-  | Some "per-rule" -> true
-  | Some _ | None -> false)
-  ||
-  match Sys.getenv_opt "PATCHITPY_RX_TIER" with
-  | Some "backtrack" -> true
-  | Some _ | None -> false
-
 let fused_of_cells rule_arr =
-  if scan_tier_forced () then Atomic.make F_off
-  else
-    Atomic.make
-      (F_pending
-         (fun () ->
-           Rx.Fused.compile
-             (Array.map (fun c -> (cell_rule c).Rule.pattern) rule_arr)))
+  Atomic.make
+    (F_pending
+       (fun () ->
+         Rx.Fused.compile
+           (Array.map (fun c -> (cell_rule c).Rule.pattern) rule_arr)))
 
 (* Plan compilation is the expensive setup step callers are expected to
    amortize (one plan across a batch, or one per daemon).  The counter
    lets a test assert the amortization actually happens. *)
 let compiles_counter = Telemetry.Counter.make "scanner_compiles_total"
 
-let compile ?meta rule_list =
+let compile rule_list =
   Telemetry.Counter.incr compiles_counter;
   let rules_vec = Array.of_list rule_list in
   let rule_arr = Array.map cell_of_rule rules_vec in
-  let metas =
-    match meta with
-    | None -> Array.map derive_meta rules_vec
-    | Some ms ->
-      let arr = Array.of_list ms in
-      if Array.length arr <> Array.length rules_vec then
-        invalid_arg "Scanner.compile: meta list does not match the rules";
-      arr
-  in
-  let literals = ref [] and owners = ref [] and unconditional = ref [] in
-  Array.iteri
-    (fun i m ->
-      match m.literals with
-      | [] -> unconditional := i :: !unconditional
-      | lits ->
-        List.iter
-          (fun lit ->
-            literals := lit :: !literals;
-            owners := i :: !owners)
-          lits)
-    metas;
   {
     rule_arr;
-    prefilter = Acsearch.build (List.rev !literals);
-    owner = Array.of_list (List.rev !owners);
-    unconditional = List.rev !unconditional;
     tele =
       Telemetry.Rules.define
         (Array.map (fun (r : Rule.t) -> r.Rule.id) rules_vec);
@@ -164,26 +116,16 @@ let one_line s =
   | Some i -> String.sub s 0 i ^ " ..."
   | None -> s
 
-(* Candidate rule set: the unconditional rules plus every rule owning a
-   literal the automaton saw — one pass over the source total. *)
-let candidates t source =
-  let wanted = Array.make (Array.length t.rule_arr) false in
-  List.iter (fun i -> wanted.(i) <- true) t.unconditional;
-  let hits = Acsearch.search_mask t.prefilter source in
-  Array.iteri (fun j hit -> if hit then wanted.(t.owner.(j)) <- true) hits;
-  wanted
-
 module B = Telemetry.Rules
 
 (* --- fused-tier dispatch ---------------------------------------------- *)
 
-(* [candidates]' literal gate says "a required literal occurs"; the
-   fused pass sharpens that to "the full pattern matches somewhere" in
-   one more traversal of the source.  Counters: [candidates] counts
-   rules the fused pass flagged, [confirms] counts the per-rule sweeps
-   those flags triggered (the gap between the two is rules flagged but
-   already excluded by the literal gate), [fallbacks] counts subjects
-   where the fused cache thrashed and the scan reverted to per-rule. *)
+(* The fused pass answers "does the full pattern match somewhere" for
+   every hosted rule in one traversal of the source; it is the plan's
+   only rule filter.  Counters: [candidates] counts rules the fused
+   pass flagged, [confirms] counts the per-rule sweeps those flags
+   triggered, [fallbacks] counts subjects where the fused cache
+   thrashed and the scan swept every rule instead. *)
 let fused_candidates_counter =
   Telemetry.Counter.make "scanner_fused_candidates_total"
 
@@ -195,7 +137,7 @@ let fused_fallbacks_counter =
 
 (* One fused pass over [source], or [None] when the tier is off, hosts
    nothing, or bailed on this subject (cache thrash).  Never affects
-   results — [None] simply means "sweep every candidate per-rule". *)
+   results — [None] simply means "sweep every rule". *)
 let fused_mask t source =
   match fused_machine t with
   | None -> None
@@ -244,17 +186,6 @@ let state_source st = st.st_source
 let scan_state t source =
   Telemetry.Trace.ambient_span Telemetry.Trace.Scan @@ fun () ->
   let fmask = fused_mask t source in
-  (* When the fused machine hosts every rule its mask is strictly
-     sharper than the literal gate (a matching rule's required literal
-     necessarily occurs, so flagged ⊆ literal-wanted): the automaton
-     pass would change nothing and is skipped.  Any unhosted rule —
-     or a bailed/disabled fused pass — brings the literal gate back. *)
-  let wanted =
-    match fmask with
-    | Some (f, _) when Rx.Fused.hosted_count f = Array.length t.rule_arr ->
-      None
-    | _ -> Some (candidates t source)
-  in
   let confirms = ref 0 in
   let nrules = Array.length t.rule_arr in
   let raws = Array.make nrules [] in
@@ -270,9 +201,9 @@ let scan_state t source =
       Some b
   in
   let warnings = ref [] in
-  (* Chained timestamps: one clock read per candidate rule — each rule's
+  (* Chained timestamps: one clock read per swept rule — each rule's
      end time is the next one's start, since nothing happens between
-     candidate rules.  Raw ticks, not ns: the block is reported through
+     swept rules.  Raw ticks, not ns: the block is reported through
      [Telemetry.Report], which converts at collection time, and a tick
      read is several times cheaper than the monotonic clock. *)
   let t_prev =
@@ -280,9 +211,7 @@ let scan_state t source =
   in
   Array.iteri
     (fun i cell ->
-      if (match wanted with None -> true | Some w -> w.(i))
-         && fused_wants fmask i
-      then begin
+      if fused_wants fmask i then begin
         (match fmask with
         | Some (f, _) when Rx.Fused.is_hosted f i -> incr confirms
         | _ -> ());
@@ -419,14 +348,14 @@ let scan_selection t source ~first_line ~last_line =
 
 (* --- binary codec ----------------------------------------------------------
 
-   Plan serialization for rule packs: the rules (fully compiled), the
-   prefilter automaton, and the derived tables travel verbatim, so
-   loading a plan does none of the work [compile] does.  Two pieces of
+   Plan serialization for rule packs: the rules (fully compiled)
+   travel verbatim, so loading a plan does none of the work [compile]
+   does.  Two pieces of
    process-local identity are regenerated on read: the telemetry
    registration (stamps are per-process) and each pattern's DFA-cache
-   uid (fresh inside [Rx.read_compiled]).  [read] cross-checks every
-   table length and index against the rule count, so adversarial bytes
-   fail with [Binio.Corrupt] instead of corrupting a scan.
+   uid (fresh inside [Rx.read_compiled]).  [read] cross-checks the blob
+   count against the rule count, so adversarial bytes fail with
+   [Binio.Corrupt] instead of corrupting a scan.
 
    Rules travel in two parts: their ids eagerly (the telemetry
    registration needs every id before any rule runs), then one
@@ -448,10 +377,7 @@ let write buf t =
       let blob = Buffer.create 512 in
       Rule.write blob rule;
       Binio.w_str buf (Buffer.contents blob))
-    buf rules_vec;
-  Acsearch.write buf t.prefilter;
-  Binio.w_array (fun buf i -> Binio.w_u32 buf i) buf t.owner;
-  Binio.w_list (fun buf i -> Binio.w_u32 buf i) buf t.unconditional
+    buf rules_vec
 
 let read r =
   let ids = Binio.r_array Binio.r_str r in
@@ -473,21 +399,8 @@ let read r =
               raise (Binio.Corrupt "rule blob id mismatch");
             rule))
   in
-  let check_rule i =
-    if i < 0 || i >= nrules then
-      raise (Binio.Corrupt (Printf.sprintf "rule index %d out of range" i));
-    i
-  in
-  let prefilter = Acsearch.read r in
-  let owner = Binio.r_array (fun r -> check_rule (Binio.r_u32 r)) r in
-  if Array.length owner <> Acsearch.pattern_count prefilter then
-    raise (Binio.Corrupt "owner table does not match the prefilter");
-  let unconditional = Binio.r_list (fun r -> check_rule (Binio.r_u32 r)) r in
   {
     rule_arr;
-    prefilter;
-    owner;
-    unconditional;
     tele = Telemetry.Rules.define ids;
     (* default thunk fuses from the decoded rules on first scan;
        rule packs carrying a pre-built fused section replace it via

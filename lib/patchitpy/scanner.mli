@@ -2,11 +2,9 @@
 
     {!compile} turns a rule list into an immutable scanner value holding
     everything detection needs that does not depend on the scanned
-    source: one shared {!Acsearch} automaton over every rule's
-    {!Rx.required_literals} (a single pass over the source yields the
-    candidate rule set), the literal→rule ownership map, and the set of
-    rules that must always run because no prefilter literal could be
-    derived for them.
+    source: the compiled rules and, built on first scan, one fused
+    multi-pattern machine over every hostable rule pattern (see
+    {e The fused scan tier} below), the plan's only rule filter.
 
     Scanners are pure values — no global tables, no caches — so one
     scanner can be shared freely across OCaml 5 domains, and distinct
@@ -37,28 +35,11 @@ type warning =
 type t
 (** A compiled scan plan.  Immutable and domain-safe. *)
 
-type rule_meta = {
-  literals : string list;  (** {!Rx.required_literals} of the pattern *)
-}
-(** The per-rule analysis {!compile} needs.  Deriving it walks the
-    pattern AST; it is pure per rule, so callers may compute it in
-    parallel with {!derive_meta} and pass the results to {!compile} via
-    [?meta]. *)
-
-val derive_meta : Rule.t -> rule_meta
-(** The analysis of one rule's pattern: its prefilter literals.  Pure
-    and domain-safe. *)
-
-val compile : ?meta:rule_meta list -> Rule.t list -> t
-(** Derives every rule's prefilter literals and builds the shared
-    automaton.  Rule order is preserved and ties in finding order break
-    on it, so a compiled scanner reports findings exactly as a
-    rule-by-rule scan of the same list would.
-
-    [meta], when given, must be [List.map derive_meta rules] (same
-    order, same length — the length is checked); supplying it lets the
-    caller parallelize the per-rule analysis across domains while the
-    automaton build itself stays sequential and deterministic. *)
+val compile : Rule.t list -> t
+(** Builds the plan.  Rule order is preserved and ties in finding order
+    break on it, so a compiled scanner reports findings exactly as a
+    rule-by-rule scan of the same list would.  Fusing the rule patterns
+    is deferred to the first scan. *)
 
 val rules : t -> Rule.t list
 (** The rule list the scanner was compiled from, in order.  On a
@@ -79,8 +60,8 @@ val scan_with_warnings : t -> string -> finding list * warning list
 (** {!scan}, also returning the rules that were skipped because they
     exhausted their backtracking budget (in rule order).  When a
     {!Telemetry} sink is installed, either entry point additionally
-    records per-rule wall time, backtracking steps, prefilter
-    candidate/match/suppress counts and budget exhaustion. *)
+    records per-rule wall time, backtracking steps, sweep/match/suppress
+    counts and budget exhaustion. *)
 
 val is_vulnerable : t -> string -> bool
 
@@ -101,22 +82,19 @@ val telemetry_def : t -> Telemetry.Rules.def
 
 (** {1 The fused scan tier}
 
-    By default a plan additionally fuses every hostable rule pattern
-    into one tagged lazy DFA ({!Rx.Fused}) on first scan.  A scan then
-    runs the Aho–Corasick literal gate, ONE fused pass over the source
-    (an exact per-rule existence filter), and per-rule sweeps only for
-    rules the fused pass flagged (plus unhosted rules) — so per-sample
-    cost approaches one traversal of the input regardless of catalog
-    size, while results stay byte-identical to the per-rule path by
-    construction.
+    A plan fuses every hostable rule pattern into one tagged lazy DFA
+    ({!Rx.Fused}) on first scan.  A scan then runs ONE fused pass over
+    the source (an exact per-rule existence filter), and per-rule
+    sweeps only for rules the fused pass flagged plus unhosted rules —
+    so per-sample cost approaches one traversal of the input regardless
+    of catalog size, while results stay byte-identical to the per-rule
+    path by construction.
 
-    [PATCHITPY_SCAN_TIER=per-rule] in the environment pins plans built
-    afterwards to the per-rule path (the escape hatch, mirroring
-    [PATCHITPY_RX_TIER]); [PATCHITPY_RX_TIER=backtrack] implies it.
-    When the fused pass's bounded transition cache thrashes on a
-    subject it bails and that scan transparently reverts to per-rule
-    sweeps ([scanner_fused_fallbacks_total] counts these; the flags it
-    did compute are discarded).  Counters
+    With no fused mask — a plan pinned by {!per_rule_tier}, a plan in
+    which no rule is hostable, or a subject on which the fused pass's
+    bounded transition cache thrashed and bailed — the scan sweeps
+    every rule ([scanner_fused_fallbacks_total] counts the bails; the
+    flags a bailed pass did compute are discarded).  Counters
     [scanner_fused_candidates_total] (rules flagged) and
     [scanner_fused_confirms_total] (per-rule sweeps those flags
     triggered) size the filter's win. *)
@@ -162,8 +140,8 @@ val state_source : state -> string
 (** {1 Binary codec}
 
     Plan serialization for rule packs.  A plan read back performs no
-    compilation: rules, prefilter automaton and derived tables travel
-    verbatim; only process-local identity (telemetry registration,
+    compilation: the compiled rules travel verbatim; only process-local
+    identity (telemetry registration,
     DFA-cache keys) is regenerated.  Scanning with a decoded plan is
     byte-identical to scanning with the [compile]-built one. *)
 

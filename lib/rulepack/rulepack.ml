@@ -1,9 +1,9 @@
 (* Versioned binary rule packs.
 
    A pack is the fully compiled form of the rule catalog — scan plans
-   with their prefilter automata, compiled patterns, DFA programs and
-   rewrite IR — so a process that loads one starts scanning without
-   parsing a single regex.  Layout:
+   with their compiled patterns, the fused machine and rewrite IR — so
+   a process that loads one starts scanning without parsing a single
+   regex.  Layout:
 
      magic (8 bytes) | format version (u32) | catalog hash (hex, str)
      | section count (u8) | sections | XXH64 of everything above (8
@@ -32,7 +32,7 @@
    comparison. *)
 
 let magic = "PITPACK\x00"
-let format_version = 3
+let format_version = 4
 
 let section_python = 1
 let section_javascript = 2

@@ -1,10 +1,9 @@
 (** Versioned binary rule packs: the compiled catalog, serialized.
 
     A pack stores both scan plans ({!Patchitpy.Catalog.all} and
-    {!Patchitpy.Catalog.javascript}) fully compiled — prefilter
-    automata, pattern ASTs and DFA programs, derived tables, rewrite
-    IR — behind a magic tag, a format version, a catalog fingerprint
-    and a whole-file checksum.  Loading one therefore replaces the
+    {!Patchitpy.Catalog.javascript}) fully compiled — pattern ASTs
+    and their search accelerators, rewrite IR — behind a magic tag, a
+    format version, a catalog fingerprint and a whole-file checksum.  Loading one therefore replaces the
     process's entire rule-compilation phase with a validated decode:
     scan and patch output over a loaded pack is byte-identical to the
     source-compiled catalog's, at a fraction of the startup cost.

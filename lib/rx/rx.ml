@@ -24,17 +24,13 @@ type t = {
      branch. *)
   start_prefixes : (string * int) array;
   bol_only : bool;
-  (* Derived analyses, computed eagerly at compile time: [t] values are
-     shared across domains, so memoizing them lazily would need a lock
-     on every read — and the scanner wants them for every rule anyway. *)
-  req_literals : string list;
   (* The lazy-DFA execution tier (see [Rx_dfa]): [None] when the
      pattern needs features only the backtracker has (back-references,
      counted repetitions beyond the expansion bound), when the compiled
-     program is too large to determinize profitably, or when
-     [PATCHITPY_RX_TIER=backtrack] forces the legacy engine.  The tier
-     decision is made at compile time so runtime semantics never hinge
-     on it: both tiers produce byte-identical matches. *)
+     program is too large to determinize profitably, or on a copy
+     pinned by [backtrack_tier].  The tier decision is made at compile
+     time so runtime semantics never hinge on it: both tiers produce
+     byte-identical matches. *)
   dfa : Rx_dfa.static option;
   (* Whether the DFA tier's forward-pass end is authoritative (see
      [has_nullable_rep]): when false, a DFA-tier match must be
@@ -123,7 +119,7 @@ let rec bol_only_node = function
    is stable across code corpora: whitespace and [e r t s a n o i] on
    top, capitals, digits and most punctuation near the bottom; bytes
    never seen rank rarest).  The skip loop memchrs the *rarest* byte of
-   a required literal rather than its first: hunting ['y'] instead of
+   a start literal rather than its first: hunting ['y'] instead of
    ['o'] for ["os.system("] surfaces ~14x fewer false candidates, each
    of which costs a verify detour. *)
 let byte_freq =
@@ -210,80 +206,6 @@ let start_prefixes_node node0 =
         Array.of_list (List.map (fun p -> (p, rarest_byte_offset p)) merged)
     end
 
-(* Derives the "required literal" prefilter: a set of strings such that
-   any match must contain at least one of them.
-   - a literal char run in a Seq is mandatory;
-   - for Alt, every branch must contribute (the union is returned);
-   - Rep with min = 0 and optional branches contribute nothing. *)
-let derive_literals node0 =
-  (* Longest mandatory literal of a node, or None when the node can match
-     without any fixed literal.  [None] propagates up conservatively. *)
-  let rec literals node : string list option =
-    match node with
-    | Rx_ast.Char c -> Some [ String.make 1 c ]
-    | Rx_ast.Seq nodes ->
-      (* choose the child with the best (longest shortest-member) set;
-         also merge adjacent Char runs for longer literals *)
-      let runs = char_runs nodes in
-      let from_runs =
-        match runs with
-        | [] -> None
-        | _ ->
-          let best =
-            List.fold_left
-              (fun acc r -> if String.length r > String.length acc then r else acc)
-              "" runs
-          in
-          if best = "" then None else Some [ best ]
-      in
-      let from_children =
-        List.filter_map literals nodes
-        |> List.fold_left
-             (fun acc set ->
-               match acc with
-               | None -> Some set
-               | Some best ->
-                 if shortest set > shortest best then Some set else acc)
-             None
-      in
-      (match (from_runs, from_children) with
-      | Some r, Some c -> if shortest r >= shortest c then Some r else Some c
-      | (Some _ as r), None -> r
-      | None, c -> c)
-    | Rx_ast.Alt branches ->
-      let sets = List.map literals branches in
-      if List.for_all Option.is_some sets then
-        Some (List.concat_map Option.get sets)
-      else None
-    | Rx_ast.Group (_, inner) -> literals inner
-    | Rx_ast.Rep (inner, min, _, _) -> if min >= 1 then literals inner else None
-    | Rx_ast.Empty | Rx_ast.Any | Rx_ast.Class _ | Rx_ast.Bol | Rx_ast.Eol
-    | Rx_ast.Eos | Rx_ast.Wordb | Rx_ast.Nwordb | Rx_ast.Backref _ -> None
-  and char_runs nodes =
-    let buf = Buffer.create 8 in
-    let out = ref [] in
-    let flush () =
-      if Buffer.length buf > 0 then begin
-        out := Buffer.contents buf :: !out;
-        Buffer.clear buf
-      end
-    in
-    List.iter
-      (fun n ->
-        match n with
-        | Rx_ast.Char c -> Buffer.add_char buf c
-        | _ -> flush ())
-      nodes;
-    flush ();
-    !out
-  and shortest = function
-    | [] -> 0
-    | set -> List.fold_left (fun acc s -> min acc (String.length s)) max_int set
-  in
-  match literals node0 with
-  | Some set when List.for_all (fun s -> String.length s >= 2) set -> set
-  | Some _ | None -> []
-
 (* --- execution-tier selection -------------------------------------------- *)
 
 (* Beyond this many Pike instructions the DFA's per-state closures and
@@ -291,27 +213,19 @@ let derive_literals node0 =
    backtracker.  Also keeps interned state keys within 16 bits per pc. *)
 let max_dfa_program = 4096
 
-let backtrack_forced () =
-  match Sys.getenv_opt "PATCHITPY_RX_TIER" with
-  | Some "backtrack" -> true
-  | Some _ | None -> false
-
 (* Whether the pattern runs on the DFA tier, decided once at compile
    time: patterns the Pike compiler cannot express (back-references,
    oversized counted repetitions) fall back wholly to the backtracking
-   engine, as does anything the operator pins with
-   [PATCHITPY_RX_TIER=backtrack]. *)
+   engine. *)
 let build_dfa node =
-  if backtrack_forced () then None
-  else
-    match Rx_pike.compile node with
-    | exception Rx_pike.Unsupported _ -> None
-    | fwd ->
-      if Array.length fwd > max_dfa_program then None
-      else (
-        match Rx_pike.compile (Rx_dfa.reverse_node node) with
-        | exception Rx_pike.Unsupported _ -> None
-        | rev -> Some (Rx_dfa.build ~fwd ~rev))
+  match Rx_pike.compile node with
+  | exception Rx_pike.Unsupported _ -> None
+  | fwd ->
+    if Array.length fwd > max_dfa_program then None
+    else (
+      match Rx_pike.compile (Rx_dfa.reverse_node node) with
+      | exception Rx_pike.Unsupported _ -> None
+      | rev -> Some (Rx_dfa.build ~fwd ~rev))
 
 (* Whether some repetition in [node] has a nullable body — a body that
    can match without consuming input.  For such a repetition the
@@ -376,7 +290,6 @@ let compile_uncached source =
       first_byte = single_first_byte first_bytes;
       start_prefixes = start_prefixes_node node;
       bol_only = bol_only_node node;
-      req_literals = derive_literals node;
       dfa = build_dfa node;
       end_exact = not (has_nullable_rep node);
       uid = Atomic.fetch_and_add uid_source 1;
@@ -389,11 +302,8 @@ let compile_uncached source =
    construction (the per-domain DFA caches live outside it), so one
    value can safely be shared by every rule, domain and caller that
    names the same source.  The catalog compiles dozens of rules whose
-   suppress/context patterns repeat, and the parallel compile path
-   previously re-derived every analysis per copy.  The key carries the
-   tier tag — the only compile-time "flag" in this dialect — so a
-   [PATCHITPY_RX_TIER] switch mid-process cannot alias entries.  Parse
-   errors are not cached (raising is cheap and rare). *)
+   suppress/context patterns repeat.  Parse errors are not cached
+   (raising is cheap and rare). *)
 let compile_cache : (string, t) Hashtbl.t = Hashtbl.create 64
 let compile_cache_lock = Mutex.create ()
 let compile_cache_hits = Atomic.make 0
@@ -404,10 +314,9 @@ let compile_cache_hits_counter =
 let max_compile_cache_entries = 8192
 
 let compile source =
-  let key = if backtrack_forced () then "B\x00" ^ source else source in
   let cached =
     Mutex.protect compile_cache_lock (fun () ->
-        Hashtbl.find_opt compile_cache key)
+        Hashtbl.find_opt compile_cache source)
   in
   match cached with
   | Some t ->
@@ -419,7 +328,7 @@ let compile source =
     Mutex.protect compile_cache_lock (fun () ->
         if Hashtbl.length compile_cache >= max_compile_cache_entries then
           Hashtbl.reset compile_cache;
-        Hashtbl.replace compile_cache key t);
+        Hashtbl.replace compile_cache source t);
     t
 
 let compile_cache_stats () =
@@ -448,7 +357,6 @@ let compile_opt source =
 
 let pattern t = t.source
 let group_count t = t.ngroups
-let required_literals t = t.req_literals
 let is_word_char = Rx_ast.is_word_char
 let start_literals t = Array.map fst t.start_prefixes
 
@@ -775,36 +683,6 @@ let matches t subject =
           bt_search ?cap ?steps_acc t subject 0 <> None
         | found -> found)
 
-exception Unsupported_linear of string
-
-(* The Pike program is compiled on first use and cached on the pattern.
-   The cache is process-wide, so lookups/inserts take a mutex — callers
-   may scan from several domains at once. *)
-let pike_cache : (string, Rx_pike.inst array) Hashtbl.t = Hashtbl.create 64
-let pike_cache_lock = Mutex.create ()
-
-let matches_linear t subject =
-  let cached =
-    Mutex.protect pike_cache_lock (fun () -> Hashtbl.find_opt pike_cache t.source)
-  in
-  let prog =
-    match cached with
-    | Some prog -> prog
-    | None -> (
-      match Rx_pike.compile t.node with
-      | prog ->
-        Mutex.protect pike_cache_lock (fun () ->
-            Hashtbl.replace pike_cache t.source prog);
-        prog
-      | exception Rx_pike.Unsupported what -> raise (Unsupported_linear what))
-  in
-  Rx_pike.search prog subject
-
-let compile_linear t =
-  match Rx_pike.compile t.node with
-  | prog -> Some (Array.length prog)
-  | exception Rx_pike.Unsupported _ -> None
-
 let matches_whole t subject =
   guarded (fun ?cap ?steps_acc () ->
       Rx_match.match_whole ?cap ?steps_acc t.node t.ngroups subject)
@@ -958,11 +836,9 @@ let split t subject =
    actually runs its rule), so the rebuild is off the cold-start path
    and amortizes to nothing, whereas shipping the DFA's programs and
    class tables roughly doubled every pattern's wire size — and pack
-   load cost scales with bytes read, hashed and allocated.  It also
-   keeps decode trivially consistent with [compile] under
-   [PATCHITPY_RX_TIER].  Each decoded value gets a fresh [uid] so the
-   per-domain transition caches can never alias it with another
-   pattern. *)
+   load cost scales with bytes read, hashed and allocated.  Each
+   decoded value gets a fresh [uid] so the per-domain transition caches
+   can never alias it with another pattern. *)
 
 let max_serialized_groups = 512
 
@@ -976,8 +852,7 @@ let write_compiled buf t =
       Binio.w_str buf lit;
       Binio.w_u8 buf anchor)
     buf t.start_prefixes;
-  Binio.w_bool buf t.bol_only;
-  Binio.w_list Binio.w_str buf t.req_literals
+  Binio.w_bool buf t.bol_only
 
 let read_compiled r =
   let source = Binio.r_str r in
@@ -999,7 +874,6 @@ let read_compiled r =
       r
   in
   let bol_only = Binio.r_bool r in
-  let req_literals = Binio.r_list Binio.r_str r in
   {
     source;
     node;
@@ -1008,7 +882,6 @@ let read_compiled r =
     first_byte = single_first_byte first_bytes;
     start_prefixes;
     bol_only;
-    req_literals;
     dfa = build_dfa node;
     end_exact = not (has_nullable_rep node);
     uid = Atomic.fetch_and_add uid_source 1;
@@ -1039,8 +912,7 @@ module Fused = struct
 
   (* A pattern is hostable when it runs on the DFA tier (so Pike
      compilation is known to succeed and the pattern is within size
-     bounds — and [PATCHITPY_RX_TIER=backtrack] disables fusing along
-     with the rest of the DFA machinery) and has a derived FIRST set:
+     bounds) and has a derived FIRST set:
      a pattern without one can match the empty string, which would
      flag on every subject and tell the caller nothing. *)
   let hostable p = p.dfa <> None && p.first_bytes <> None
@@ -1085,7 +957,6 @@ module Fused = struct
     end
 
   let is_hosted f i = f.f_hosted.(i)
-  let hosted_count f = Array.length f.f_slots
   let pattern_count f = Array.length f.f_hosted
   let program_size f = Rx_fused.program_size f.fstatic
 

@@ -18,6 +18,13 @@
       ([*?] etc.).  A [{] that does not parse as a quantifier is a literal
       brace, which keeps patterns over Python dict syntax readable.
 
+    Matching semantics are those of Python's [re] on bytes with
+    [re.MULTILINE]: ASCII classes, [$] before every ['\n'] and at the
+    end (in CRLF text the ['\r'] therefore belongs to the line), and
+    leftmost-first alternation.
+    [test/test_pyre.ml] checks {!find_all} spans against [re.finditer]
+    for every catalog pattern over the corpus, in LF and CRLF form.
+
     {2 Execution tiers}
 
     Most patterns execute on a lazy DFA ({!Rx_dfa}): a linear forward
@@ -27,13 +34,11 @@
     without its budget exposure on the hot path.  Patterns the DFA
     cannot express (back-references, counted repetitions beyond the
     expansion bound, oversized programs) are detected at {!compile}
-    time and run wholly on the backtracking engine; setting the
-    environment variable [PATCHITPY_RX_TIER=backtrack] forces that
-    engine for every pattern compiled afterwards (the escape hatch for
-    suspected tier bugs).  Backtracking execution keeps its step
-    budget; exceeding it raises {!Budget_exceeded} (it indicates a
-    pathological rule, never a pathological subject in this
-    codebase). *)
+    time and run wholly on the backtracking engine; {!backtrack_tier}
+    pins a single pattern to that engine (the differential tests'
+    reference).  Backtracking execution keeps its step budget;
+    exceeding it raises {!Budget_exceeded} (it indicates a pathological
+    rule, never a pathological subject in this codebase). *)
 
 type t
 (** A compiled pattern. *)
@@ -62,11 +67,11 @@ val once : (unit -> 'a) -> unit -> 'a
 
 val compile_cache_stats : unit -> int * int
 (** [(hits, entries)] of the process-wide compile memo: {!compile}
-    returns the already-compiled [t] when the same source (under the
-    same forced-tier setting) was compiled before.  Hits are also
-    counted in the ["rx_compile_cache_hits_total"] telemetry counter;
-    this accessor exists because catalog compilation happens at module
-    initialisation, before any telemetry sink is installed. *)
+    returns the already-compiled [t] when the same source was compiled
+    before.  Hits are also counted in the ["rx_compile_cache_hits_total"]
+    telemetry counter; this accessor exists because catalog compilation
+    happens at module initialisation, before any telemetry sink is
+    installed. *)
 
 val tier : t -> [ `Dfa | `Backtrack ]
 (** Which engine executes this pattern — decided at {!compile} time,
@@ -103,13 +108,6 @@ val start_literals : t -> string array
     contributes one literal per branch.  [[||]] means the analysis
     found no usable set and matching falls back to FIRST-byte skips.
     Exposed so tests can pin the derivation on known patterns. *)
-
-val required_literals : t -> string list
-(** A prefilter: when non-empty, every match of the pattern contains at
-    least one of these literal substrings, so a subject containing none
-    of them cannot match.  Scanners use this to skip the full matcher on
-    most (rule, file) pairs.  An empty list means no useful literal
-    could be derived. *)
 
 val is_word_char : char -> bool
 (** The [\w] class: ASCII letters, digits and ['_'].  [\b] holds
@@ -149,23 +147,6 @@ val exec : ?pos:int -> t -> string -> m option
 
 val matches : t -> string -> bool
 (** [matches t s] is [true] iff [t] matches somewhere in [s]. *)
-
-exception Unsupported_linear of string
-
-val matches_linear : t -> string -> bool
-(** Like {!matches} but executed on a Thompson-NFA Pike VM: time is
-    O(pattern size x subject length) regardless of the pattern, so it is
-    immune to catastrophic backtracking and suits scanning untrusted
-    input.  @raise Unsupported_linear on patterns using back-references
-    or counted repetitions beyond the expansion bound (the backtracking
-    {!matches} handles those). *)
-
-val compile_linear : t -> int option
-(** Compiles the pattern into the Pike-VM program {!matches_linear}
-    executes, bypassing its process-wide cache, and returns the
-    instruction count — [None] for patterns the linear engine cannot
-    express.  Exists so the compile-cost benchmark can measure
-    compilation itself; {!matches_linear} callers never need this. *)
 
 val matches_whole : t -> string -> bool
 (** [matches_whole t s] is [true] iff [t] matches all of [s]. *)
@@ -248,8 +229,8 @@ val expand_template : m -> string -> string
     analysis or determinization.  {!read_compiled} validates every
     structural invariant the matchers index by and raises
     {!Binio.Corrupt} / {!Binio.Truncated} on malformed input; decoded
-    patterns get a fresh cache identity and honour
-    [PATCHITPY_RX_TIER=backtrack] like {!compile}. *)
+    patterns get a fresh cache identity and the same execution tier
+    {!compile} would choose. *)
 
 val write_compiled : Buffer.t -> t -> unit
 (** Appends the serialized compiled pattern. *)
@@ -272,7 +253,7 @@ type fused
 
 (** Operations on fused catalogs.  [compile] decides hosting per
     pattern: patterns on the backtracking tier (back-references,
-    oversized programs, [PATCHITPY_RX_TIER=backtrack]) and patterns
+    oversized programs, {!backtrack_tier} copies) and patterns
     able to match the empty string are left out and must be scanned
     per-pattern as before; so must every pattern beyond the fused
     program size budget (taken in pattern order).  {!Fused.run}'s mask
@@ -299,8 +280,6 @@ module Fused : sig
 
   val is_hosted : fused -> int -> bool
   (** Whether pattern [i] of the compile-time array is hosted. *)
-
-  val hosted_count : fused -> int
 
   val pattern_count : fused -> int
   (** Length of the compile-time pattern array (hosted or not). *)

@@ -1,10 +1,11 @@
-(* A Pike-VM matcher over a Thompson-NFA compilation of the regex AST.
+(* Thompson-NFA compilation of the regex AST into a Pike program.
 
-   Unlike the backtracking matcher, execution is O(|program| * |subject|)
-   regardless of the pattern — no catastrophic blow-up — at the price of
-   two features the rule engine's patcher needs (capture groups and
-   back-references).  It therefore backs the boolean [matches_linear]
-   fast path used when scanning untrusted inputs. *)
+   The program is the input of both automaton tiers: [Rx_dfa]
+   determinizes one pattern's forward and reverse programs lazily, and
+   [Rx_fused] rebases many programs behind one fan-out preamble.
+   Captures are not tracked and back-references cannot be expressed;
+   patterns using them (or counted repetitions beyond the expansion
+   bound) raise [Unsupported] and stay on the backtracking engine. *)
 
 exception Unsupported of string
 
@@ -113,56 +114,3 @@ let compile node =
   go node;
   ignore (emit I_match);
   Array.sub !prog 0 !len
-
-let at_word_boundary subject pos =
-  let len = String.length subject in
-  let before = pos > 0 && Rx_ast.is_word_char subject.[pos - 1] in
-  let after = pos < len && Rx_ast.is_word_char subject.[pos] in
-  before <> after
-
-(* Unanchored boolean search. *)
-let search prog subject =
-  let n = Array.length prog in
-  let len = String.length subject in
-  let current = Array.make n false in
-  let next = Array.make n false in
-  let matched = ref false in
-  (* Adds pc and transitively every pc reachable through zero-width
-     instructions at position [pos]. *)
-  let rec add set pos pc =
-    if pc < n && not set.(pc) then begin
-      set.(pc) <- true;
-      match prog.(pc) with
-      | I_jmp t -> add set pos t
-      | I_split (a, b) ->
-        add set pos a;
-        add set pos b
-      | I_bol -> if pos = 0 || subject.[pos - 1] = '\n' then add set pos (pc + 1)
-      | I_eol -> if pos = len || subject.[pos] = '\n' then add set pos (pc + 1)
-      | I_eos -> if pos = len then add set pos (pc + 1)
-      | I_wordb -> if at_word_boundary subject pos then add set pos (pc + 1)
-      | I_nwordb -> if not (at_word_boundary subject pos) then add set pos (pc + 1)
-      | I_match -> matched := true
-      | I_char _ | I_any | I_class _ -> ()
-    end
-  in
-  let pos = ref 0 in
-  add current !pos 0;
-  while (not !matched) && !pos < len do
-    let c = subject.[!pos] in
-    Array.fill next 0 n false;
-    for pc = 0 to n - 1 do
-      if current.(pc) then
-        match prog.(pc) with
-        | I_char c' -> if c = c' then add next (!pos + 1) (pc + 1)
-        | I_any -> if c <> '\n' then add next (!pos + 1) (pc + 1)
-        | I_class cls -> if Rx_ast.class_matches cls c then add next (!pos + 1) (pc + 1)
-        | I_match | I_jmp _ | I_split _ | I_bol | I_eol | I_eos | I_wordb
-        | I_nwordb -> ()
-    done;
-    incr pos;
-    (* unanchored: a new attempt can begin at every offset *)
-    add next !pos 0;
-    Array.blit next 0 current 0 n
-  done;
-  !matched

@@ -150,7 +150,7 @@ module Rules : sig
     mutable scans : int;  (** scans recorded through this def *)
     time_ns : int array;  (** per-rule wall time, summed *)
     steps : int array;  (** per-rule backtracking steps, summed *)
-    candidates : int array;  (** scans in which the prefilter passed the rule *)
+    candidates : int array;  (** scans in which the rule was swept *)
     matched : int array;  (** raw pattern matches *)
     suppressed : int array;  (** matches dropped by the suppress pattern *)
     findings : int array;  (** findings actually reported *)

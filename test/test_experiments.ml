@@ -162,28 +162,6 @@ let test_fig3 () =
   check_bool "Claude persona highest" true
     (mean claude >= mean gemini && mean claude >= mean chatgpt)
 
-(* Parallel scan-plan compilation must be indistinguishable from
-   sequential: same findings on sources that exercise many rules. *)
-let test_parallel_compile_deterministic () =
-  let seq = Patchitpy.Scanner.compile Patchitpy.(Catalog.all ()) in
-  let par = Experiments.compile_catalog_parallel ~jobs:4 () in
-  let key (f : Patchitpy.Scanner.finding) =
-    ( f.Patchitpy.Scanner.rule.Patchitpy.Rule.id,
-      f.Patchitpy.Scanner.line,
-      f.Patchitpy.Scanner.offset,
-      f.Patchitpy.Scanner.stop,
-      f.Patchitpy.Scanner.snippet )
-  in
-  let samples =
-    List.filteri (fun i _ -> i < 50) (Corpus.Generator.all_samples ())
-  in
-  List.iter
-    (fun (s : Corpus.Generator.sample) ->
-      let a = List.map key (Patchitpy.Scanner.scan seq s.Corpus.Generator.code) in
-      let b = List.map key (Patchitpy.Scanner.scan par s.Corpus.Generator.code) in
-      check_bool "parallel plan scans identically" true (a = b))
-    samples
-
 let test_run_all_renders () =
   let out = Experiments.run_all () in
   List.iter
@@ -218,8 +196,6 @@ let () =
           Alcotest.test_case "cwe coverage" `Slow test_cwe_coverage;
           Alcotest.test_case "quality" `Slow test_quality;
           Alcotest.test_case "fig3" `Slow test_fig3;
-          Alcotest.test_case "parallel compile deterministic" `Slow
-            test_parallel_compile_deterministic;
           Alcotest.test_case "run_all renders" `Slow test_run_all_renders;
         ] );
     ]

@@ -35,7 +35,6 @@ let test_hosting () =
   | None -> Alcotest.fail "catalog with hostable patterns fused to None"
   | Some f ->
     check_int "pattern count" 4 (Rx.Fused.pattern_count f);
-    check_int "hosted count" 2 (Rx.Fused.hosted_count f);
     check_bool "plain pattern hosted" true (Rx.Fused.is_hosted f 0);
     check_bool "backref unhosted" false (Rx.Fused.is_hosted f 1);
     check_bool "nullable unhosted" false (Rx.Fused.is_hosted f 2);
@@ -225,21 +224,16 @@ let check_scan_equal msg source =
 let test_tier_plumbing () =
   check_bool "default plan has a fused machine" true
     (Scanner.fused_machine (Lazy.force scanner_fused) <> None);
-  check_bool "pinned plan has none" true
-    (Scanner.fused_machine (Lazy.force scanner_per_rule) = None);
-  (* the escape hatch pins plans built afterwards *)
-  Unix.putenv "PATCHITPY_SCAN_TIER" "per-rule";
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "PATCHITPY_SCAN_TIER" "")
-    (fun () ->
-      let t = Scanner.compile (Catalog.all ()) in
-      check_bool "PATCHITPY_SCAN_TIER=per-rule pins the tier off" true
-        (Scanner.fused_machine t = None);
-      (* and a pack-style thunk cannot turn it back on *)
-      Scanner.set_fused_thunk t (fun () ->
-          Alcotest.fail "thunk ran on a pinned plan");
-      check_bool "set_fused_thunk is a no-op on pinned plans" true
-        (Scanner.fused_machine t = None))
+  (* [per_rule_tier] is the one way to pin a plan: a fresh pinned copy
+     never fuses ... *)
+  let t = Scanner.per_rule_tier (Scanner.compile (Catalog.all ())) in
+  check_bool "per_rule_tier pins the tier off" true
+    (Scanner.fused_machine t = None);
+  (* ... and a pack-style thunk cannot turn it back on *)
+  Scanner.set_fused_thunk t (fun () ->
+      Alcotest.fail "thunk ran on a pinned plan");
+  check_bool "set_fused_thunk is a no-op on pinned plans" true
+    (Scanner.fused_machine t = None)
 
 (* Sources assembled from python-ish lines that trip catalog rules, so
    the differential sees real candidate routing, not empty scans. *)
@@ -516,6 +510,82 @@ let test_catalog_small_cache () =
   check_bool "most searches completed" true
     (bails * 10 < List.length (Lazy.force catalog_subjects))
 
+(* --- bail differential --------------------------------------------------
+
+   A bailed fused pass leaves the scan with no mask, so it sweeps every
+   rule.  A plan whose fused cache is shrunk to 3 states bails on every
+   corpus sample and long file; its findings and warnings must equal
+   the default plan's and the per-rule reference's over all of them,
+   and the fallback counter must show the bails really happened.  The shrink is re-applied before each scan:
+   a domain drops its fused caches when it holds too many. *)
+
+let fallbacks_during f =
+  let sink = Telemetry.create () in
+  let r = Telemetry.with_sink sink f in
+  ( r,
+    Option.value ~default:0
+      (List.assoc_opt "scanner_fused_fallbacks_total"
+         (Telemetry.Report.of_sink sink).Telemetry.Report.counters) )
+
+let bailing_scans t subjects =
+  let f =
+    match Scanner.fused_machine t with
+    | Some f -> f
+    | None -> Alcotest.fail "the plan hosts nothing"
+  in
+  fallbacks_during (fun () ->
+      List.map
+        (fun s ->
+          Rx.Fused.shrink_cache f ~max_states:3;
+          scan_fp t s)
+        subjects)
+
+let test_bail_differential () =
+  let subjects = Lazy.force catalog_subjects in
+  let bailed, fallbacks =
+    bailing_scans (Scanner.compile (Catalog.all ())) subjects
+  in
+  check_int "every subject bailed" (List.length subjects) fallbacks;
+  check_bool "bailed scans = default plan" true
+    (bailed = List.map (scan_fp (Lazy.force scanner_fused)) subjects);
+  check_bool "bailed scans = per-rule plan" true
+    (bailed = List.map (scan_fp (Lazy.force scanner_per_rule)) subjects)
+
+(* A user rule with a back-reference runs on the backtracker, so the
+   fused machine cannot host it and every scan sweeps it — with a mask,
+   after a bail, and on the pinned reference alike. *)
+let test_unhosted_user_rule () =
+  let rules =
+    Catalog.all ()
+    @ [
+        Rule.make ~id:"U-SELF-ASSIGN" ~title:"self-assignment" ~cwe:398
+          ~severity:Rule.Low ~pattern:{|\b(\w+)\s*=\s*\1\b|}
+          ~fix:Rule.No_fix ~note:"" ();
+      ]
+  in
+  let mixed = Scanner.compile rules in
+  let user = List.length rules - 1 in
+  check_bool "the user rule is unhosted" true
+    (match Scanner.fused_machine mixed with
+    | None -> false
+    | Some f -> not (Rx.Fused.is_hosted f user));
+  let subjects = "x = x\nos.system(cmd)\n" :: Lazy.force catalog_subjects in
+  let reference =
+    List.map (scan_fp (Scanner.per_rule_tier mixed)) subjects
+  in
+  check_bool "the user rule fired" true
+    (List.exists
+       (fun (fs, _) ->
+         List.exists (fun (id, _, _, _, _, _) -> id = "U-SELF-ASSIGN") fs)
+       reference);
+  check_bool "mixed plan = per-rule plan" true
+    (List.map (scan_fp mixed) subjects = reference);
+  let bailed, fallbacks =
+    bailing_scans (Scanner.compile rules) subjects
+  in
+  check_bool "the mixed plan bailed" true (fallbacks > 0);
+  check_bool "bailed mixed plan = per-rule plan" true (bailed = reference)
+
 (* --- corpus differential ------------------------------------------------ *)
 
 let test_corpus_differential () =
@@ -572,6 +642,13 @@ let () =
         [
           Alcotest.test_case "609-sample differential (jobs 1 and 4)" `Slow
             test_corpus_differential;
+        ] );
+      ( "bail",
+        [
+          Alcotest.test_case "bailed scans = default = per-rule" `Slow
+            test_bail_differential;
+          Alcotest.test_case "unhosted user rule = per-rule" `Slow
+            test_unhosted_user_rule;
         ] );
       ( "catalog",
         [

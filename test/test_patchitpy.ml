@@ -849,22 +849,6 @@ let prop_patch_of_safe_is_noop_or_clean =
       let r = Patcher.patch safe in
       (not (Pyast.parses safe)) || Pyast.parses r.Patcher.patched)
 
-let prop_prefilter_equivalent =
-  (* the literal prefilter must never change scan results *)
-  QCheck.Test.make ~name:"prefilter preserves scan results" ~count:120
-    (QCheck.make
-       (QCheck.Gen.oneofl
-          (List.map (fun (_, v, _) -> v) pairs
-          @ List.map (fun (_, _, s) -> s) pairs)))
-    (fun src ->
-      let ids l = List.map (fun (f : Engine.finding) -> f.Engine.rule.Rule.id) l in
-      let stripped =
-        (* re-scan with rules whose prefilter is defeated by wrapping the
-           source in text containing every literal *)
-        Engine.scan src
-      in
-      ids stripped = ids (Engine.scan src))
-
 let prop_scan_deterministic =
   QCheck.Test.make ~name:"scan is deterministic" ~count:50 pair_gen
     (fun (_, vuln, _) ->
@@ -942,6 +926,5 @@ let () =
             prop_patched_never_worse;
             prop_patch_of_safe_is_noop_or_clean;
             prop_scan_deterministic;
-            prop_prefilter_equivalent;
           ] );
     ]

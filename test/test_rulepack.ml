@@ -187,9 +187,10 @@ let test_bit_flips () =
 let test_version_skew () =
   (* Rewrite the version field and fix up the trailing checksum so the
      only inconsistency left is the version itself: the decoder must
-     report [Version_skew], not [Corrupted] — for a future writer, and
-     for a version-1 pack, whose plans still carried the per-rule
-     newline budgets of the removed incremental rescan. *)
+     report [Version_skew], not [Corrupted] — for a future writer, for
+     a version-1 pack, whose plans still carried the per-rule newline
+     budgets of the removed incremental rescan, and for a version-3
+     pack, whose plans still carried the literal-prefilter automaton. *)
   let with_version v =
     let b = Bytes.of_string (Lazy.force pack_bytes) in
     let n = Bytes.length b in
@@ -198,7 +199,7 @@ let test_version_skew () =
     Bytes.set_int64_le b (n - 8) h;
     Bytes.to_string b
   in
-  check_bool "format version bumped past 1" true (Rulepack.format_version >= 2);
+  check_bool "format version bumped past 3" true (Rulepack.format_version >= 4);
   List.iter
     (fun v ->
       match Rulepack.decode (with_version v) with
@@ -209,7 +210,7 @@ let test_version_skew () =
         Alcotest.failf "version %d: wanted Version_skew, got %s" v
           (Rulepack.error_to_string e)
       | Ok _ -> Alcotest.failf "version-%d pack decoded to Ok" v)
-    [ Rulepack.format_version + 1; 1 ];
+    [ Rulepack.format_version + 1; 1; 3 ];
   (* and garbage that is not a pack at all *)
   match Rulepack.decode "#!/usr/bin/env python3\nprint('hi')\n" with
   | Error Rulepack.Bad_magic -> ()

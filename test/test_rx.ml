@@ -202,59 +202,6 @@ let prop_star_always_matches =
   QCheck.Test.make ~name:"e* matches every subject" ~count:200 lower_string
     (fun s -> Rx.matches (Rx.compile "e*") s)
 
-let test_required_literals () =
-  let lits p = List.sort compare (Rx.required_literals (Rx.compile p)) in
-  Alcotest.(check (list string)) "literal run" [ "os.system(" ]
-    (lits {|\bos\.system\(([^)\n]*)\)|});
-  Alcotest.(check (list string)) "seq beats alternation" [ "hashlib." ]
-    (lits {|hashlib\.(?:md5|sha1)\(|});
-  Alcotest.(check (list string)) "pure alternation unions"
-    [ "import"; "pickle" ]
-    (lits {|pickle|import|});
-  Alcotest.(check (list string)) "no literal -> empty" [] (lits {|\w+\s*=\s*\d+|});
-  (* optional parts contribute nothing *)
-  Alcotest.(check (list string)) "optional dropped" [ "run" ]
-    (lits {|(?:debug)?run|})
-
-let prop_prefilter_sound =
-  (* soundness: if the pattern matches, at least one required literal is
-     present — checked over every catalog rule and corpus-like texts *)
-  QCheck.Test.make ~name:"required literals are sound" ~count:300
-    (QCheck.make
-       QCheck.Gen.(
-         oneofl
-           [
-             "subprocess.call(cmd, shell=True)"; "os.system(c)";
-             "h = hashlib.md5(x)"; "v = eval(y)"; "yaml.load(f)";
-             "app.run(debug=True)"; "plain = 1"; "tar.extractall(d)";
-             "resp.set_cookie(\"sid\", s)"; "password = \"x\"";
-           ]))
-    (fun subject ->
-      List.for_all
-        (fun pat ->
-          let rx = Rx.compile pat in
-          let lits = Rx.required_literals rx in
-          (not (Rx.matches rx subject))
-          || lits = []
-          || List.exists
-               (fun lit ->
-                 (* substring check *)
-                 let n = String.length lit and h = String.length subject in
-                 let rec at i =
-                   i + n <= h
-                   && (String.sub subject i n = lit || at (i + 1))
-                 in
-                 n = 0 || at 0)
-               lits)
-        [
-          {|\bsubprocess\.(call|run|Popen)\(([^)\n]*)shell\s*=\s*True|};
-          {|\bos\.system\(([^)\n]*)\)|};
-          {|hashlib\.(?:md5|sha1)\(|};
-          {|\beval\(([^)\n]*)\)|};
-          {|yaml\.load\(([^)\n]*)\)|};
-          {|\.run\(([^)\n]*)debug\s*=\s*True([^)\n]*)\)|};
-        ])
-
 (* Differential testing: random small regex ASTs rendered to pattern
    strings, checked against an obviously-correct reference matcher. *)
 
@@ -312,16 +259,18 @@ let prop_differential =
       | Error _ -> false (* rendered patterns must always compile *)
       | Ok rx -> Rx.matches_whole rx s = ref_whole ast s)
 
-let prop_pike_agrees =
-  QCheck.Test.make ~name:"Pike VM agrees with the backtracker" ~count:2000
+(* The DFA tier (a lazy determinization of the pattern's Pike program)
+   against the same pattern pinned to the backtracker. *)
+let prop_dfa_agrees =
+  QCheck.Test.make ~name:"DFA tier agrees with the backtracker" ~count:2000
     (QCheck.make QCheck.Gen.(pair (mini_gen 6) subject_gen))
     (fun (ast, s) ->
       let rx = Rx.compile (render ast) in
-      Rx.matches_linear rx s = Rx.matches rx s)
+      Rx.matches rx s = Rx.matches (Rx.backtrack_tier rx) s)
 
 let test_pike_on_rule_shapes () =
-  (* every engine rule pattern that the VM supports must agree with the
-     backtracker on representative subjects *)
+  (* every rule pattern the Pike compiler (hence the DFA tier) supports
+     must agree with the backtracker on representative subjects *)
   let subjects =
     [
       "subprocess.call(cmd, shell=True)"; "app.run(debug=True)";
@@ -334,11 +283,8 @@ let test_pike_on_rule_shapes () =
       let rx = Rx.compile pat in
       List.iter
         (fun s ->
-          match Rx.matches_linear rx s with
-          | linear ->
-            if linear <> Rx.matches rx s then
-              Alcotest.failf "pike disagrees on %s / %s" pat s
-          | exception Rx.Unsupported_linear _ -> ())
+          if Rx.matches rx s <> Rx.matches (Rx.backtrack_tier rx) s then
+            Alcotest.failf "DFA tier disagrees on %s / %s" pat s)
         subjects)
     [
       {|\bsubprocess\.(call|run|Popen)\(([^)\n]*)shell\s*=\s*True|};
@@ -351,24 +297,23 @@ let test_pike_on_rule_shapes () =
 
 let test_pike_linear_on_redos () =
   (* the classic catastrophic case: (a+)+b on a long run of 'a's — the
-     Pike VM answers instantly where naive backtracking explodes *)
+     DFA tier, built from the Pike program, answers in one linear pass
+     (no Budget_exceeded) where naive backtracking explodes *)
   let rx = Rx.compile "(a+)+b" in
+  Alcotest.(check bool) "runs on the DFA tier" true (Rx.tier rx = `Dfa);
   let subject = String.make 2000 'a' in
-  Alcotest.(check bool) "no match, no blow-up" false (Rx.matches_linear rx subject);
+  Alcotest.(check bool) "no match, no blow-up" false (Rx.matches rx subject);
   (* the backtracker on the same input trips its budget instead of hanging *)
-  (match Rx.matches rx subject with
+  (match Rx.matches (Rx.backtrack_tier rx) subject with
   | (_ : bool) -> ()
   | exception Rx.Budget_exceeded _ -> ())
 
 let test_pike_unsupported () =
-  let backref = Rx.compile {|(\w+) \1|} in
-  (match Rx.matches_linear backref "hey hey" with
-  | (_ : bool) -> Alcotest.fail "backref should be unsupported"
-  | exception Rx.Unsupported_linear _ -> ());
-  let big = Rx.compile "a{100}" in
-  match Rx.matches_linear big "aaa" with
-  | (_ : bool) -> Alcotest.fail "large counted repetition should be unsupported"
-  | exception Rx.Unsupported_linear _ -> ()
+  (* what the Pike compiler cannot express runs on the backtracker *)
+  Alcotest.(check bool) "backref backtracks" true
+    (Rx.tier (Rx.compile {|(\w+) \1|}) = `Backtrack);
+  Alcotest.(check bool) "large counted repetition backtracks" true
+    (Rx.tier (Rx.compile "a{100}") = `Backtrack)
 
 let prop_compile_total =
   (* failure injection: arbitrary pattern text either compiles or reports
@@ -412,7 +357,6 @@ let () =
           Alcotest.test_case "pike on rule shapes" `Quick test_pike_on_rule_shapes;
           Alcotest.test_case "pike linear on redos" `Quick test_pike_linear_on_redos;
           Alcotest.test_case "pike unsupported" `Quick test_pike_unsupported;
-          Alcotest.test_case "required literals" `Quick test_required_literals;
         ] );
       ( "property",
         qt
@@ -423,8 +367,7 @@ let () =
             prop_split_join;
             prop_star_always_matches;
             prop_differential;
-            prop_pike_agrees;
+            prop_dfa_agrees;
             prop_compile_total;
-            prop_prefilter_sound;
           ] );
     ]

@@ -263,10 +263,9 @@ let qcheck_tiny_cache =
 
 (* --- corpus differential ----------------------------------------------- *)
 
-(* The whole catalog over the whole corpus, once per tier.  Pinning both
-   the detection and the suppression pattern of every rule reproduces
-   exactly what `PATCHITPY_RX_TIER=backtrack` does at compile time,
-   without needing a subprocess. *)
+(* The whole catalog over the whole corpus, once per tier: the reference
+   plan pins both the detection and the suppression pattern of every
+   rule to the backtracker with [Rx.backtrack_tier]. *)
 let finding_key (f : Patchitpy.Scanner.finding) =
   (f.Patchitpy.Scanner.rule.Patchitpy.Rule.id, f.Patchitpy.Scanner.offset,
    f.Patchitpy.Scanner.stop)

@@ -37,18 +37,6 @@ let ref_context_window source start stop =
   let w_end = line_end (min len (line_end stop + 1)) in
   String.sub source w_start (w_end - w_start)
 
-let contains_substring haystack needle =
-  let n = String.length needle and h = String.length haystack in
-  if n = 0 then true
-  else begin
-    let rec at i =
-      if i + n > h then false
-      else if String.sub haystack i n = needle then true
-      else at (i + 1)
-    in
-    at 0
-  end
-
 (* Seed scan result, minus the snippet/m fields the comparison rebuilds
    from offsets anyway. *)
 type ref_finding = { r_id : string; r_line : int; r_col : int; r_off : int; r_stop : int }
@@ -57,16 +45,9 @@ let reference_scan rules source =
   let findings = ref [] in
   List.iter
     (fun (rule : Rule.t) ->
-      let passes =
-        match Rx.required_literals rule.Rule.pattern with
-        | [] -> true
-        | literals -> List.exists (contains_substring source) literals
-      in
       let matches =
-        if not passes then []
-        else
-          try Rx.find_all rule.Rule.pattern source
-          with Rx.Budget_exceeded _ -> []
+        try Rx.find_all rule.Rule.pattern source
+        with Rx.Budget_exceeded _ -> []
       in
       List.iter
         (fun m ->

@@ -55,17 +55,23 @@ let refix_checksum bytes =
   Bytes.to_string b
 
 (* A format-2 pack carried serialized transition tables in its warm
-   section; this build reads only format 3.  The version field sits
-   right after the 8-byte magic. *)
-let test_v2_refused () =
-  check_int "format version" 3 Rulepack.format_version;
-  let b = Bytes.of_string (Lazy.force warm_pack_bytes) in
-  Bytes.set_int32_le b 8 2l;
-  match Rulepack.decode (refix_checksum (Bytes.to_string b)) with
-  | Error (Rulepack.Version_skew { found = 2; expected = 3 }) -> ()
-  | Error e ->
-    Alcotest.failf "wanted Version_skew, got %s" (Rulepack.error_to_string e)
-  | Ok _ -> Alcotest.fail "a v2 pack decoded to Ok"
+   section, and a format-3 pack carried the literal-prefilter automaton
+   in its plans; this build reads only format 4.  The version field
+   sits right after the 8-byte magic. *)
+let test_v2_v3_refused () =
+  check_int "format version" 4 Rulepack.format_version;
+  List.iter
+    (fun v ->
+      let b = Bytes.of_string (Lazy.force warm_pack_bytes) in
+      Bytes.set_int32_le b 8 (Int32.of_int v);
+      match Rulepack.decode (refix_checksum (Bytes.to_string b)) with
+      | Error (Rulepack.Version_skew { found; expected = 4 }) when found = v ->
+        ()
+      | Error e ->
+        Alcotest.failf "v%d: wanted Version_skew, got %s" v
+          (Rulepack.error_to_string e)
+      | Ok _ -> Alcotest.failf "a v%d pack decoded to Ok" v)
+    [ 2; 3 ]
 
 (* --- differentials -------------------------------------------------------- *)
 
@@ -219,7 +225,7 @@ let () =
           Alcotest.test_case "warm section info" `Quick test_warm_pack_info;
           Alcotest.test_case "cold pack registers nothing" `Quick
             test_cold_pack_unaffected;
-          Alcotest.test_case "v2 pack refused" `Quick test_v2_refused;
+          Alcotest.test_case "v2 and v3 packs refused" `Quick test_v2_v3_refused;
         ] );
       ( "differential",
         [
