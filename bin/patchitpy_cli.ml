@@ -164,11 +164,11 @@ let filter_rules rules ~only ~exclude =
 let rule_pack_arg =
   Arg.(value & opt (some file) None
        & info [ "rule-pack" ] ~docv:"FILE"
-           ~doc:"Load the compiled scan plan from a binary rule pack built \
-                 by $(b,rules pack), skipping catalog compilation at \
-                 startup.  Incompatible with \
+           ~doc:"Load the rule catalog from a binary rule pack built by \
+                 $(b,rules pack) instead of the catalog built into this \
+                 binary.  Incompatible with \
                  $(b,--rules-file)/$(b,--only)/$(b,--exclude), which edit \
-                 the rule set and therefore need rule sources.")
+                 the rule set.")
 
 let load_pack_or_die path =
   match Rulepack.load ~path with
@@ -178,9 +178,9 @@ let load_pack_or_die path =
     exit 2
 
 (* Resolves the scan plan a command runs with: a loaded pack when
-   --rule-pack was given, source-compiled rules otherwise.  A pack
-   stores compiled plans, not an editable rule list, so the flags that
-   change the rule set conflict with it. *)
+   --rule-pack was given, source-compiled rules otherwise.  A pack is a
+   fixed, checksummed catalog, so the flags that change the rule set
+   conflict with it. *)
 let resolve_scanner ?(rules_file = None) ?(only = []) ?(exclude = []) ~lang
     rule_pack =
   match rule_pack with
@@ -191,7 +191,7 @@ let resolve_scanner ?(rules_file = None) ?(only = []) ?(exclude = []) ~lang
     if rules_file <> None || only <> [] || exclude <> [] then begin
       prerr_endline
         "error: --rule-pack cannot be combined with \
-         --rules-file/--only/--exclude (a pack stores compiled plans, not \
+         --rules-file/--only/--exclude (a pack is a fixed catalog, not \
          an editable rule list)";
       exit 2
     end;
@@ -623,8 +623,8 @@ let rules_pack_cmd =
                    near steady-state speed.")
   in
   let run output warm =
-    (* [create] compiles the catalog and validates every rewrite
-       program, so a malformed rule fails here, not at patch time. *)
+    (* [create] validates every rewrite program, so a malformed rule
+       fails here, not at patch time. *)
     let pack = Rulepack.create () in
     let pack =
       if not warm then pack
@@ -645,7 +645,7 @@ let rules_pack_cmd =
         (canary_bytes pack)
   in
   let doc =
-    "Compile the full rule catalog (Python and JavaScript) into a \
+    "Write the full rule catalog (Python and JavaScript) into a \
      versioned binary pack for $(b,--rule-pack) / $(b,PATCHITPY_RULE_PACK), \
      optionally with warm-start canaries ($(b,--warm))."
   in
@@ -674,10 +674,10 @@ let rules_inspect_cmd =
             (List.length cs) (canary_bytes pack)
       in
       Printf.printf
-        "{\"file\":\"%s\",\"bytes\":%d,\"formatVersion\":%d,\"catalogHash\":\"%s\",\"pythonRules\":%d,\"jsRules\":%d,\"fusedSection\":%b,%s,\"matchesThisBuild\":%b}\n"
+        "{\"file\":\"%s\",\"bytes\":%d,\"formatVersion\":%d,\"catalogHash\":\"%s\",\"pythonRules\":%d,\"jsRules\":%d,%s,\"matchesThisBuild\":%b}\n"
         (Patchitpy.Jsonout.escape_string file)
         (file_size file) pack.Rulepack.version pack.Rulepack.catalog_hash
-        python js pack.Rulepack.fused_section warm_fields catalog_matches
+        python js warm_fields catalog_matches
     end
     else begin
       Printf.printf "%s: %d bytes\n" file (file_size file);
@@ -686,9 +686,6 @@ let rules_inspect_cmd =
         (if catalog_matches then "matches this build"
          else "DOES NOT match this build's catalog");
       Printf.printf "rules: %d python, %d javascript\n" python js;
-      Printf.printf "fused section: %s\n"
-        (if pack.Rulepack.fused_section then "present"
-         else "absent (re-fused from rules on first scan)");
       match pack.Rulepack.canaries with
       | [] -> Printf.printf "warm section: absent (cold first scan)\n"
       | cs ->

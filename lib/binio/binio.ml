@@ -1,5 +1,5 @@
-(* Little-endian binary primitives shared by the compiled-artifact
-   codecs (Rx, Scanner, Rulepack).  Writers append to a Buffer; readers
+(* Little-endian binary primitives shared by the rule-pack and
+   result-cache snapshot codecs.  Writers append to a Buffer; readers
    consume a string through a cursor and raise [Truncated]/[Corrupt] —
    callers wrap a whole decode in [protect] to get a result instead. *)
 
@@ -8,21 +8,11 @@ exception Corrupt of string
 
 let w_u8 buf v = Buffer.add_char buf (Char.chr (v land 0xff))
 
-let w_u16 buf v =
-  Buffer.add_char buf (Char.chr (v land 0xff));
-  Buffer.add_char buf (Char.chr ((v lsr 8) land 0xff))
-
 let w_u32 buf v =
   Buffer.add_char buf (Char.chr (v land 0xff));
   Buffer.add_char buf (Char.chr ((v lsr 8) land 0xff));
   Buffer.add_char buf (Char.chr ((v lsr 16) land 0xff));
   Buffer.add_char buf (Char.chr ((v lsr 24) land 0xff))
-
-let w_u64 buf v =
-  w_u32 buf (v land 0xffffffff);
-  w_u32 buf ((v lsr 32) land 0xffffffff)
-
-let w_bool buf b = w_u8 buf (if b then 1 else 0)
 
 let w_str buf s =
   w_u32 buf (String.length s);
@@ -37,10 +27,6 @@ let w_opt w buf = function
 let w_list w buf l =
   w_u32 buf (List.length l);
   List.iter (w buf) l
-
-let w_array w buf a =
-  w_u32 buf (Array.length a);
-  Array.iter (w buf) a
 
 type r = { s : string; mutable pos : int; stop : int }
 
@@ -58,12 +44,6 @@ let r_u8 r =
   r.pos <- r.pos + 1;
   v
 
-let r_u16 r =
-  need r 2;
-  let v = Char.code r.s.[r.pos] lor (Char.code r.s.[r.pos + 1] lsl 8) in
-  r.pos <- r.pos + 2;
-  v
-
 let r_u32 r =
   need r 4;
   let v =
@@ -74,17 +54,6 @@ let r_u32 r =
   in
   r.pos <- r.pos + 4;
   v
-
-let r_u64 r =
-  let lo = r_u32 r in
-  let hi = r_u32 r in
-  lo lor (hi lsl 32)
-
-let r_bool r =
-  match r_u8 r with
-  | 0 -> false
-  | 1 -> true
-  | v -> raise (Corrupt (Printf.sprintf "bad bool byte %d" v))
 
 let r_str r =
   let n = r_u32 r in
@@ -108,11 +77,6 @@ let r_view r n =
   let v = { s = r.s; pos = r.pos; stop = r.pos + n } in
   r.pos <- r.pos + n;
   v
-
-(* A fresh cursor over another reader's remaining window.  Lazy
-   decoders hold an unconsumed view and re-read it on each attempt;
-   cloning the cursor keeps concurrent attempts from racing on [pos]. *)
-let sub_reader v = { s = v.s; pos = v.pos; stop = v.stop }
 
 let r_opt rd r =
   match r_u8 r with

@@ -39,69 +39,11 @@ let severity_to_string = function
   | High -> "HIGH"
   | Critical -> "CRITICAL"
 
+let severity_of_string = function
+  | "LOW" -> Ok Low
+  | "MEDIUM" -> Ok Medium
+  | "HIGH" -> Ok High
+  | "CRITICAL" -> Ok Critical
+  | other -> Error (Printf.sprintf "unknown severity %S" other)
+
 let fixable t = match t.fix with No_fix -> false | Replace_template _ | Rewrite _ -> true
-
-(* --- binary codec ----------------------------------------------------------
-
-   Rule serialization for packs.  Patterns are stored fully compiled
-   (see [Rx.write_compiled]); the rewrite IR is stored in its rendered
-   form and re-parsed on read, so a malformed program surfaces as
-   [Binio.Corrupt] at load time rather than an exception at patch
-   time.  The embedded regexes of a rewrite are compiled lazily at
-   eval through [Rx.compile]'s memo, exactly as catalog-compiled rules
-   do — [Rewrite.validate] runs when a pack is *written*, keeping the
-   load path free of source compilation. *)
-
-let w_severity buf s =
-  Binio.w_u8 buf
-    (match s with Low -> 0 | Medium -> 1 | High -> 2 | Critical -> 3)
-
-let r_severity r =
-  match Binio.r_u8 r with
-  | 0 -> Low
-  | 1 -> Medium
-  | 2 -> High
-  | 3 -> Critical
-  | v -> raise (Binio.Corrupt (Printf.sprintf "bad severity %d" v))
-
-let w_fix buf = function
-  | No_fix -> Binio.w_u8 buf 0
-  | Replace_template t ->
-    Binio.w_u8 buf 1;
-    Binio.w_str buf t
-  | Rewrite ir ->
-    Binio.w_u8 buf 2;
-    Binio.w_str buf (Rewrite.render ir)
-
-let r_fix r =
-  match Binio.r_u8 r with
-  | 0 -> No_fix
-  | 1 -> Replace_template (Binio.r_str r)
-  | 2 -> (
-    match Rewrite.parse (Binio.r_str r) with
-    | Ok ir -> Rewrite ir
-    | Error msg -> raise (Binio.Corrupt ("bad rewrite program: " ^ msg)))
-  | v -> raise (Binio.Corrupt (Printf.sprintf "bad fix tag %d" v))
-
-let write buf t =
-  Binio.w_str buf t.id;
-  Binio.w_str buf t.title;
-  Binio.w_u32 buf t.cwe;
-  w_severity buf t.severity;
-  Rx.write_compiled buf t.pattern;
-  Binio.w_opt (fun buf rx -> Rx.write_compiled buf rx) buf t.suppress;
-  w_fix buf t.fix;
-  Binio.w_list Binio.w_str buf t.imports;
-  Binio.w_str buf t.note
-
-let read r =
-  let id = Binio.r_str r in
-  let title = Binio.r_str r in
-  let cwe = Binio.r_u32 r in
-  let severity = r_severity r in
-  let pattern = Rx.read_compiled r in
-  let suppress = Binio.r_opt Rx.read_compiled r in
-  let fix = r_fix r in
-  let imports = Binio.r_list Binio.r_str r in
-  let note = Binio.r_str r in
-  { id; title; cwe; severity; pattern; suppress; fix; imports; note }

@@ -18,8 +18,8 @@ type fix =
   | Rewrite of Rewrite.t
       (** Computed rewrite for fixes a template cannot express (e.g.
           turning ['%s'] placeholders into parameterized-query [?]s),
-          as a declarative {!Rewrite} template so it serializes into
-          rule packs. *)
+          as a declarative {!Rewrite} template so it renders to text
+          that rule packs store. *)
 
 type t = {
   id : string;  (** stable identifier, ["PIT-042"] *)
@@ -57,17 +57,8 @@ val owasp : t -> Owasp.category option
 
 val severity_to_string : severity -> string
 
+val severity_of_string : string -> (severity, string) result
+(** Inverse of {!severity_to_string}. *)
+
 val fixable : t -> bool
 (** Whether the rule carries an automatic fix. *)
-
-(** {1 Binary codec}
-
-    Rule-pack serialization.  Patterns travel fully compiled
-    ({!Rx.write_compiled}); the rewrite IR travels rendered and is
-    re-parsed — and thereby re-validated — on read. *)
-
-val write : Buffer.t -> t -> unit
-
-val read : Binio.r -> t
-(** @raise Binio.Corrupt on structurally invalid input.
-    @raise Binio.Truncated if the input ends early. *)

@@ -1,10 +1,3 @@
-let severity_of_string = function
-  | "LOW" -> Ok Rule.Low
-  | "MEDIUM" -> Ok Rule.Medium
-  | "HIGH" -> Ok Rule.High
-  | "CRITICAL" -> Ok Rule.Critical
-  | other -> Error (Printf.sprintf "unknown severity %S" other)
-
 let ( let* ) = Result.bind
 
 let field_str obj name =
@@ -49,7 +42,7 @@ let rule_of_json obj =
   let* title = relocate (field_str obj "title") in
   let* cwe = relocate (field_int obj "cwe") in
   let* severity_s = relocate (field_str obj "severity") in
-  let* severity = relocate (severity_of_string severity_s) in
+  let* severity = relocate (Rule.severity_of_string severity_s) in
   let* pattern = relocate (field_str obj "pattern") in
   let* suppress = relocate (field_str_opt obj "suppress") in
   let* fix_template = relocate (field_str_opt obj "fix") in

@@ -10,46 +10,30 @@ type finding = {
 
 type warning = Budget_exhausted of string
 
-(* A rule slot.  Compile-built plans hold their rules directly;
-   pack-loaded plans hold a decode thunk and materialize a rule the
-   first time a scan needs it — the fused pass flags few rules for any
-   one source, so a short-lived process decodes only the rules it
-   actually runs, and pack cold start stays free of the per-rule decode
-   cost.  The slot is an [Rx.once] cell rather than a [lazy] because one
-   plan is shared across serve worker domains (concurrent forcing of a
-   lazy is unsafe): concurrent first uses at worst decode twice, and
-   whichever value wins the CAS is served from then on. *)
-type cell = unit -> Rule.t
-
-let cell_of_rule rule () = rule
-let cell_rule (cell : cell) = cell ()
-
-(* The fused-tier slot of a plan.  Like rule [cell]s it defers the
-   expensive step — fusing the whole catalog into one tagged DFA — to
-   first use, because plans are compiled (and packs loaded) in
-   processes that may never scan; and like them it is an [Atomic]
-   because serve workers share one plan across domains.  [F_off] pins
-   the plan to the per-rule path and is never overwritten — it is how
-   [per_rule_tier] copies (the differential tests' reference plans)
-   stay fused-free even when a pack tries to install a thunk. *)
+(* The fused-tier slot of a plan.  It defers the expensive step —
+   fusing the whole catalog into one tagged DFA — to first use,
+   because plans are compiled (and packs loaded) in processes that may
+   never scan; and it is an [Atomic] because serve workers share one
+   plan across domains.  [F_off] pins the plan to the per-rule path
+   and is never overwritten — it is how [per_rule_tier] copies (the
+   differential tests' reference plans) stay fused-free. *)
 type fused_tier =
   | F_off  (* per-rule path forced; never upgraded *)
-  | F_pending of (unit -> Rx.fused option)  (* fuse on first scan *)
+  | F_pending  (* fuse the plan's rules on first scan *)
   | F_ready of Rx.fused
   | F_none  (* fusing ran and hosted nothing *)
 
+(* [rules] is the plan's rule array in compilation order (the
+   reporting tie-break).  Compile-built plans hold it directly;
+   [deferred] plans build it on first use through an [Rx.once] cell —
+   one plan is shared across serve worker domains, and concurrent
+   forcing of a [lazy] is unsafe.  Nothing short of a scan forces it,
+   and a scan's fuse needs every rule anyway. *)
 type t = {
-  rule_arr : cell array;  (* compilation order = reporting tie-break *)
+  rules : unit -> Rule.t array;
   tele : Telemetry.Rules.def;  (* per-rule telemetry registration *)
   fused : fused_tier Atomic.t;
 }
-
-let fused_of_cells rule_arr =
-  Atomic.make
-    (F_pending
-       (fun () ->
-         Rx.Fused.compile
-           (Array.map (fun c -> (cell_rule c).Rule.pattern) rule_arr)))
 
 (* Plan compilation is the expensive setup step callers are expected to
    amortize (one plan across a batch, or one per daemon).  The counter
@@ -58,39 +42,39 @@ let compiles_counter = Telemetry.Counter.make "scanner_compiles_total"
 
 let compile rule_list =
   Telemetry.Counter.incr compiles_counter;
-  let rules_vec = Array.of_list rule_list in
-  let rule_arr = Array.map cell_of_rule rules_vec in
+  let rules = Array.of_list rule_list in
   {
-    rule_arr;
+    rules = (fun () -> rules);
     tele =
-      Telemetry.Rules.define
-        (Array.map (fun (r : Rule.t) -> r.Rule.id) rules_vec);
-    fused = fused_of_cells rule_arr;
+      Telemetry.Rules.define (Array.map (fun (r : Rule.t) -> r.Rule.id) rules);
+    fused = Atomic.make F_pending;
+  }
+
+let deferred ~ids build =
+  {
+    rules = Rx.once build;
+    tele = Telemetry.Rules.define ids;
+    fused = Atomic.make F_pending;
   }
 
 let telemetry_def t = t.tele
 
-let rules t = List.map cell_rule (Array.to_list t.rule_arr)
-let rule_count t = Array.length t.rule_arr
+let rules t = Array.to_list (t.rules ())
 
 (* Forces the fused tier.  Concurrent first scans may both fuse; the
-   CAS winner is served from then on (same discipline as rule cells). *)
+   CAS winner is served from then on. *)
 let rec fused_machine t =
   match Atomic.get t.fused with
   | F_off | F_none -> None
   | F_ready f -> Some f
-  | F_pending thunk as prev ->
+  | F_pending ->
+    let patterns = Array.map (fun (r : Rule.t) -> r.Rule.pattern) (t.rules ()) in
     let next =
-      match thunk () with Some f -> F_ready f | None -> F_none
+      match Rx.Fused.compile patterns with Some f -> F_ready f | None -> F_none
     in
-    if Atomic.compare_and_set t.fused prev next then
+    if Atomic.compare_and_set t.fused F_pending next then
       match next with F_ready f -> Some f | _ -> None
     else fused_machine t
-
-let set_fused_thunk t thunk =
-  match Atomic.get t.fused with
-  | F_off -> ()  (* the tier is pinned off; nothing may turn it on *)
-  | F_pending _ | F_ready _ | F_none -> Atomic.set t.fused (F_pending thunk)
 
 let per_rule_tier t = { t with fused = Atomic.make F_off }
 
@@ -187,7 +171,8 @@ let scan_state t source =
   Telemetry.Trace.ambient_span Telemetry.Trace.Scan @@ fun () ->
   let fmask = fused_mask t source in
   let confirms = ref 0 in
-  let nrules = Array.length t.rule_arr in
+  let rules = t.rules () in
+  let nrules = Array.length rules in
   let raws = Array.make nrules [] in
   (* One branch when telemetry is off; with a sink installed, the block
      is fetched once per scan and every per-rule statistic is a dense
@@ -210,12 +195,11 @@ let scan_state t source =
     ref (match block with Some _ -> Telemetry.now_ticks () | None -> 0)
   in
   Array.iteri
-    (fun i cell ->
+    (fun i (rule : Rule.t) ->
       if fused_wants fmask i then begin
         (match fmask with
         | Some (f, _) when Rx.Fused.is_hosted f i -> incr confirms
         | _ -> ());
-        let rule = cell_rule cell in
         let steps = ref 0 in
         let exhausted = ref false in
         (* A pathological input must never take the scanner down: a rule
@@ -263,7 +247,7 @@ let scan_state t source =
           b.B.time_ns.(i) <- b.B.time_ns.(i) + (t - !t_prev);
           t_prev := t
       end)
-    t.rule_arr;
+    rules;
   if !confirms > 0 then
     Telemetry.Counter.incr fused_confirms_counter ~by:!confirms;
   {
@@ -275,12 +259,12 @@ let scan_state t source =
 
 let state_findings t st =
   let out = ref [] in
+  let rules = t.rules () in
   Array.iteri
     (fun i rule_raws ->
-      (* empty for almost every rule — and only a rule that actually
-         has raw matches forces its cell's decode *)
+      (* empty for almost every rule *)
       if rule_raws <> [] then begin
-        let rule = cell_rule t.rule_arr.(i) in
+        let rule = rules.(i) in
         List.iter
           (fun r ->
             if not r.raw_suppressed then begin
@@ -345,65 +329,3 @@ let scan_selection_with_warnings t source ~first_line ~last_line =
 
 let scan_selection t source ~first_line ~last_line =
   fst (scan_selection_with_warnings t source ~first_line ~last_line)
-
-(* --- binary codec ----------------------------------------------------------
-
-   Plan serialization for rule packs: the rules (fully compiled)
-   travel verbatim, so loading a plan does none of the work [compile]
-   does.  Two pieces of
-   process-local identity are regenerated on read: the telemetry
-   registration (stamps are per-process) and each pattern's DFA-cache
-   uid (fresh inside [Rx.read_compiled]).  [read] cross-checks the blob
-   count against the rule count, so adversarial bytes fail with
-   [Binio.Corrupt] instead of corrupting a scan.
-
-   Rules travel in two parts: their ids eagerly (the telemetry
-   registration needs every id before any rule runs), then one
-   length-prefixed blob per rule.  [read] does not decode the blobs —
-   it stores views into the payload and each [cell] decodes on first
-   use, so load time is independent of the rule count.  The deferral is
-   sound because the containing pack checksums the whole payload before
-   [read] runs: a blob that fails to decode later means the checksum
-   itself was forged, and the decode error (a [Binio] exception at
-   first use of that rule) is memory-safe, just no longer typed. *)
-
-let write buf t =
-  let rules_vec = Array.map cell_rule t.rule_arr in
-  Binio.w_array
-    (fun buf (r : Rule.t) -> Binio.w_str buf r.Rule.id)
-    buf rules_vec;
-  Binio.w_array
-    (fun buf rule ->
-      let blob = Buffer.create 512 in
-      Rule.write blob rule;
-      Binio.w_str buf (Buffer.contents blob))
-    buf rules_vec
-
-let read r =
-  let ids = Binio.r_array Binio.r_str r in
-  let nrules = Array.length ids in
-  let nblobs = Binio.r_count r in
-  if nblobs <> nrules then
-    raise (Binio.Corrupt "rule blob count does not match the id count");
-  let rule_arr =
-    Array.init nrules (fun i ->
-        let len = Binio.r_u32 r in
-        let view = Binio.r_view r len in
-        let id = ids.(i) in
-        Rx.once (fun () ->
-            let r = Binio.sub_reader view in
-            let rule = Rule.read r in
-            if not (Binio.at_end r) then
-              raise (Binio.Corrupt "trailing bytes in rule blob");
-            if not (String.equal rule.Rule.id id) then
-              raise (Binio.Corrupt "rule blob id mismatch");
-            rule))
-  in
-  {
-    rule_arr;
-    tele = Telemetry.Rules.define ids;
-    (* default thunk fuses from the decoded rules on first scan;
-       rule packs carrying a pre-built fused section replace it via
-       [set_fused_thunk], keeping load time free of the fuse cost *)
-    fused = fused_of_cells rule_arr;
-  }

@@ -41,13 +41,18 @@ val compile : Rule.t list -> t
     rule-by-rule scan of the same list would.  Fusing the rule patterns
     is deferred to the first scan. *)
 
+val deferred : ids:string array -> (unit -> Rule.t array) -> t
+(** A plan whose rules are built on first use: [ids] (the rules' ids,
+    in order) registers the plan's telemetry now, and [build] runs when
+    a scan, {!rules} or {!fused_machine} first needs the rules — once,
+    domain-safely ({!Rx.once}).  [build] must return rules with exactly
+    those ids, in that order; whatever it raises, the first use
+    raises.  Rule packs load through it, so a process pays for
+    compiling the catalog only when it scans. *)
+
 val rules : t -> Rule.t list
 (** The rule list the scanner was compiled from, in order.  On a
-    pack-loaded plan this forces every deferred rule decode; prefer
-    {!rule_count} when only the count is needed. *)
-
-val rule_count : t -> int
-(** Number of rules in the plan, without forcing any deferred decode. *)
+    {!deferred} plan this builds the rules. *)
 
 val scan : t -> string -> finding list
 (** All findings, sorted by offset then rule id.  Semantics are
@@ -109,12 +114,6 @@ val per_rule_tier : t -> t
     pass, ever).  Scan results are identical by construction; the
     differential suites use the pinned copy as the reference. *)
 
-val set_fused_thunk : t -> (unit -> Rx.fused option) -> unit
-(** Replaces how the plan obtains its fused machine on first use —
-    rule packs install a thunk decoding the pack's pre-built fused
-    section instead of re-fusing from the rules.  No-op on plans with
-    the tier pinned off. *)
-
 (** {1 Scan states}
 
     The patcher scans a source once ({!scan_state}), then after each
@@ -136,18 +135,3 @@ val state_findings : t -> state -> finding list
 
 val state_source : state -> string
 (** The source text the state describes. *)
-
-(** {1 Binary codec}
-
-    Plan serialization for rule packs.  A plan read back performs no
-    compilation: the compiled rules travel verbatim; only process-local
-    identity (telemetry registration,
-    DFA-cache keys) is regenerated.  Scanning with a decoded plan is
-    byte-identical to scanning with the [compile]-built one. *)
-
-val write : Buffer.t -> t -> unit
-
-val read : Binio.r -> t
-(** @raise Binio.Corrupt on structurally invalid input (indices and
-    table lengths are cross-checked against the rule count).
-    @raise Binio.Truncated if the input ends early. *)

@@ -1,9 +1,12 @@
 (* Versioned binary rule packs.
 
-   A pack is the fully compiled form of the rule catalog — scan plans
-   with their compiled patterns, the fused machine and rewrite IR — so
-   a process that loads one starts scanning without parsing a single
-   regex.  Layout:
+   A pack is the rule catalog's declarations — per rule its id, title,
+   CWE, severity, pattern and suppress sources, fix (a template, or a
+   rendered rewrite program), imports and note — plus optional canary
+   subjects, checksummed.  Loading one decodes strings; the rules are
+   compiled from those sources on first use, through [Rule.make] and
+   therefore the memoized [Rx.compile], the same path user rule files
+   take.  Layout:
 
      magic (8 bytes) | format version (u32) | catalog hash (hex, str)
      | section count (u8) | sections | XXH64 of everything above (8
@@ -13,36 +16,29 @@
    ([Binio.w_str]), so unknown sections can be skipped by readers and a
    truncated file can never send a decoder past a section boundary.
    The trailing checksum is an integrity check against corruption (bit
-   rot, torn writes) — it is not an authenticity mechanism, which is
-   why every section decoder also re-validates the structural
-   invariants it indexes by.  Malformed input of any kind surfaces as
-   [Error], never an exception.  XXH64 rather than MD5 because loads
+   rot, torn writes) — it is not an authenticity mechanism.  A forged
+   pack that passes it still only holds strings: a pattern that does
+   not parse or a rewrite that does not parse is rejected by the same
+   parsers that guard user rule files.  Malformed structure surfaces
+   as [Error], never an exception.  XXH64 rather than MD5 because loads
    verify the whole file on the cold-start path: MD5 runs at ~550 MB/s,
-   an appreciable fraction of the startup budget the pack exists to
-   eliminate.  (The catalog *fingerprint* stays MD5: it is computed at
-   build time, where throughput is irrelevant and a wider digest is
-   worth having for identity.)
+   an appreciable fraction of the startup budget.  (The catalog
+   *fingerprint* stays MD5: it is computed at build time, where
+   throughput is irrelevant and a wider digest is worth having for
+   identity.)
 
    The catalog hash fingerprints the rule *sources* the pack was built
    from.  Checking it against the running binary's catalog requires
-   compiling that catalog, which is exactly what pack loading exists to
-   avoid — so [load] trusts the (checksummed) stored hash, and the
-   entry points that already paid for the source catalog ([create],
-   the pack/differential CI steps, [verify_catalog]) do the
-   comparison. *)
+   compiling the built-in catalog as well — so [load] trusts the
+   (checksummed) stored hash, and the entry points that already paid
+   for the built-in catalog ([create], the pack/differential CI steps,
+   [verify_catalog]) do the comparison. *)
 
 let magic = "PITPACK\x00"
-let format_version = 4
+let format_version = 5
 
 let section_python = 1
 let section_javascript = 2
-
-(* The python plan's fused multi-pattern machine ([Rx.Fused]),
-   pre-built at pack time so a loaded pack's first scan skips the
-   catalog-wide fuse.  Optional twice over: the payload is an option
-   (a pack built with the fused tier pinned off writes [None]), and
-   readers that predate the tag skip the section entirely. *)
-let section_fused_python = 3
 
 (* Canary subjects for [prewarm] to replay: the warm section.  A plain
    list of strings, validated like every other section.  At most
@@ -56,14 +52,7 @@ type t = {
   version : int;
   catalog_hash : string;
   python : Patchitpy.Scanner.t;
-  javascript : unit -> Patchitpy.Scanner.t;
-      (* thunked: the scan/patch/serve fast paths only ever touch the
-         python plan, so a loaded pack defers the javascript section's
-         decode until someone asks for it *)
-  fused_section : bool;
-      (* whether the pack carries the pre-built fused machine (packs
-         from pre-fused-section builds do not; they re-fuse from rules
-         on first scan) — surfaced by [rules inspect] *)
+  javascript : Patchitpy.Scanner.t;
   canaries : string list;
       (* warm-section canary subjects, replayed by [prewarm]: a handful
          of representative scans heats the calling domain's lazy-DFA
@@ -149,13 +138,11 @@ let create () =
             (Printf.sprintf "rule %s: invalid rewrite program: %s" r.id msg))
       | Patchitpy.Rule.No_fix | Patchitpy.Rule.Replace_template _ -> ())
     (python_rules @ js_rules);
-  let javascript = Patchitpy.Scanner.compile js_rules in
   {
     version = format_version;
     catalog_hash = fingerprint (python_rules @ js_rules);
     python = Patchitpy.Scanner.compile python_rules;
-    javascript = (fun () -> javascript);
-    fused_section = true;
+    javascript = Patchitpy.Scanner.compile js_rules;
     canaries = [];
   }
 
@@ -167,17 +154,22 @@ let with_canaries ~corpus t =
   let k = min max_canaries n in
   { t with canaries = List.init k (fun i -> arr.(i * n / k)) }
 
-(* Forces the deferred decode of every rule, then replays the canaries
-   through the python plan in the calling domain, results discarded.
-   The decode is process-wide and memoized; without it each rule no
-   canary flags decodes inside the first request that needs it, and a
-   burst of such requests right after boot stalls a worker for
-   milliseconds.  Two passes: the first determinizes the states the
+(* Compiles every python rule and builds the DFA tables of each
+   pattern and suppress pattern, then replays the canaries through the
+   python plan in the calling domain, results discarded.  Compiles and
+   tables are process-wide and memoized; without them each rule no
+   canary flags builds its tables inside the first request that needs
+   it, and a burst of such requests right after boot stalls a worker
+   for milliseconds.  Two passes: the first determinizes the states the
    canaries reach, the second runs over the now-materialized rows and
    heats the hardware caches along the steady-state path — one pass
    left the first real scan at ~2x steady state. *)
 let prewarm t =
-  ignore (Patchitpy.Scanner.rules t.python : Patchitpy.Rule.t list);
+  List.iter
+    (fun (r : Patchitpy.Rule.t) ->
+      Rx.prepare r.Patchitpy.Rule.pattern;
+      Option.iter Rx.prepare r.Patchitpy.Rule.suppress)
+    (Patchitpy.Scanner.rules t.python);
   for _ = 1 to 2 do
     List.iter
       (fun c -> ignore (Patchitpy.Scanner.scan t.python c : _ list))
@@ -185,31 +177,95 @@ let prewarm t =
   done;
   2 * List.length t.canaries
 
+(* --- rule declarations ------------------------------------------------------
+
+   A section payload is the plan's rule declarations in order.  [r_rule]
+   decodes one rule's strings and parses its fix (a malformed rewrite
+   program is a typed [Corrupted]); the patterns are compiled when the
+   plan first needs its rules, and a pattern that does not parse then
+   raises [Binio.Corrupt]. *)
+
+let w_rule buf (r : Patchitpy.Rule.t) =
+  Binio.w_str buf r.Patchitpy.Rule.id;
+  Binio.w_str buf r.title;
+  Binio.w_u32 buf r.cwe;
+  Binio.w_str buf (Patchitpy.Rule.severity_to_string r.severity);
+  Binio.w_str buf (Rx.pattern r.pattern);
+  Binio.w_opt (fun buf p -> Binio.w_str buf (Rx.pattern p)) buf r.suppress;
+  (match r.fix with
+  | Patchitpy.Rule.No_fix -> Binio.w_u8 buf 0
+  | Patchitpy.Rule.Replace_template t ->
+    Binio.w_u8 buf 1;
+    Binio.w_str buf t
+  | Patchitpy.Rule.Rewrite ir ->
+    Binio.w_u8 buf 2;
+    Binio.w_str buf (Patchitpy.Rewrite.render ir));
+  Binio.w_list Binio.w_str buf r.imports;
+  Binio.w_str buf r.note
+
+let r_rule r =
+  let id = Binio.r_str r in
+  let title = Binio.r_str r in
+  let cwe = Binio.r_u32 r in
+  let severity =
+    match Patchitpy.Rule.severity_of_string (Binio.r_str r) with
+    | Ok s -> s
+    | Error msg -> raise (Binio.Corrupt msg)
+  in
+  let pattern = Binio.r_str r in
+  let suppress = Binio.r_opt Binio.r_str r in
+  let fix =
+    match Binio.r_u8 r with
+    | 0 -> Patchitpy.Rule.No_fix
+    | 1 -> Patchitpy.Rule.Replace_template (Binio.r_str r)
+    | 2 -> (
+      match Patchitpy.Rewrite.parse (Binio.r_str r) with
+      | Ok ir -> Patchitpy.Rule.Rewrite ir
+      | Error msg -> raise (Binio.Corrupt ("bad rewrite program: " ^ msg)))
+    | v -> raise (Binio.Corrupt (Printf.sprintf "bad fix tag %d" v))
+  in
+  let imports = Binio.r_list Binio.r_str r in
+  let note = Binio.r_str r in
+  let make () =
+    match
+      Patchitpy.Rule.make ~id ~title ~cwe ~severity ~pattern ?suppress ~fix
+        ~imports ~note ()
+    with
+    | rule -> rule
+    | exception Rx.Parse_error (msg, pos) ->
+      raise
+        (Binio.Corrupt
+           (Printf.sprintf "rule %s: pattern does not parse at offset %d: %s"
+              id pos msg))
+  in
+  (id, make)
+
+let r_plan r =
+  let decls = Binio.r_array r_rule r in
+  if not (Binio.at_end r) then raise (Binio.Corrupt "trailing bytes in a plan");
+  Patchitpy.Scanner.deferred ~ids:(Array.map fst decls) (fun () ->
+      Array.map (fun (_, make) -> make ()) decls)
+
 let encode t =
-  let buf = Buffer.create (1 lsl 20) in
+  let buf = Buffer.create (1 lsl 16) in
   Buffer.add_string buf magic;
   Binio.w_u32 buf t.version;
   Binio.w_str buf t.catalog_hash;
-  Binio.w_u8 buf (if t.canaries = [] then 3 else 4);
-  let section tag scanner =
+  Binio.w_u8 buf (if t.canaries = [] then 2 else 3);
+  let section tag write =
     Binio.w_u8 buf tag;
-    let payload = Buffer.create (1 lsl 19) in
-    Patchitpy.Scanner.write payload scanner;
+    let payload = Buffer.create (1 lsl 15) in
+    write payload;
     Binio.w_str buf (Buffer.contents payload)
   in
-  section section_python t.python;
-  section section_javascript (t.javascript ());
-  Binio.w_u8 buf section_fused_python;
-  let payload = Buffer.create (1 lsl 16) in
-  Binio.w_opt Rx.Fused.write payload
-    (Patchitpy.Scanner.fused_machine t.python);
-  Binio.w_str buf (Buffer.contents payload);
-  if t.canaries <> [] then begin
-    Binio.w_u8 buf section_warm;
-    let payload = Buffer.create (1 lsl 16) in
-    Binio.w_list Binio.w_str payload t.canaries;
-    Binio.w_str buf (Buffer.contents payload)
-  end;
+  let plan scanner payload =
+    Binio.w_list w_rule payload (Patchitpy.Scanner.rules scanner)
+  in
+  section section_python (plan t.python);
+  section section_javascript (plan t.javascript);
+  if t.canaries <> [] then
+    section section_warm (fun payload ->
+        Binio.w_list Binio.w_str payload t.canaries);
   let checksum = Binio.hash64 (Buffer.contents buf) in
   let trailer = Bytes.create 8 in
   Bytes.set_int64_le trailer 0 checksum;
@@ -237,38 +293,18 @@ let decode data =
           let catalog_hash = Binio.r_str r in
           let nsections = Binio.r_u8 r in
           let python = ref None and javascript = ref None in
-          let fused_view = ref None in
           let canaries = ref [] in
           for _ = 1 to nsections do
             let tag = Binio.r_u8 r in
             let len = Binio.r_u32 r in
             let view = Binio.r_view r len in
-            if tag = section_python then begin
-              let pr = Binio.sub_reader view in
-              let scanner = Patchitpy.Scanner.read pr in
-              if not (Binio.at_end pr) then
-                raise (Binio.Corrupt "trailing bytes in the python section");
-              python := Some scanner
-            end
+            if tag = section_python then python := Some (r_plan view)
             else if tag = section_javascript then
-              (* deferred: decoded on first use, behind the checksum
-                 that already ran — see the [t.javascript] comment *)
-              javascript :=
-                Some
-                  (Rx.once (fun () ->
-                       let pr = Binio.sub_reader view in
-                       let scanner = Patchitpy.Scanner.read pr in
-                       if not (Binio.at_end pr) then
-                         raise
-                           (Binio.Corrupt
-                              "trailing bytes in the javascript section");
-                       scanner))
-            else if tag = section_fused_python then fused_view := Some view
+              javascript := Some (r_plan view)
             else if tag = section_warm then begin
-              let wr = Binio.sub_reader view in
-              let n = Binio.r_count ~limit:max_canaries wr in
-              canaries := List.init n (fun _ -> Binio.r_str wr);
-              if not (Binio.at_end wr) then
+              let n = Binio.r_count ~limit:max_canaries view in
+              canaries := List.init n (fun _ -> Binio.r_str view);
+              if not (Binio.at_end view) then
                 raise (Binio.Corrupt "trailing bytes in the warm section")
             end
             (* unknown sections are skipped: the view already advanced
@@ -278,39 +314,7 @@ let decode data =
             raise (Binio.Corrupt "trailing bytes after the last section");
           match (!python, !javascript) with
           | Some python, Some javascript ->
-            let refuse () =
-              Rx.Fused.compile
-                (Array.of_list
-                   (List.map
-                      (fun (r : Patchitpy.Rule.t) -> r.Patchitpy.Rule.pattern)
-                      (Patchitpy.Scanner.rules python)))
-            in
-            (match !fused_view with
-            | None -> ()  (* pre-fused-section pack: fuse from rules *)
-            | Some view ->
-              (* deferred like the javascript section, and additionally
-                 fault-tolerant: the fused machine is a pure
-                 accelerator, so checksum-forged bytes inside it
-                 degrade to re-fusing from the (independently
-                 validated) rules rather than failing the scan that
-                 first forces it *)
-              Patchitpy.Scanner.set_fused_thunk python (fun () ->
-                  try
-                    let fr = Binio.sub_reader view in
-                    let f =
-                      Binio.r_opt
-                        (Rx.Fused.read
-                           ~npatterns:(Patchitpy.Scanner.rule_count python))
-                        fr
-                    in
-                    if not (Binio.at_end fr) then
-                      raise
-                        (Binio.Corrupt "trailing bytes in the fused section");
-                    f
-                  with Binio.Truncated | Binio.Corrupt _ -> refuse ()));
-            { version; catalog_hash; python; javascript;
-              fused_section = !fused_view <> None;
-              canaries = !canaries }
+            { version; catalog_hash; python; javascript; canaries = !canaries }
           | None, _ -> raise (Binio.Corrupt "missing python section")
           | _, None -> raise (Binio.Corrupt "missing javascript section")
         in
@@ -354,15 +358,13 @@ let verify_catalog t =
          "pack was built from catalog %s but this build's catalog is %s"
          t.catalog_hash current)
 
-let scanner t = function
-  | `Python -> t.python
-  | `Js -> t.javascript ()
+let scanner t = function `Python -> t.python | `Js -> t.javascript
 
 (* The [PATCHITPY_RULE_PACK] hook: registers a provider so
    [Engine.default_scanner] serves the pack's python plan instead of
-   compiling the catalog.  A pack that fails to load is reported once
-   on stderr and the engine falls back to source compilation — a stale
-   pack must degrade startup, not correctness. *)
+   the built-in catalog.  A pack that fails to load is reported once
+   on stderr and the engine falls back to the built-in catalog — a
+   stale pack must not break a deployment. *)
 let env_var = "PATCHITPY_RULE_PACK"
 
 let use_env_pack () =

@@ -1,36 +1,31 @@
-(** Versioned binary rule packs: the compiled catalog, serialized.
+(** Versioned binary rule packs: the rule catalog's sources, checksummed.
 
-    A pack stores both scan plans ({!Patchitpy.Catalog.all} and
-    {!Patchitpy.Catalog.javascript}) fully compiled — pattern ASTs
-    and their search accelerators, rewrite IR — behind a magic tag, a
-    format version, a catalog fingerprint and a whole-file checksum.  Loading one therefore replaces the
-    process's entire rule-compilation phase with a validated decode:
-    scan and patch output over a loaded pack is byte-identical to the
-    source-compiled catalog's, at a fraction of the startup cost.
+    A pack stores both rule lists ({!Patchitpy.Catalog.all} and
+    {!Patchitpy.Catalog.javascript}) as their declarations — per rule
+    the id, title, CWE, severity, pattern and suppress sources, fix
+    (a template or a rendered {!Patchitpy.Rewrite} program), imports
+    and note — behind a magic tag, a format version, a catalog
+    fingerprint and a whole-file checksum.  Loading one decodes those
+    strings into plans ({!Patchitpy.Scanner.deferred}) that compile
+    their rules from source on first use, through
+    {!Patchitpy.Rule.make} — the path user rule files take.  Scan and
+    patch output over a loaded pack is byte-identical to the
+    source-compiled catalog's.  Formats 4 and older, which stored
+    compiled patterns and a pre-built fused machine, are refused with
+    [Version_skew].
 
     Robustness contract: {!load}/{!decode} return typed errors — never
-    raise — on any malformed input (truncation, bit flips, version
-    skew, forged structure), and every decoded index is re-validated
-    before use, so even a pack whose checksum was deliberately fixed up
-    cannot make the scanner read out of bounds.  Parts the fast path
-    never touches (per-rule blobs, the javascript section) decode
-    lazily behind the checksum; on a deliberately forged pack their
-    first use may raise a {!Binio} exception — still memory-safe, just
-    no longer a typed [Error].
-
-    Packs additionally carry the python plan's pre-built fused
-    multi-pattern machine ({!Rx.Fused}) in an optional section, so the
-    first scan over a loaded pack skips the catalog-wide fuse.  The
-    section decodes lazily like the javascript one, and because it is
-    a pure accelerator it is also the one part allowed to degrade: a
-    forged-but-checksummed fused section falls back to re-fusing from
-    the validated rules instead of raising.  Packs without the section
-    (older builds) load fine and fuse from rules on first scan.
+    raise — on malformed input (truncation, bit flips, version skew,
+    bad structure, a rewrite program that does not parse).  A pack
+    whose checksum was deliberately fixed up still holds only strings:
+    a pattern that does not parse raises {!Binio.Corrupt} when the plan
+    first compiles its rules — memory-safe, just no longer a typed
+    [Error].
 
     A pack may additionally carry a {e warm} section: up to 16 canary
     subjects, an even spread of a corpus chosen at pack time
     ({!with_canaries}).  {!prewarm} replays them in the calling domain
-    so its lazy-DFA tables and the hardware caches along the scan path
+    so its lazy-DFA caches and the hardware caches along the scan path
     are hot before the first real request.  The section is plain data,
     decoded and validated with the rest of the pack; canaries only
     ever feed scans whose results are discarded, so they cannot change
@@ -41,16 +36,7 @@ type t = {
   catalog_hash : string;
       (** hex fingerprint of the rule sources the pack was built from *)
   python : Patchitpy.Scanner.t;
-  javascript : unit -> Patchitpy.Scanner.t;
-      (** decoded on first call (domain-safe): the scan/patch/serve
-          fast paths only use the python plan, so a loaded pack does
-          not pay for this section at startup.  On a pack whose
-          checksum was deliberately forged around a damaged javascript
-          section, the first call may raise a {!Binio} exception. *)
-  fused_section : bool;
-      (** whether the pack carries the pre-built fused multi-pattern
-          machine; packs from pre-fused-section builds report [false]
-          and re-fuse from rules on first scan *)
+  javascript : Patchitpy.Scanner.t;
   canaries : string list;
       (** warm-section canary subjects, replayed by {!prewarm}; empty
           for cold packs *)
@@ -62,7 +48,8 @@ val with_canaries : corpus:string list -> t -> t
     the warm section. *)
 
 val prewarm : t -> int
-(** Forces the deferred decode of every python rule, then replays the
+(** Compiles every python rule and builds the DFA tables of each
+    pattern and suppress pattern ({!Rx.prepare}), then replays the
     pack's canary subjects twice through the python plan in the
     calling domain, results discarded, so that domain's first real
     scan runs near steady-state speed.  Transition caches are
@@ -82,17 +69,17 @@ val format_version : int
 val error_to_string : error -> string
 
 val create : unit -> t
-(** Compiles the source catalog into a pack (the only constructor that
-    compiles anything).  Validates every rewrite program so a bad rule
-    fails here, at build time, not at patch time. *)
+(** A pack of the source catalog.  Validates every rewrite program so
+    a bad rule fails here, at build time, not at patch time. *)
 
 val encode : t -> string
 (** The serialized pack bytes, with a warm section when [t] carries
     canaries. *)
 
 val decode : string -> (t, error) result
-(** Parses and validates pack bytes.  Total: malformed input of any
-    kind yields [Error]. *)
+(** Parses and validates pack bytes.  Total: malformed structure
+    yields [Error]; see the robustness contract above for a pattern
+    that does not parse. *)
 
 val save : path:string -> t -> unit
 (** Writes {!encode} to [path] via {!Binio.save_atomic}: a crash or a
@@ -110,14 +97,13 @@ val fingerprint : Patchitpy.Rule.t list -> string
 
 val catalog_fingerprint : unit -> string
 (** {!fingerprint} of the running binary's full catalog.  Forces
-    catalog compilation — callers on the pack fast path don't want
-    this; see {!verify_catalog}. *)
+    compilation of the built-in catalog; see {!verify_catalog}. *)
 
 val verify_catalog : t -> (unit, string) result
 (** Whether the pack was built from this binary's catalog.  Compiles
-    the source catalog to compare — used by [rules pack], the CI
-    differential and tests, not by the scan/serve fast paths, which
-    rely on the version gate and checksum instead. *)
+    the built-in catalog to compare — used by [rules inspect], the CI
+    differential and tests, not by the scan/serve paths, which rely on
+    the version gate and checksum instead. *)
 
 val scanner : t -> [ `Python | `Js ] -> Patchitpy.Scanner.t
 
@@ -126,6 +112,7 @@ val env_var : string
 
 val use_env_pack : unit -> unit
 (** When [PATCHITPY_RULE_PACK] names a pack file, registers a provider
-    so {!Patchitpy.Engine.default_scanner} loads it instead of
-    compiling the catalog.  A pack that fails to load is reported on
-    stderr and the engine falls back to source compilation. *)
+    so {!Patchitpy.Engine.default_scanner} serves its python plan
+    instead of the built-in catalog.  A pack that fails to load is
+    reported on stderr and the engine falls back to the built-in
+    catalog. *)

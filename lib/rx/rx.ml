@@ -31,7 +31,7 @@ type t = {
      pinned by [backtrack_tier].  The tier decision is made at compile
      time so runtime semantics never hinge on it: both tiers produce
      byte-identical matches. *)
-  dfa : Rx_dfa.static option;
+  dfa : dfa option;
   (* Whether the DFA tier's forward-pass end is authoritative (see
      [has_nullable_rep]): when false, a DFA-tier match must be
      re-confirmed by the backtracker for its span, not just its
@@ -40,6 +40,15 @@ type t = {
   (* Key for the per-domain transition-cache table. *)
   uid : int;
 }
+
+(* A DFA-tier pattern's programs.  The forward Pike program is compiled
+   eagerly (it decides the tier, and [Fused.compile] hosts it as is);
+   the reverse program and the byte-class tables ([Rx_dfa.build], most
+   of a compile's cost) are built on the first DFA-tier search, so
+   compiling a catalog most of whose patterns a scan never runs costs
+   little more than parsing it.  Neither deferred step can fail: see
+   [dfa_tier]. *)
+and dfa = { fwd : Rx_pike.inst array; tables : unit -> Rx_dfa.static }
 
 (* First-byte analysis.  [go] accumulates into [set] every byte some
    match of [node] can start with and returns whether the node is
@@ -213,19 +222,42 @@ let start_prefixes_node node0 =
    backtracker.  Also keeps interned state keys within 16 bits per pc. *)
 let max_dfa_program = 4096
 
+(* The CAS discipline for values built on first use by any domain: an
+   [Atomic] rather than a [lazy], because two domains forcing the same
+   [lazy] at once raise [CamlinternalLazy.Undefined].  Concurrent first
+   calls at worst build twice; the CAS winner is served from then on. *)
+let once build =
+  let cell = Atomic.make None in
+  fun () ->
+    match Atomic.get cell with
+    | Some v -> v
+    | None -> (
+      let v = build () in
+      if Atomic.compare_and_set cell None (Some v) then v
+      else match Atomic.get cell with Some winner -> winner | None -> v)
+
+let dfa_builds_counter = Telemetry.Counter.make "rx_dfa_builds_total"
+
 (* Whether the pattern runs on the DFA tier, decided once at compile
    time: patterns the Pike compiler cannot express (back-references,
    oversized counted repetitions) fall back wholly to the backtracking
-   engine. *)
-let build_dfa node =
+   engine.  The forward program decides it alone: [Rx_pike.compile]
+   rejects a node for its kind and repetition bounds, which
+   [Rx_dfa.reverse_node] keeps — it only reorders sequences — so the
+   reverse program compiles exactly when the forward one does, and
+   [Rx_dfa.build] is total.  Deferring both therefore moves no error
+   to match time. *)
+let dfa_tier node =
   match Rx_pike.compile node with
   | exception Rx_pike.Unsupported _ -> None
+  | fwd when Array.length fwd > max_dfa_program -> None
   | fwd ->
-    if Array.length fwd > max_dfa_program then None
-    else (
-      match Rx_pike.compile (Rx_dfa.reverse_node node) with
-      | exception Rx_pike.Unsupported _ -> None
-      | rev -> Some (Rx_dfa.build ~fwd ~rev))
+    let tables =
+      once (fun () ->
+          Telemetry.Counter.incr dfa_builds_counter;
+          Rx_dfa.build ~fwd ~rev:(Rx_pike.compile (Rx_dfa.reverse_node node)))
+    in
+    Some { fwd; tables }
 
 (* Whether some repetition in [node] has a nullable body — a body that
    can match without consuming input.  For such a repetition the
@@ -290,7 +322,7 @@ let compile_uncached source =
       first_byte = single_first_byte first_bytes;
       start_prefixes = start_prefixes_node node;
       bol_only = bol_only_node node;
-      dfa = build_dfa node;
+      dfa = dfa_tier node;
       end_exact = not (has_nullable_rep node);
       uid = Atomic.fetch_and_add uid_source 1;
     }
@@ -335,20 +367,6 @@ let compile_cache_stats () =
   ( Atomic.get compile_cache_hits,
     Mutex.protect compile_cache_lock (fun () -> Hashtbl.length compile_cache) )
 
-(* The CAS discipline for values built on first use by any domain: an
-   [Atomic] rather than a [lazy], because two domains forcing the same
-   [lazy] at once raise [CamlinternalLazy.Undefined].  Concurrent first
-   calls at worst build twice; the CAS winner is served from then on. *)
-let once build =
-  let cell = Atomic.make None in
-  fun () ->
-    match Atomic.get cell with
-    | Some v -> v
-    | None -> (
-      let v = build () in
-      if Atomic.compare_and_set cell None (Some v) then v
-      else match Atomic.get cell with Some winner -> winner | None -> v)
-
 let compile_opt source =
   match compile source with
   | t -> Ok t
@@ -361,6 +379,9 @@ let is_word_char = Rx_ast.is_word_char
 let start_literals t = Array.map fst t.start_prefixes
 
 let tier t = match t.dfa with None -> `Backtrack | Some _ -> `Dfa
+
+let prepare t =
+  match t.dfa with None -> () | Some d -> ignore (d.tables () : Rx_dfa.static)
 
 let backtrack_tier t =
   match t.dfa with
@@ -387,7 +408,7 @@ let dfa_slot : dfa_slot Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
       { tbl = Hashtbl.create 32; last_uid = -1; last_cache = None })
 
-let get_cache t st =
+let get_cache t d =
   let slot = Domain.DLS.get dfa_slot in
   if slot.last_uid = t.uid then
     match slot.last_cache with Some c -> c | None -> assert false
@@ -398,7 +419,7 @@ let get_cache t st =
       | None ->
         if Hashtbl.length slot.tbl >= max_domain_caches then
           Hashtbl.reset slot.tbl;
-        let c = Rx_dfa.make_cache st in
+        let c = Rx_dfa.make_cache (d.tables ()) in
         Hashtbl.replace slot.tbl t.uid c;
         c
     in
@@ -418,9 +439,9 @@ let dfa_cache_clear t =
 let dfa_shrink_cache t ~max_states =
   match t.dfa with
   | None -> invalid_arg "Rx.dfa_shrink_cache: pattern runs on the backtracker"
-  | Some st ->
+  | Some d ->
     let slot = Domain.DLS.get dfa_slot in
-    let c = Rx_dfa.make_cache ~max_states st in
+    let c = Rx_dfa.make_cache ~max_states (d.tables ()) in
     Hashtbl.replace slot.tbl t.uid c;
     if slot.last_uid = t.uid then slot.last_cache <- Some c
 
@@ -613,9 +634,9 @@ let tier_search ~recorder ?cap ?steps_acc t subject pos =
     rincr recorder exec_backtrack_counter;
     Option.map (of_result subject t.ngroups)
       (bt_search ?cap ?steps_acc t subject pos)
-  | Some st -> (
+  | Some d -> (
     rincr recorder exec_dfa_counter;
-    let cache = get_cache t st in
+    let cache = get_cache t d in
     match
       Rx_dfa.search cache ?recorder ?cap ?steps_acc
         ?first_bytes:t.first_bytes ?first_byte:t.first_byte
@@ -665,13 +686,13 @@ let exec ?(pos = 0) t subject =
 let matches t subject =
   match t.dfa with
   | None -> exec t subject <> None
-  | Some st ->
+  | Some d ->
     (* boolean query: forward pass only, stopping at the first match
        flag — no backward pass, no capture confirmation *)
     let recorder = Telemetry.recorder () in
     guarded (fun ?cap ?steps_acc () ->
         rincr recorder exec_dfa_counter;
-        let cache = get_cache t st in
+        let cache = get_cache t d in
         match
           Rx_dfa.is_match cache ?recorder ?cap ?steps_acc
             ?first_bytes:t.first_bytes ?first_byte:t.first_byte
@@ -825,68 +846,6 @@ let split t subject =
   in
   loop 0 0 []
 
-(* --- compiled-pattern codec ------------------------------------------------
-
-   Serialization of a fully compiled pattern for rule packs: the AST
-   (the backtracking matcher executes it directly) and the compile-time
-   search accelerators.  Decoding does no parsing or analysis
-   derivation — it only validates.  The DFA tier is NOT serialized:
-   [build_dfa] redoes determinization from the decoded AST.  Rule packs
-   decode patterns lazily (a pattern is only decoded when a scan
-   actually runs its rule), so the rebuild is off the cold-start path
-   and amortizes to nothing, whereas shipping the DFA's programs and
-   class tables roughly doubled every pattern's wire size — and pack
-   load cost scales with bytes read, hashed and allocated.  Each
-   decoded value gets a fresh [uid] so the per-domain transition caches
-   can never alias it with another pattern. *)
-
-let max_serialized_groups = 512
-
-let write_compiled buf t =
-  Binio.w_str buf t.source;
-  Binio.w_u16 buf t.ngroups;
-  Rx_ast.w_node buf t.node;
-  Binio.w_opt (fun buf fb -> Buffer.add_bytes buf fb) buf t.first_bytes;
-  Binio.w_array
-    (fun buf (lit, anchor) ->
-      Binio.w_str buf lit;
-      Binio.w_u8 buf anchor)
-    buf t.start_prefixes;
-  Binio.w_bool buf t.bol_only
-
-let read_compiled r =
-  let source = Binio.r_str r in
-  let ngroups = Binio.r_u16 r in
-  if ngroups > max_serialized_groups then
-    raise (Binio.Corrupt (Printf.sprintf "group count %d out of range" ngroups));
-  let node = Rx_ast.r_node ~ngroups r in
-  let first_bytes =
-    Binio.r_opt (fun r -> Bytes.of_string (Binio.r_raw r 256)) r
-  in
-  let start_prefixes =
-    Binio.r_array
-      (fun r ->
-        let lit = Binio.r_str r in
-        let anchor = Binio.r_u8 r in
-        if String.length lit < 2 || anchor >= String.length lit then
-          raise (Binio.Corrupt "bad start-literal lane");
-        (lit, anchor))
-      r
-  in
-  let bol_only = Binio.r_bool r in
-  {
-    source;
-    node;
-    ngroups;
-    first_bytes;
-    first_byte = single_first_byte first_bytes;
-    start_prefixes;
-    bol_only;
-    dfa = build_dfa node;
-    end_exact = not (has_nullable_rep node);
-    uid = Atomic.fetch_and_add uid_source 1;
-  }
-
 (* --- fused multi-pattern tier ----------------------------------------------
 
    [Rx_fused] is the raw machine; this wrapper decides which patterns
@@ -910,13 +869,12 @@ module Fused = struct
      small enough that state keys and closures stay cheap. *)
   let max_fused_program = 60000
 
-  (* A pattern is hostable when it runs on the DFA tier (so Pike
-     compilation is known to succeed and the pattern is within size
-     bounds) and has a derived FIRST set:
-     a pattern without one can match the empty string, which would
-     flag on every subject and tell the caller nothing. *)
-  let hostable p = p.dfa <> None && p.first_bytes <> None
-
+  (* A pattern is hostable when it runs on the DFA tier (so its
+     forward Pike program exists and is within size bounds) and has a
+     derived FIRST set: a pattern without one can match the empty
+     string, which would flag on every subject and tell the caller
+     nothing.  The fused machine hosts that forward program as is, so
+     fusing builds no per-pattern DFA tables. *)
   let compile patterns =
     let n = Array.length patterns in
     let slots = ref [] in
@@ -925,21 +883,19 @@ module Fused = struct
     let total = ref 0 in
     for i = 0 to n - 1 do
       let p = patterns.(i) in
-      if hostable p then begin
-        match Rx_pike.compile p.node with
-        | exception Rx_pike.Unsupported _ -> ()
-        | prog ->
-          (* budget check counts the fan-out preamble (one split per
-             slot); overflow skips the pattern — deterministically, in
-             pattern order — rather than failing the whole compile *)
-          if !total + Array.length prog + !nslots + 1 <= max_fused_program
-          then begin
-            slots := i :: !slots;
-            progs := prog :: !progs;
-            incr nslots;
-            total := !total + Array.length prog
-          end
-      end
+      match p.dfa with
+      | Some { fwd = prog; _ } when p.first_bytes <> None ->
+        (* budget check counts the fan-out preamble (one split per
+           slot); overflow skips the pattern — deterministically, in
+           pattern order — rather than failing the whole compile *)
+        if !total + Array.length prog + !nslots + 1 <= max_fused_program
+        then begin
+          slots := i :: !slots;
+          progs := prog :: !progs;
+          incr nslots;
+          total := !total + Array.length prog
+        end
+      | Some _ | None -> ()
     done;
     if !nslots = 0 then None
     else begin
@@ -1044,41 +1000,4 @@ module Fused = struct
         f.f_slots;
       out
     end
-
-  (* Codec for the rule-pack section.  The slot map rides along with
-     the machine; [read] re-checks it against the catalog it is being
-     attached to, so a pack whose fused section disagrees with its own
-     rule list (possible only via forged checksums) is rejected as
-     corrupt rather than silently misrouting flags. *)
-  let write buf f =
-    Rx_fused.write_static buf f.fstatic;
-    Binio.w_u16 buf (Array.length f.f_hosted);
-    Binio.w_array (fun buf s -> Binio.w_u32 buf s) buf f.f_slots
-
-  let read ~npatterns r =
-    let fstatic = Rx_fused.read_static r in
-    let n = Binio.r_u16 r in
-    if n <> npatterns then
-      raise
-        (Binio.Corrupt
-           (Printf.sprintf "fused section built for %d patterns, catalog has %d"
-              n npatterns));
-    let f_slots = Binio.r_array (fun r -> Binio.r_u32 r) r in
-    if Array.length f_slots <> Rx_fused.nslots fstatic then
-      raise (Binio.Corrupt "fused slot map does not match the machine");
-    let prev = ref (-1) in
-    Array.iter
-      (fun s ->
-        if s <= !prev || s >= n then
-          raise (Binio.Corrupt "fused slot map out of order or out of range");
-        prev := s)
-      f_slots;
-    let f_hosted = Array.make n false in
-    Array.iter (fun i -> f_hosted.(i) <- true) f_slots;
-    {
-      fstatic;
-      f_slots;
-      f_hosted;
-      fuid = Atomic.fetch_and_add uid_source 1;
-    }
 end

@@ -36,7 +36,11 @@
     expansion bound, oversized programs) are detected at {!compile}
     time and run wholly on the backtracking engine; {!backtrack_tier}
     pins a single pattern to that engine (the differential tests'
-    reference).  Backtracking execution keeps its step budget;
+    reference).  A DFA-tier pattern's byte-class tables are built on
+    its first DFA-tier search (or by {!prepare}), not at {!compile}:
+    the tier is already decided by then, and compiling a catalog most
+    of whose patterns a short process never runs stays cheap.  Each
+    build counts in the ["rx_dfa_builds_total"] telemetry counter.  Backtracking execution keeps its step budget;
     exceeding it raises {!Budget_exceeded} (it indicates a pathological
     rule, never a pathological subject in this codebase). *)
 
@@ -76,6 +80,10 @@ val compile_cache_stats : unit -> int * int
 val tier : t -> [ `Dfa | `Backtrack ]
 (** Which engine executes this pattern — decided at {!compile} time,
     never at match time. *)
+
+val prepare : t -> unit
+(** Builds [t]'s deferred DFA tables now, so no later search pays for
+    them.  A no-op once built, and on the backtracking tier. *)
 
 val backtrack_tier : t -> t
 (** A copy of [t] pinned to the backtracking engine.  Matching
@@ -222,24 +230,6 @@ val expand_template : m -> string -> string
 (** [expand_template m template] performs the [$n] expansion of
     {!replace} against a single match. *)
 
-(** {1 Binary codec}
-
-    Rule packs store patterns fully compiled — AST, search
-    accelerators, DFA-tier programs — so loading one does no parsing,
-    analysis or determinization.  {!read_compiled} validates every
-    structural invariant the matchers index by and raises
-    {!Binio.Corrupt} / {!Binio.Truncated} on malformed input; decoded
-    patterns get a fresh cache identity and the same execution tier
-    {!compile} would choose. *)
-
-val write_compiled : Buffer.t -> t -> unit
-(** Appends the serialized compiled pattern. *)
-
-val read_compiled : Binio.r -> t
-(** Decodes a pattern written by {!write_compiled}.
-    @raise Binio.Corrupt on structurally invalid input.
-    @raise Binio.Truncated if the input ends early. *)
-
 (** {1 Fused multi-pattern matching} *)
 
 type fused
@@ -267,7 +257,9 @@ module Fused : sig
 
   val compile : t array -> fused option
   (** Fuse the hostable subset of [patterns].  [None] when no pattern
-      is hostable (then there is nothing to accelerate). *)
+      is hostable (then there is nothing to accelerate).  Hosts each
+      pattern's forward program as {!Rx.compile} left it, so fusing
+      builds no per-pattern DFA tables. *)
 
   val run : fused -> string -> Bytes.t
   (** [run f subject] executes the fused pass and returns one byte per
@@ -298,14 +290,4 @@ module Fused : sig
       [max_states] states, to force the flush/restart and {!Bail}
       paths in tests.
       @raise Invalid_argument when [max_states < 2]. *)
-
-  val write : Buffer.t -> fused -> unit
-  (** Appends the serialized fused machine and its pattern-index map
-      (the rule-pack fused section payload). *)
-
-  val read : npatterns:int -> Binio.r -> fused
-  (** Decodes a machine written by {!write} and re-checks it against a
-      catalog of [npatterns] patterns — a section disagreeing with the
-      catalog it is attached to is rejected.
-      @raise Binio.Corrupt / Binio.Truncated on malformed input. *)
 end

@@ -54,157 +54,3 @@ let class_matches { negated; items } c =
   in
   let hit = List.exists item_matches items in
   if negated then not hit else hit
-
-(* --- binary codec ----------------------------------------------------------
-
-   Serialization for rule packs.  Decoding validates everything a later
-   stage relies on structurally (tags, set kinds, repetition bounds,
-   group indices) and bounds recursion depth, so adversarial bytes
-   produce [Binio.Corrupt]/[Binio.Truncated], never a crash.  [ngroups]
-   is the declared capture-group count of the containing pattern: group
-   and back-reference indices are checked against it because match
-   results allocate group tables of that size. *)
-
-let w_kind buf kind =
-  Binio.w_u8 buf
-    (match kind with
-    | Digit -> 0
-    | Nondigit -> 1
-    | Word -> 2
-    | Nonword -> 3
-    | Space -> 4
-    | Nonspace -> 5)
-
-let r_kind r =
-  match Binio.r_u8 r with
-  | 0 -> Digit
-  | 1 -> Nondigit
-  | 2 -> Word
-  | 3 -> Nonword
-  | 4 -> Space
-  | 5 -> Nonspace
-  | v -> raise (Binio.Corrupt (Printf.sprintf "bad set kind %d" v))
-
-let w_citem buf = function
-  | Cchar c ->
-    Binio.w_u8 buf 0;
-    Binio.w_u8 buf (Char.code c)
-  | Crange (lo, hi) ->
-    Binio.w_u8 buf 1;
-    Binio.w_u8 buf (Char.code lo);
-    Binio.w_u8 buf (Char.code hi)
-  | Cset kind ->
-    Binio.w_u8 buf 2;
-    w_kind buf kind
-
-let r_citem r =
-  match Binio.r_u8 r with
-  | 0 -> Cchar (Char.chr (Binio.r_u8 r))
-  | 1 ->
-    let lo = Char.chr (Binio.r_u8 r) in
-    let hi = Char.chr (Binio.r_u8 r) in
-    if lo > hi then raise (Binio.Corrupt "inverted class range");
-    Crange (lo, hi)
-  | 2 -> Cset (r_kind r)
-  | v -> raise (Binio.Corrupt (Printf.sprintf "bad class item tag %d" v))
-
-let w_cls buf { negated; items } =
-  Binio.w_bool buf negated;
-  Binio.w_list w_citem buf items
-
-let r_cls r =
-  let negated = Binio.r_bool r in
-  let items = Binio.r_list r_citem r in
-  { negated; items }
-
-(* Counted repetitions beyond this are meaningless for the rule catalog
-   and would let a forged pack inflate matcher work. *)
-let max_rep_bound = 1 lsl 16
-
-(* Nesting deeper than this cannot come from [write_node] on any real
-   pattern; the bound keeps a forged pack from overflowing the decoder's
-   stack. *)
-let max_node_depth = 512
-
-let rec w_node buf node =
-  match node with
-  | Empty -> Binio.w_u8 buf 0
-  | Char c ->
-    Binio.w_u8 buf 1;
-    Binio.w_u8 buf (Char.code c)
-  | Any -> Binio.w_u8 buf 2
-  | Class cls ->
-    Binio.w_u8 buf 3;
-    w_cls buf cls
-  | Seq nodes ->
-    Binio.w_u8 buf 4;
-    Binio.w_list w_node buf nodes
-  | Alt branches ->
-    Binio.w_u8 buf 5;
-    Binio.w_list w_node buf branches
-  | Rep (inner, mn, mx, greed) ->
-    Binio.w_u8 buf 6;
-    w_node buf inner;
-    Binio.w_u32 buf mn;
-    Binio.w_opt (fun buf v -> Binio.w_u32 buf v) buf mx;
-    Binio.w_u8 buf (match greed with Greedy -> 0 | Lazy -> 1)
-  | Group (i, inner) ->
-    Binio.w_u8 buf 7;
-    Binio.w_u32 buf i;
-    w_node buf inner
-  | Bol -> Binio.w_u8 buf 8
-  | Eol -> Binio.w_u8 buf 9
-  | Eos -> Binio.w_u8 buf 10
-  | Wordb -> Binio.w_u8 buf 11
-  | Nwordb -> Binio.w_u8 buf 12
-  | Backref i ->
-    Binio.w_u8 buf 13;
-    Binio.w_u32 buf i
-
-let r_node ~ngroups r =
-  let check_group i =
-    if i < 1 || i > ngroups then
-      raise (Binio.Corrupt (Printf.sprintf "group index %d out of range" i))
-  in
-  let rec go depth =
-    if depth > max_node_depth then raise (Binio.Corrupt "pattern nested too deeply");
-    match Binio.r_u8 r with
-    | 0 -> Empty
-    | 1 -> Char (Char.chr (Binio.r_u8 r))
-    | 2 -> Any
-    | 3 -> Class (r_cls r)
-    | 4 -> Seq (Binio.r_list (fun _ -> go (depth + 1)) r)
-    | 5 -> Alt (Binio.r_list (fun _ -> go (depth + 1)) r)
-    | 6 ->
-      let inner = go (depth + 1) in
-      let mn = Binio.r_u32 r in
-      let mx = Binio.r_opt Binio.r_u32 r in
-      let greed =
-        match Binio.r_u8 r with
-        | 0 -> Greedy
-        | 1 -> Lazy
-        | v -> raise (Binio.Corrupt (Printf.sprintf "bad greediness %d" v))
-      in
-      if mn < 0 || mn > max_rep_bound then
-        raise (Binio.Corrupt "repetition bound out of range");
-      (match mx with
-      | Some m when m < mn || m > max_rep_bound ->
-        raise (Binio.Corrupt "repetition bound out of range")
-      | Some _ | None -> ());
-      Rep (inner, mn, mx, greed)
-    | 7 ->
-      let i = Binio.r_u32 r in
-      check_group i;
-      Group (i, go (depth + 1))
-    | 8 -> Bol
-    | 9 -> Eol
-    | 10 -> Eos
-    | 11 -> Wordb
-    | 12 -> Nwordb
-    | 13 ->
-      let i = Binio.r_u32 r in
-      check_group i;
-      Backref i
-    | v -> raise (Binio.Corrupt (Printf.sprintf "bad node tag %d" v))
-  in
-  go 0

@@ -88,8 +88,8 @@ type static = {
 let nslots st = st.nslots
 let program_size st = Array.length st.prog
 
-(* The codec's bound on a fused program; the composer in [Rx.Fused]
-   caps total size well below this. *)
+(* Hard bound on a fused program; the composer in [Rx.Fused] caps
+   total size well below this. *)
 let max_program = 65535
 
 (* The step loop's acceptance table: one row per input class, one byte
@@ -687,133 +687,3 @@ let search cache ?recorder ?(cap = max_int) ?steps_acc ~mask subject =
   | exception ex ->
     publish cache ~recorder ~ticks:(!steps - t0);
     raise ex
-
-(* --- binary codec ----------------------------------------------------------
-
-   The fused program serializes into rule packs so packed catalogs
-   skip the compose-and-derive work on load.  [read_static] re-checks
-   every index the runner dereferences (jump targets, owners, class
-   ids, table lengths), so adversarial bytes fail with [Binio.Corrupt]
-   instead of sending the machine out of bounds; flag *semantics* are
-   protected by the pack checksum like every other section. *)
-
-let w_inst buf inst =
-  match inst with
-  | Rx_pike.I_char c ->
-    Binio.w_u8 buf 0;
-    Binio.w_u8 buf (Char.code c)
-  | Rx_pike.I_any -> Binio.w_u8 buf 1
-  | Rx_pike.I_class cls ->
-    Binio.w_u8 buf 2;
-    Rx_ast.w_cls buf cls
-  | Rx_pike.I_match -> Binio.w_u8 buf 3
-  | Rx_pike.I_jmp t ->
-    Binio.w_u8 buf 4;
-    Binio.w_u32 buf t
-  | Rx_pike.I_split (a, b) ->
-    Binio.w_u8 buf 5;
-    Binio.w_u32 buf a;
-    Binio.w_u32 buf b
-  | Rx_pike.I_bol -> Binio.w_u8 buf 6
-  | Rx_pike.I_eol -> Binio.w_u8 buf 7
-  | Rx_pike.I_eos -> Binio.w_u8 buf 8
-  | Rx_pike.I_wordb -> Binio.w_u8 buf 9
-  | Rx_pike.I_nwordb -> Binio.w_u8 buf 10
-
-let r_inst r =
-  match Binio.r_u8 r with
-  | 0 -> Rx_pike.I_char (Char.chr (Binio.r_u8 r))
-  | 1 -> Rx_pike.I_any
-  | 2 -> Rx_pike.I_class (Rx_ast.r_cls r)
-  | 3 -> Rx_pike.I_match
-  | 4 -> Rx_pike.I_jmp (Binio.r_u32 r)
-  | 5 ->
-    let a = Binio.r_u32 r in
-    let b = Binio.r_u32 r in
-    Rx_pike.I_split (a, b)
-  | 6 -> Rx_pike.I_bol
-  | 7 -> Rx_pike.I_eol
-  | 8 -> Rx_pike.I_eos
-  | 9 -> Rx_pike.I_wordb
-  | 10 -> Rx_pike.I_nwordb
-  | v -> raise (Binio.Corrupt (Printf.sprintf "bad fused inst tag %d" v))
-
-let write_static buf st =
-  Binio.w_u16 buf st.nslots;
-  Binio.w_array w_inst buf st.prog;
-  (* owners shifted by one so the preamble's -1 stays unsigned *)
-  Binio.w_array (fun buf o -> Binio.w_u16 buf (o + 1)) buf st.owner;
-  Binio.w_str buf st.classes;
-  Binio.w_u16 buf st.nclasses;
-  Binio.w_array (fun buf f -> Binio.w_u8 buf f) buf st.class_fact;
-  Binio.w_str buf st.class_repr
-
-let read_static r =
-  let nslots = Binio.r_u16 r in
-  if nslots = 0 then raise (Binio.Corrupt "fused machine with no slots");
-  let prog = Binio.r_array r_inst r in
-  let n = Array.length prog in
-  if n = 0 || n > max_program then
-    raise (Binio.Corrupt "fused program size out of range");
-  let check_pc t =
-    if t < 0 || t >= n then
-      raise (Binio.Corrupt (Printf.sprintf "fused jump target %d out of range" t))
-  in
-  Array.iter
-    (function
-      | Rx_pike.I_jmp t -> check_pc t
-      | Rx_pike.I_split (a, b) ->
-        check_pc a;
-        check_pc b
-      | _ -> ())
-    prog;
-  let owner =
-    Binio.r_array
-      (fun r ->
-        let o = Binio.r_u16 r - 1 in
-        if o < -1 || o >= nslots then
-          raise (Binio.Corrupt "fused owner out of range");
-        o)
-      r
-  in
-  if Array.length owner <> n then
-    raise (Binio.Corrupt "fused owner table does not match the program");
-  let classes = Binio.r_str r in
-  if String.length classes <> 256 then
-    raise (Binio.Corrupt "fused class table is not 256 bytes");
-  let nclasses = Binio.r_u16 r in
-  if nclasses < 1 || nclasses > 256 then
-    raise (Binio.Corrupt "fused class count out of range");
-  String.iter
-    (fun c ->
-      if Char.code c >= nclasses then
-        raise (Binio.Corrupt "fused class id out of range"))
-    classes;
-  let class_fact =
-    Binio.r_array
-      (fun r ->
-        let f = Binio.r_u8 r in
-        if f > 3 then raise (Binio.Corrupt "fused class fact out of range");
-        f)
-      r
-  in
-  if Array.length class_fact <> nclasses + 1 then
-    raise (Binio.Corrupt "fused fact table does not match the class count");
-  let class_repr = Binio.r_str r in
-  if String.length class_repr <> nclasses then
-    raise (Binio.Corrupt "fused class reprs do not match the class count");
-  if fanout_matches_empty prog then
-    raise (Binio.Corrupt "fused program matches the empty string");
-  let pred, preds = Rx_dfa.predicates prog in
-  {
-    prog;
-    owner;
-    nslots;
-    classes;
-    nclasses;
-    class_fact;
-    class_repr;
-    pred;
-    npred = Array.length preds;
-    accept = derive_accept preds ~classes ~nclasses ~class_repr;
-  }

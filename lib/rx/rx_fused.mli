@@ -73,11 +73,3 @@ val search :
     the caller's budget exactly as in [Rx_dfa].
     @raise Rx_match.Budget_exceeded when the step allowance runs out.
     @raise Bail when the cache thrashes. *)
-
-val write_static : Buffer.t -> static -> unit
-
-val read_static : Binio.r -> static
-(** Re-validates every index the runner dereferences (jump targets,
-    owners, class ids, table lengths) and that no program can match
-    the empty string.
-    @raise Binio.Corrupt on malformed bytes. *)

@@ -69,21 +69,23 @@ let result_cache_extras t =
 
 let cache_extras () =
   let hits, entries = Rx.compile_cache_stats () in
-  let ( flushes,
+  let ( builds,
+        flushes,
         bails,
         fused_candidates,
         fused_confirms,
         fused_fallbacks,
         cache_restored ) =
     match Telemetry.installed () with
-    | None -> (0, 0, 0, 0, 0, 0)
+    | None -> (0, 0, 0, 0, 0, 0, 0)
     | Some sink ->
       let report = Telemetry.Report.of_sink sink in
       let total name =
         Option.value ~default:0
           (List.assoc_opt name report.Telemetry.Report.counters)
       in
-      ( total "rx_dfa_cache_flushes_total",
+      ( total "rx_dfa_builds_total",
+        total "rx_dfa_cache_flushes_total",
         total "rx_dfa_fallback_total",
         total "scanner_fused_candidates_total",
         total "scanner_fused_confirms_total",
@@ -91,8 +93,8 @@ let cache_extras () =
         total "server_cache_restored_entries_total" )
   in
   Printf.sprintf
-    "\"rxCompileCache\":{\"hits\":%d,\"entries\":%d},\"dfaCache\":{\"flushes\":%d,\"bails\":%d},\"fusedScan\":{\"candidates\":%d,\"confirms\":%d,\"fallbacks\":%d},\"warmStart\":{\"cacheRestoredEntries\":%d}"
-    hits entries flushes bails fused_candidates fused_confirms fused_fallbacks
+    "\"rxCompileCache\":{\"hits\":%d,\"entries\":%d},\"dfaCache\":{\"builds\":%d,\"flushes\":%d,\"bails\":%d},\"fusedScan\":{\"candidates\":%d,\"confirms\":%d,\"fallbacks\":%d},\"warmStart\":{\"cacheRestoredEntries\":%d}"
+    hits entries builds flushes bails fused_candidates fused_confirms fused_fallbacks
     cache_restored
 
 let health_body t =

@@ -1,10 +1,12 @@
 (* The daemon: front-ends, signals and the drain state machine.
 
-   Three front-ends feed one pool.  The stdio front-end reads request
-   lines from stdin and writes responses to stdout (behind a mutex —
-   workers complete out of order).  The socket front-end accepts
-   connections on a Unix-domain socket, one reader thread per
-   connection, responses written back to the submitting connection.
+   Three front-ends feed one pool.  The stdio and socket front-ends
+   share one NDJSON framing ([connection_loop]): the stdio front-end
+   reads request lines from stdin and writes responses to stdout; the
+   socket front-end accepts connections on a Unix-domain socket, one
+   reader thread per connection, responses written back to the
+   submitting connection (behind a mutex — workers complete out of
+   order).
    The HTTP front-end accepts loopback TCP connections and routes them
    through {!Gateway}.  Threads do the blocking I/O; domains do the
    scanning — OCaml 5 runs both side by side, and a blocked thread
@@ -80,28 +82,16 @@ let too_large_reply ~max_request_bytes actual =
           max_request_bytes;
     }
 
-(* --- stdio front-end ------------------------------------------------------ *)
+(* --- NDJSON front-ends -------------------------------------------------------- *)
 
-let stdio_loop pool ~max_request_bytes ~stdout_mutex ~stdin_eof =
-  let deliver response =
-    let line = Protocol.encode_response response ^ "\n" in
-    Mutex.protect stdout_mutex (fun () -> Netio.write_all Unix.stdout line)
-  in
-  (try
-     while true do
-       let line = input_line stdin in
-       if String.length line > max_request_bytes then
-         deliver (too_large_reply ~max_request_bytes (String.length line))
-       else if not (is_blank line) then handle_line pool line ~deliver
-     done
-   with End_of_file -> ());
-  Atomic.set stdin_eof true
-
-(* --- NDJSON socket front-end ----------------------------------------------- *)
-
-let connection_loop pool ~max_request_bytes fd =
+(* One NDJSON stream: requests read from [input], responses written to
+   [output] — the same socket for a connection, stdin and stdout for
+   the stdio front-end.  Returns at EOF on [input] once every accepted
+   request has been answered; closing the descriptors is the
+   caller's. *)
+let connection_loop pool ~max_request_bytes ~input ~output =
   (* Responses may still be in flight when the client half-closes; the
-     fd stays open until every accepted request has been answered. *)
+     output stays open until every accepted request has been answered. *)
   let pending = Atomic.make 0 in
   let out_mutex = Mutex.create () in
   let deliver response =
@@ -109,7 +99,7 @@ let connection_loop pool ~max_request_bytes fd =
       ~finally:(fun () -> Atomic.decr pending)
       (fun () ->
         let line = Protocol.encode_response response ^ "\n" in
-        try Mutex.protect out_mutex (fun () -> Netio.write_all fd line)
+        try Mutex.protect out_mutex (fun () -> Netio.write_all output line)
         with Unix.Unix_error _ -> ())
   in
   let process line =
@@ -131,7 +121,7 @@ let connection_loop pool ~max_request_bytes fd =
   let discarding = ref false in
   let chunk = Bytes.create 65536 in
   let rec read_loop () =
-    match Unix.read fd chunk 0 (Bytes.length chunk) with
+    match Unix.read input chunk 0 (Bytes.length chunk) with
     | 0 -> ()
     | n ->
       let data = !leftover ^ Bytes.sub_string chunk 0 n in
@@ -165,15 +155,17 @@ let connection_loop pool ~max_request_bytes fd =
       await_deliveries ()
     end
   in
-  await_deliveries ();
-  try Unix.close fd with Unix.Unix_error _ -> ()
+  await_deliveries ()
 
 let listener_loop pool ~max_request_bytes lfd =
+  let serve fd =
+    connection_loop pool ~max_request_bytes ~input:fd ~output:fd;
+    try Unix.close fd with Unix.Unix_error _ -> ()
+  in
   let rec loop () =
     match Unix.accept ~cloexec:true lfd with
     | fd, _ ->
-      ignore
-        (Thread.create (fun () -> connection_loop pool ~max_request_bytes fd) ());
+      ignore (Thread.create serve fd);
       loop ()
     | exception Unix.Unix_error (EINTR, _, _) -> loop ()
     | exception Unix.Unix_error _ -> () (* listener closed: drain started *)
@@ -299,10 +291,12 @@ let run ?pack ?warm_boot ~scanner config =
     in
     let max_request_bytes = config.max_request_bytes in
     let stdin_eof = Atomic.make false in
-    let stdout_mutex = Mutex.create () in
     ignore
       (Thread.create
-         (fun () -> stdio_loop pool ~max_request_bytes ~stdout_mutex ~stdin_eof)
+         (fun () ->
+           connection_loop pool ~max_request_bytes ~input:Unix.stdin
+             ~output:Unix.stdout;
+           Atomic.set stdin_eof true)
          ());
     let listener =
       match config.socket with

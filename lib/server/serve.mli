@@ -62,11 +62,22 @@ val set_nodelay : Unix.file_descr -> unit
     client's delayed ACK.  Errors (a socket without the option) are
     ignored. *)
 
-val connection_loop : Pool.t -> max_request_bytes:int -> Unix.file_descr -> unit
-(** Serves one NDJSON connection to completion and closes the
-    descriptor — the socket front-end runs this on a thread per
-    accepted connection; exposed so tests can drive a connection over
-    a socketpair without a listener. *)
+val connection_loop :
+  Pool.t ->
+  max_request_bytes:int ->
+  input:Unix.file_descr ->
+  output:Unix.file_descr ->
+  unit
+(** Serves one NDJSON stream to completion: request lines read from
+    [input] until EOF, responses written to [output], returning once
+    every accepted request has been answered.  A frame over
+    [max_request_bytes] gets one [too_large] reply and is discarded up
+    to the next newline without being buffered, so memory stays
+    bounded whatever the peer sends.  Closes neither descriptor.  The
+    socket front-end runs it on a thread per accepted connection
+    ([input] = [output]), the stdio front-end on stdin/stdout; exposed
+    so tests can drive it over a socketpair or pipes without a
+    listener. *)
 
 val run :
   ?pack:int * string ->

@@ -169,40 +169,6 @@ let qcheck_tiny_cache =
         Rx.Fused.cache_clear f;
         ok)
 
-(* --- codec -------------------------------------------------------------- *)
-
-let test_codec_roundtrip () =
-  let ts =
-    Array.map Rx.compile
-      [| "abc+"; {|(x)\1|}; {|\bos\.system\(|}; "a*"; {|foo(bar|baz)$|} |]
-  in
-  let f = Option.get (Rx.Fused.compile ts) in
-  let buf = Buffer.create 512 in
-  Rx.Fused.write buf f;
-  let bytes1 = Buffer.contents buf in
-  let f2 = Rx.Fused.read ~npatterns:5 (Binio.reader bytes1) in
-  (* decode/re-encode is byte-stable (rule packs re-encode packs) *)
-  let buf2 = Buffer.create 512 in
-  Rx.Fused.write buf2 f2;
-  check_bool "re-encode is byte-identical" true
-    (String.equal bytes1 (Buffer.contents buf2));
-  List.iter
-    (fun s ->
-      check_bool "decoded machine agrees" true
-        (Bytes.equal (Rx.Fused.run f s) (Rx.Fused.run f2 s)))
-    [ "abcc"; "os.system(x)"; "foobaz"; "foobaz\n"; "nothing"; "" ];
-  (* a machine written for one catalog size must not attach to another *)
-  check_bool "pattern-count mismatch rejected" true
-    (match Rx.Fused.read ~npatterns:7 (Binio.reader bytes1) with
-    | _ -> false
-    | exception Binio.Corrupt _ -> true);
-  (* truncations surface as typed errors, never out-of-bounds *)
-  for cut = 0 to String.length bytes1 - 1 do
-    match Rx.Fused.read ~npatterns:5 (Binio.reader (String.sub bytes1 0 cut)) with
-    | _ -> ()
-    | exception (Binio.Truncated | Binio.Corrupt _) -> ()
-  done
-
 (* --- scanner differentials --------------------------------------------- *)
 
 let scanner_fused = lazy (Scanner.compile (Catalog.all ()))
@@ -224,15 +190,10 @@ let check_scan_equal msg source =
 let test_tier_plumbing () =
   check_bool "default plan has a fused machine" true
     (Scanner.fused_machine (Lazy.force scanner_fused) <> None);
-  (* [per_rule_tier] is the one way to pin a plan: a fresh pinned copy
-     never fuses ... *)
+  (* [per_rule_tier] is the one way to pin a plan: a pinned copy never
+     fuses *)
   let t = Scanner.per_rule_tier (Scanner.compile (Catalog.all ())) in
   check_bool "per_rule_tier pins the tier off" true
-    (Scanner.fused_machine t = None);
-  (* ... and a pack-style thunk cannot turn it back on *)
-  Scanner.set_fused_thunk t (fun () ->
-      Alcotest.fail "thunk ran on a pinned plan");
-  check_bool "set_fused_thunk is a no-op on pinned plans" true
     (Scanner.fused_machine t = None)
 
 (* Sources assembled from python-ish lines that trip catalog rules, so
@@ -346,20 +307,13 @@ let test_counters () =
     (total "scanner_fused_confirms_total"
     <= total "scanner_fused_candidates_total")
 
-(* --- the rule-pack fused section ---------------------------------------- *)
+(* --- rule packs ------------------------------------------------------------ *)
 
-let fix_checksum b =
-  let n = Bytes.length b in
-  let h = Binio.hash64 ~pos:0 ~len:(n - 8) (Bytes.unsafe_to_string b) in
-  Bytes.set_int64_le b (n - 8) h
-
-let pack_scan_fp scanner source = scan_fp scanner source
-
-let test_pack_fused_section () =
-  let pack = Rulepack.create () in
-  let data = Rulepack.encode pack in
+(* A loaded pack stores rule sources only; its plan fuses from its own
+   rules on first scan and agrees with the per-rule reference. *)
+let test_pack_fuses_from_rules () =
   let loaded =
-    match Rulepack.decode data with
+    match Rulepack.decode (Rulepack.encode (Rulepack.create ())) with
     | Ok p -> p
     | Error e -> Alcotest.fail (Rulepack.error_to_string e)
   in
@@ -369,50 +323,8 @@ let test_pack_fused_section () =
   let probe =
     "import pickle\nobj = pickle.loads(data)\nos.system(cmd)\ny = eval(x)\n"
   in
-  let reference = pack_scan_fp (Lazy.force scanner_per_rule) probe in
-  check_bool "pack-decoded fused scan agrees" true
-    (pack_scan_fp scanner probe = reference);
-  (* Forge the fused section (zero its slot count — structurally
-     corrupt) and fix the checksum: the pack must still load, and the
-     first scan must degrade to re-fusing from the rules with
-     identical results. *)
-  let b = Bytes.of_string data in
-  (* the fused section is written last: [tag][u32 len][payload] right
-     before the 8-byte trailer, and the payload starts [opt tag][nslots] *)
-  let dlen = Bytes.length b - 8 in
-  let plen = ref 0 and at = ref (-1) in
-  (* scan backwards for [tag=3][u32 len][len payload] ending at dlen *)
-  let i = ref (dlen - 6) in
-  while !at < 0 && !i >= 0 do
-    if Bytes.get b !i = '\x03' then begin
-      let l = Int32.to_int (Bytes.get_int32_le b (!i + 1)) in
-      if l >= 0 && !i + 5 + l = dlen then begin
-        at := !i + 5;
-        plen := l
-      end
-    end;
-    decr i
-  done;
-  if !at < 0 then Alcotest.fail "fused section not found in pack bytes";
-  ignore !plen;
-  let pstart = !at in
-  (* payload = [opt tag][nslots u16]...: zero the slot count *)
-  Bytes.set b (pstart + 1) '\x00';
-  Bytes.set b (pstart + 2) '\x00';
-  fix_checksum b;
-  (match Rulepack.decode (Bytes.to_string b) with
-  | Error e ->
-    Alcotest.fail ("forged fused section failed the load: "
-                   ^ Rulepack.error_to_string e)
-  | Ok p ->
-    let s = Rulepack.scanner p `Python in
-    check_bool "forged section degrades to re-fusing" true
-      (Scanner.fused_machine s <> None);
-    check_bool "degraded pack still scans identically" true
-      (pack_scan_fp s probe = reference));
-  (* A pack with the fused section stripped entirely (older writer)
-     still loads and fuses from rules. *)
-  ()
+  check_bool "pack-loaded fused scan agrees" true
+    (scan_fp scanner probe = scan_fp (Lazy.force scanner_per_rule) probe)
 
 (* --- catalog scale -------------------------------------------------------
 
@@ -625,7 +537,6 @@ let () =
           Alcotest.test_case "hosting decisions" `Quick test_hosting;
           Alcotest.test_case "nothing hostable" `Quick test_nothing_hostable;
           Alcotest.test_case "edge anchors" `Quick test_edge_anchors;
-          Alcotest.test_case "codec round-trip" `Quick test_codec_roundtrip;
         ] );
       ("qcheck", qt [ qcheck_mask; qcheck_tiny_cache ]);
       ( "scanner",
@@ -637,7 +548,10 @@ let () =
             Alcotest.test_case "telemetry counters" `Quick test_counters;
           ] );
       ( "pack",
-        [ Alcotest.test_case "fused section" `Quick test_pack_fused_section ] );
+        [
+          Alcotest.test_case "loaded pack fuses from its rules" `Quick
+            test_pack_fuses_from_rules;
+        ] );
       ( "corpus",
         [
           Alcotest.test_case "609-sample differential (jobs 1 and 4)" `Slow

@@ -75,9 +75,9 @@ let test_failed_save () =
 
 (* --- corpus differential --------------------------------------------------
 
-   The pack's whole reason to exist: scanning and patching through a
-   decoded pack must be byte-identical to the source-compiled catalog,
-   over every sample of the evaluation corpus, at any job count. *)
+   Scanning and patching through a decoded pack must be byte-identical
+   to the source-compiled catalog, over every sample of the evaluation
+   corpus and the 30 long files, at any job count. *)
 
 let finding_key (f : Patchitpy.Scanner.finding) =
   Printf.sprintf "%s:%d:%d:%d:%d:%s" f.rule.Patchitpy.Rule.id f.line f.column
@@ -99,12 +99,16 @@ let differential ~jobs fingerprint =
     | Ok p -> Rulepack.scanner p `Python
     | Error e -> Alcotest.failf "decode: %s" (Rulepack.error_to_string e)
   in
-  let samples = Corpus.Generator.all_samples () in
-  check_bool "corpus is non-trivial" true (List.length samples > 500);
+  let samples =
+    List.map
+      (fun (s : Corpus.Generator.sample) -> s.Corpus.Generator.code)
+      (Corpus.Generator.all_samples ())
+    @ List.map snd (Corpus.Generator.long_files ())
+  in
+  check_bool "corpus is non-trivial" true (List.length samples > 600);
   let pairs =
     Experiments.Par.map_samples ~jobs
-      (fun (s : Corpus.Generator.sample) ->
-        (fingerprint catalog s.code, fingerprint packed s.code))
+      (fun code -> (fingerprint catalog code, fingerprint packed code))
       samples
   in
   List.iteri
@@ -180,7 +184,7 @@ let test_bit_flips () =
            behave: force both sections so a latent corruption would
            surface here, inside the test. *)
         ignore (Patchitpy.Scanner.rules p.Rulepack.python);
-        ignore (Patchitpy.Scanner.rules (p.Rulepack.javascript ()));
+        ignore (Patchitpy.Scanner.rules p.Rulepack.javascript);
         Alcotest.failf "bit flip at %d (bit %d) decoded to Ok" k (k mod 8))
     !positions
 
@@ -189,8 +193,10 @@ let test_version_skew () =
      only inconsistency left is the version itself: the decoder must
      report [Version_skew], not [Corrupted] — for a future writer, for
      a version-1 pack, whose plans still carried the per-rule newline
-     budgets of the removed incremental rescan, and for a version-3
-     pack, whose plans still carried the literal-prefilter automaton. *)
+     budgets of the removed incremental rescan, for a version-3 pack,
+     whose plans still carried the literal-prefilter automaton, and for
+     a version-4 pack, which stored compiled patterns and a pre-built
+     fused machine instead of rule sources. *)
   let with_version v =
     let b = Bytes.of_string (Lazy.force pack_bytes) in
     let n = Bytes.length b in
@@ -199,7 +205,7 @@ let test_version_skew () =
     Bytes.set_int64_le b (n - 8) h;
     Bytes.to_string b
   in
-  check_bool "format version bumped past 3" true (Rulepack.format_version >= 4);
+  check_bool "format version bumped past 4" true (Rulepack.format_version >= 5);
   List.iter
     (fun v ->
       match Rulepack.decode (with_version v) with
@@ -210,12 +216,74 @@ let test_version_skew () =
         Alcotest.failf "version %d: wanted Version_skew, got %s" v
           (Rulepack.error_to_string e)
       | Ok _ -> Alcotest.failf "version-%d pack decoded to Ok" v)
-    [ Rulepack.format_version + 1; 1; 3 ];
+    [ Rulepack.format_version + 1; 1; 3; 4 ];
   (* and garbage that is not a pack at all *)
   match Rulepack.decode "#!/usr/bin/env python3\nprint('hi')\n" with
   | Error Rulepack.Bad_magic -> ()
   | Error e -> Alcotest.failf "wanted Bad_magic, got %s" (Rulepack.error_to_string e)
   | Ok _ -> Alcotest.fail "text file decoded to Ok"
+
+(* A pack whose checksum was fixed up around a forged rule still holds
+   only strings, and the parsers that guard user rule files reject
+   them: decode gives a typed [Error], or the plan's first scan raises
+   [Binio.Corrupt].  Never another exception, never findings. *)
+let forge_string ~old ~by =
+  let b = Lazy.force pack_bytes in
+  let n = String.length b in
+  let le32 v =
+    let x = Bytes.create 4 in
+    Bytes.set_int32_le x 0 (Int32.of_int v);
+    Bytes.to_string x
+  in
+  (* magic (8) | version (4) | hash (u32 + bytes) | count (1) | the
+     python section's tag (1) and payload length (4) *)
+  let len_at = 8 + 4 + 4 + Int32.to_int (String.get_int32_le b 12) + 2 in
+  check_int "python section comes first" 1 (Char.code b.[len_at - 1]);
+  let needle = le32 (String.length old) ^ old in
+  let rec find i =
+    if i + String.length needle > n then Alcotest.failf "%S not in the pack" old
+    else if String.sub b i (String.length needle) = needle then i
+    else find (i + 1)
+  in
+  let at = find (len_at + 4) in
+  let tail = at + String.length needle in
+  let forged =
+    Bytes.of_string
+      (String.sub b 0 at ^ le32 (String.length by) ^ by
+      ^ String.sub b tail (n - tail))
+  in
+  let section_len = Int32.to_int (String.get_int32_le b len_at) in
+  Bytes.set_int32_le forged len_at
+    (Int32.of_int (section_len + String.length by - String.length old));
+  let m = Bytes.length forged in
+  Bytes.set_int64_le forged (m - 8)
+    (Binio.hash64 ~len:(m - 8) (Bytes.sub_string forged 0 (m - 8)));
+  Bytes.to_string forged
+
+let expect_rejected name bytes =
+  match Rulepack.decode bytes with
+  | Error _ -> ()
+  | Ok p -> (
+    let source = "import os\nos.system(cmd)\n" in
+    match Patchitpy.Scanner.scan p.Rulepack.python source with
+    | _ -> Alcotest.failf "%s: the forged pack scanned" name
+    | exception Binio.Corrupt _ -> ())
+
+let test_forged_sources () =
+  let python = Patchitpy.Catalog.all () in
+  let first = List.hd python in
+  expect_rejected "pattern replaced by ("
+    (forge_string ~old:(Rx.pattern first.Patchitpy.Rule.pattern) ~by:"(");
+  let rewrite =
+    List.find_map
+      (fun (r : Patchitpy.Rule.t) ->
+        match r.Patchitpy.Rule.fix with
+        | Patchitpy.Rule.Rewrite ir -> Some (Patchitpy.Rewrite.render ir)
+        | Patchitpy.Rule.No_fix | Patchitpy.Rule.Replace_template _ -> None)
+      python
+  in
+  expect_rejected "malformed rewrite"
+    (forge_string ~old:(Option.get rewrite) ~by:"((lit")
 
 let test_load_io_error () =
   match Rulepack.load ~path:"/nonexistent/patchitpy-no-such-dir/x.pack" with
@@ -367,6 +435,7 @@ let () =
           Alcotest.test_case "truncations" `Quick test_truncations;
           Alcotest.test_case "bit flips" `Quick test_bit_flips;
           Alcotest.test_case "version skew and bad magic" `Quick test_version_skew;
+          Alcotest.test_case "forged rule sources" `Quick test_forged_sources;
           Alcotest.test_case "io error" `Quick test_load_io_error;
         ] );
       ( "rewrite IR",

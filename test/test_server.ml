@@ -603,7 +603,7 @@ let test_health_and_stats_extras () =
         true
         (contains_substring health fragment))
     [ "\"status\":\"ok\""; "\"rxCompileCache\""; "\"entries\""; "\"dfaCache\"";
-      "\"flushes\""; "\"bails\"" ];
+      "\"builds\""; "\"flushes\""; "\"bails\"" ];
   let stats =
     body
       {
@@ -740,7 +740,10 @@ let drive_connection ~max_request_bytes frames =
   let client, server = Unix.socketpair ~cloexec:true PF_UNIX SOCK_STREAM 0 in
   let loop =
     Thread.create
-      (fun () -> Serve.connection_loop pool ~max_request_bytes server)
+      (fun () ->
+        Serve.connection_loop pool ~max_request_bytes ~input:server
+          ~output:server;
+        Unix.close server)
       ()
   in
   List.iter
@@ -811,6 +814,66 @@ let test_connection_too_large_resync () =
     Alcotest.(check bool) "message names the limit" true
       (contains_substring message (string_of_int bound))
   | _ -> Alcotest.failf "expected exactly one too_large error"
+
+(* The stdio front-end's framing over a pipe pair: a frame twice the
+   bound is answered with [too_large] while it is still open — before
+   its newline arrives, so the loop never buffered it whole — and the
+   next request on the stream is served. *)
+let test_pipe_frame_bounded () =
+  let bound = 1024 in
+  let scanner = Lazy.force catalog_scanner in
+  let pool = Pool.create ~jobs:1 ~queue_capacity:16 ~scanner () in
+  let in_r, in_w = Unix.pipe ~cloexec:true () in
+  let out_r, out_w = Unix.pipe ~cloexec:true () in
+  let loop =
+    Thread.create
+      (fun () ->
+        Serve.connection_loop pool ~max_request_bytes:bound ~input:in_r
+          ~output:out_w)
+      ()
+  in
+  let pending = Buffer.create 256 in
+  let chunk = Bytes.create 4096 in
+  (* the next response line, failing after 10 s without one *)
+  let rec next_line () =
+    let s = Buffer.contents pending in
+    match String.index_opt s '\n' with
+    | Some i ->
+      Buffer.clear pending;
+      Buffer.add_string pending
+        (String.sub s (i + 1) (String.length s - i - 1));
+      Some (String.sub s 0 i)
+    | None -> (
+      match Unix.select [ out_r ] [] [] 10.0 with
+      | [], _, _ -> None
+      | _ -> (
+        match Unix.read out_r chunk 0 (Bytes.length chunk) with
+        | 0 -> None
+        | n ->
+          Buffer.add_subbytes pending chunk 0 n;
+          next_line ()))
+  in
+  let decode = function
+    | None -> Alcotest.fail "no response within 10 s"
+    | Some l -> (
+      match Protocol.decode_response l with
+      | Ok r -> r
+      | Error msg -> Alcotest.failf "undecodable response %S: %s" l msg)
+  in
+  Netio.write_all in_w (String.make (2 * bound) 'x');
+  (match decode (next_line ()) with
+  | Protocol.Error_reply { id = None; error = Protocol.Too_large; _ } -> ()
+  | _ -> Alcotest.fail "expected a too_large reply to the open frame");
+  Netio.write_all in_w ("\n" ^ scan_frame "valid" ^ "\n");
+  Unix.close in_w;
+  (match decode (next_line ()) with
+  | Protocol.Reply { id = "valid"; _ } -> ()
+  | _ -> Alcotest.fail "expected the valid request's reply");
+  Thread.join loop;
+  Unix.close out_w;
+  Alcotest.(check (option string)) "nothing else" None (next_line ());
+  List.iter Unix.close [ in_r; out_r ];
+  ignore (Pool.shutdown pool)
 
 (* Random frame mixes — valid, junk, oversized — against a 1 MiB bound:
    one typed response per non-blank frame, correct kind each, and the
@@ -998,6 +1061,8 @@ let () =
         [
           Alcotest.test_case "oversized frame resynchronizes" `Quick
             test_connection_too_large_resync;
+          Alcotest.test_case "pipe frame stays bounded" `Quick
+            test_pipe_frame_bounded;
           QCheck_alcotest.to_alcotest hostile_frames;
           Alcotest.test_case "one write syscall per response" `Quick
             test_single_write_per_response;

@@ -55,23 +55,24 @@ let refix_checksum bytes =
   Bytes.to_string b
 
 (* A format-2 pack carried serialized transition tables in its warm
-   section, and a format-3 pack carried the literal-prefilter automaton
-   in its plans; this build reads only format 4.  The version field
-   sits right after the 8-byte magic. *)
-let test_v2_v3_refused () =
-  check_int "format version" 4 Rulepack.format_version;
+   section, a format-3 pack carried the literal-prefilter automaton in
+   its plans, and a format-4 pack stored compiled patterns and a
+   pre-built fused machine; this build reads only format 5.  The
+   version field sits right after the 8-byte magic. *)
+let test_old_versions_refused () =
+  check_int "format version" 5 Rulepack.format_version;
   List.iter
     (fun v ->
       let b = Bytes.of_string (Lazy.force warm_pack_bytes) in
       Bytes.set_int32_le b 8 (Int32.of_int v);
       match Rulepack.decode (refix_checksum (Bytes.to_string b)) with
-      | Error (Rulepack.Version_skew { found; expected = 4 }) when found = v ->
+      | Error (Rulepack.Version_skew { found; expected = 5 }) when found = v ->
         ()
       | Error e ->
         Alcotest.failf "v%d: wanted Version_skew, got %s" v
           (Rulepack.error_to_string e)
       | Ok _ -> Alcotest.failf "a v%d pack decoded to Ok" v)
-    [ 2; 3 ]
+    [ 2; 3; 4 ]
 
 (* --- differentials -------------------------------------------------------- *)
 
@@ -225,7 +226,8 @@ let () =
           Alcotest.test_case "warm section info" `Quick test_warm_pack_info;
           Alcotest.test_case "cold pack registers nothing" `Quick
             test_cold_pack_unaffected;
-          Alcotest.test_case "v2 and v3 packs refused" `Quick test_v2_v3_refused;
+          Alcotest.test_case "v2, v3 and v4 packs refused" `Quick
+            test_old_versions_refused;
         ] );
       ( "differential",
         [
