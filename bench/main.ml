@@ -393,6 +393,47 @@ let measure_fused_pass_rows () =
     ("patchitpy/fused-warm-pass-per-kb", warm);
   ]
 
+(* The per-pattern twin of fused-cold-pass-per-kb, ns per KB: over the
+   same 30 long files, every rule the fused pass flags on a file (and
+   every rule it does not host) runs [Rx.find_all] on it, with every
+   catalog pattern's transition cache dropped before each pass — the
+   confirm sweeps a one-shot CLI command pays after its first fused
+   pass, materializing every state they reach.  Median over repeated
+   passes; reported, not gated. *)
+let measure_dfa_confirm_cold_rows () =
+  let f = Option.get (Patchitpy.Scanner.fused_machine catalog_scanner) in
+  let work =
+    List.map
+      (fun (_, s) ->
+        let mask = Rx.Fused.run f s in
+        ( s,
+          List.filteri
+            (fun i _ ->
+              (not (Rx.Fused.is_hosted f i)) || Bytes.get mask i <> '\000')
+            (Array.to_list catalog_patterns) ))
+      (Corpus.Generator.long_files ())
+  in
+  let kb =
+    float_of_int (List.fold_left (fun a (s, _) -> a + String.length s) 0 work)
+    /. 1024.
+  in
+  let iters = 40 in
+  let ns = Array.make iters 0.0 in
+  for i = 0 to iters - 1 do
+    Array.iter Rx.dfa_cache_clear catalog_patterns;
+    let t0 = Telemetry.now_ns () in
+    List.iter
+      (fun (s, flagged) ->
+        List.iter
+          (fun p ->
+            try ignore (Rx.find_all p s) with Rx.Budget_exceeded _ -> ())
+          flagged)
+      work;
+    ns.(i) <- float_of_int (Telemetry.now_ns () - t0) /. kb
+  done;
+  Array.sort compare ns;
+  [ ("patchitpy/dfa-confirm-cold-per-kb", percentile ns 0.50) ]
+
 (* Bail-path row, ns per long file: the 30 golden long files scanned
    through a plan whose fused pass bails on every one of them, so each
    scan sweeps every rule — the price of the path a scan takes when the
@@ -672,7 +713,8 @@ let measure_micro () =
     results;
   List.sort compare
     (!rows @ measure_serve_rows () @ measure_cache_rows ()
-    @ measure_fused_pass_rows () @ measure_fused_bail_rows ()
+    @ measure_fused_pass_rows () @ measure_dfa_confirm_cold_rows ()
+    @ measure_fused_bail_rows ()
     @ measure_warm_start_rows () @ measure_loadgen_rows ())
 
 let run_micro () =

@@ -219,7 +219,7 @@ let start_prefixes_node node0 =
 
 (* Beyond this many Pike instructions the DFA's per-state closures and
    rows stop paying for themselves; such patterns stay on the
-   backtracker.  Also keeps interned state keys within 16 bits per pc. *)
+   backtracker. *)
 let max_dfa_program = 4096
 
 (* The CAS discipline for values built on first use by any domain: an
@@ -388,62 +388,71 @@ let backtrack_tier t =
   | None -> t
   | Some _ -> { t with dfa = None; uid = Atomic.fetch_and_add uid_source 1 }
 
-(* --- per-domain DFA transition caches ------------------------------------- *)
+(* --- per-domain transition caches ------------------------------------------ *)
 
 (* Transition caches are mutable and unsynchronized, so each domain owns
-   its own set, keyed by the pattern's [uid] — a compiled scanner shared
-   by several server workers grows one cache per (pattern, domain)
-   without any locking on the match path.  The one-slot memo in front of
-   the table serves the common shape of a scan: many consecutive
-   searches with the same rule. *)
-type dfa_slot = {
-  tbl : (int, Rx_dfa.cache) Hashtbl.t;
+   its own set, keyed by the pattern's (or fused catalog's) uid — a
+   compiled scanner shared by several server workers grows one cache
+   per (pattern, domain) without any locking on the match path.  The
+   one-slot memo in front of the table serves the common shape of a
+   scan: many consecutive searches with the same rule (and, for fused
+   catalogs, a process that runs exactly one).  A registry holding
+   [cap] caches drops them all before adding another. *)
+type 'c registry = {
+  tbl : (int, 'c) Hashtbl.t;
+  cap : int;
   mutable last_uid : int;
-  mutable last_cache : Rx_dfa.cache option;
+  mutable last : 'c option;
 }
 
-let max_domain_caches = 1024
-
-let dfa_slot : dfa_slot Domain.DLS.key =
+let registry ~cap : 'c registry Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
-      { tbl = Hashtbl.create 32; last_uid = -1; last_cache = None })
+      { tbl = Hashtbl.create 32; cap; last_uid = -1; last = None })
 
-let get_cache t d =
-  let slot = Domain.DLS.get dfa_slot in
-  if slot.last_uid = t.uid then
-    match slot.last_cache with Some c -> c | None -> assert false
+(* [make arg] builds a missing cache; a top-level [make] keeps the hit
+   path allocation-free. *)
+let cached key uid make arg =
+  let r = Domain.DLS.get key in
+  if r.last_uid = uid then
+    match r.last with Some c -> c | None -> assert false
   else begin
     let c =
-      match Hashtbl.find_opt slot.tbl t.uid with
+      match Hashtbl.find_opt r.tbl uid with
       | Some c -> c
       | None ->
-        if Hashtbl.length slot.tbl >= max_domain_caches then
-          Hashtbl.reset slot.tbl;
-        let c = Rx_dfa.make_cache (d.tables ()) in
-        Hashtbl.replace slot.tbl t.uid c;
+        if Hashtbl.length r.tbl >= r.cap then Hashtbl.reset r.tbl;
+        let c = make arg in
+        Hashtbl.replace r.tbl uid c;
         c
     in
-    slot.last_uid <- t.uid;
-    slot.last_cache <- Some c;
+    r.last_uid <- uid;
+    r.last <- Some c;
     c
   end
 
-let dfa_cache_clear t =
-  let slot = Domain.DLS.get dfa_slot in
-  Hashtbl.remove slot.tbl t.uid;
-  if slot.last_uid = t.uid then begin
-    slot.last_uid <- -1;
-    slot.last_cache <- None
+let drop key uid =
+  let r = Domain.DLS.get key in
+  Hashtbl.remove r.tbl uid;
+  if r.last_uid = uid then begin
+    r.last_uid <- -1;
+    r.last <- None
   end
+
+let install key uid c =
+  let r = Domain.DLS.get key in
+  Hashtbl.replace r.tbl uid c;
+  if r.last_uid = uid then r.last <- Some c
+
+let dfa_caches : Rx_dfa.cache registry Domain.DLS.key = registry ~cap:1024
+let make_dfa_cache d = Rx_dfa.make_cache (d.tables ())
+let get_cache t d = cached dfa_caches t.uid make_dfa_cache d
+let dfa_cache_clear t = drop dfa_caches t.uid
 
 let dfa_shrink_cache t ~max_states =
   match t.dfa with
   | None -> invalid_arg "Rx.dfa_shrink_cache: pattern runs on the backtracker"
   | Some d ->
-    let slot = Domain.DLS.get dfa_slot in
-    let c = Rx_dfa.make_cache ~max_states (d.tables ()) in
-    Hashtbl.replace slot.tbl t.uid c;
-    if slot.last_uid = t.uid then slot.last_cache <- Some c
+    install dfa_caches t.uid (Rx_dfa.make_cache ~max_states (d.tables ()))
 
 (* Spans are always eager; capture groups may be deferred.  On the DFA
    tier a match's start and end come from the forward/backward passes —
@@ -861,12 +870,12 @@ type fused = {
 }
 
 module Fused = struct
-  exception Bail = Rx_fused.Bail
+  exception Bail = Rx_dfa.Bail
 
   (* A fused program walks every byte with no skip lanes, so its size
-     budget sits between a single pattern's [max_dfa_program] and the
-     16-bit pc ceiling: big enough for several hundred catalog rules,
-     small enough that state keys and closures stay cheap. *)
+     budget sits between a single pattern's [max_dfa_program] and
+     [Rx_fused]'s 65535-instruction cap: big enough for several hundred
+     catalog rules, small enough that states and closures stay cheap. *)
   let max_fused_program = 60000
 
   (* A pattern is hostable when it runs on the DFA tier (so its
@@ -916,56 +925,15 @@ module Fused = struct
   let pattern_count f = Array.length f.f_hosted
   let program_size f = Rx_fused.program_size f.fstatic
 
-  (* Per-domain fused caches, mirroring [dfa_slot]: unsynchronized
-     tables keyed by [fuid], with a one-slot memo in front because a
-     process typically runs exactly one catalog.  The table is tiny —
-     a fused cache is big, and more than a couple of live catalogs per
-     domain means something is off. *)
-  type fused_slot = {
-    ftbl : (int, Rx_fused.cache) Hashtbl.t;
-    mutable flast_uid : int;
-    mutable flast : Rx_fused.cache option;
-  }
-
-  let max_fused_caches = 16
-
-  let fused_slot : fused_slot Domain.DLS.key =
-    Domain.DLS.new_key (fun () ->
-        { ftbl = Hashtbl.create 4; flast_uid = -1; flast = None })
-
-  let get_cache f =
-    let slot = Domain.DLS.get fused_slot in
-    if slot.flast_uid = f.fuid then
-      match slot.flast with Some c -> c | None -> assert false
-    else begin
-      let c =
-        match Hashtbl.find_opt slot.ftbl f.fuid with
-        | Some c -> c
-        | None ->
-          if Hashtbl.length slot.ftbl >= max_fused_caches then
-            Hashtbl.reset slot.ftbl;
-          let c = Rx_fused.make_cache f.fstatic in
-          Hashtbl.replace slot.ftbl f.fuid c;
-          c
-      in
-      slot.flast_uid <- f.fuid;
-      slot.flast <- Some c;
-      c
-    end
-
-  let cache_clear f =
-    let slot = Domain.DLS.get fused_slot in
-    Hashtbl.remove slot.ftbl f.fuid;
-    if slot.flast_uid = f.fuid then begin
-      slot.flast_uid <- -1;
-      slot.flast <- None
-    end
+  (* The registry is tiny: a fused cache is big, and more than a couple
+     of live catalogs per domain means something is off. *)
+  let caches : Rx_fused.cache registry Domain.DLS.key = registry ~cap:16
+  let make_cache f = Rx_fused.make_cache f.fstatic
+  let get_cache f = cached caches f.fuid make_cache f
+  let cache_clear f = drop caches f.fuid
 
   let shrink_cache f ~max_states =
-    let slot = Domain.DLS.get fused_slot in
-    let c = Rx_fused.make_cache ~max_states f.fstatic in
-    Hashtbl.replace slot.ftbl f.fuid c;
-    if slot.flast_uid = f.fuid then slot.flast <- Some c
+    install caches f.fuid (Rx_fused.make_cache ~max_states f.fstatic)
 
   let state_count f = Rx_fused.state_count (get_cache f)
 
@@ -983,7 +951,7 @@ module Fused = struct
       guarded (fun ?cap ?steps_acc () ->
           match Rx_fused.search cache ?recorder ?cap ?steps_acc ~mask subject with
           | () -> true
-          | exception Rx_fused.Bail -> false)
+          | exception Rx_dfa.Bail -> false)
     in
     if not ok then begin
       Telemetry.Trace.ambient_instant Telemetry.Trace.Dfa_bail;

@@ -253,7 +253,8 @@ module Fused : sig
   exception Bail
   (** The fused pass thrashed its transition cache and gave up; the
       caller must fall back to per-pattern scanning for this subject.
-      (Alias of [Rx_fused.Bail].) *)
+      (Alias of [Rx_dfa.Bail], the one bail exception of the lazy-DFA
+      core the fused pass shares with the per-pattern tier.) *)
 
   val compile : t array -> fused option
   (** Fuse the hostable subset of [patterns].  [None] when no pattern

@@ -37,13 +37,19 @@
    whole table is flushed and the in-flight state re-interned
    ("clear and restart", raising the internal [Restart]); a search that
    keeps flushing raises [Bail] and the caller falls back to the
-   backtracker.  Correctness therefore never depends on cache capacity. *)
+   backtracker.  Correctness therefore never depends on cache capacity.
+
+   The machine layer — [tables], [state], [mach], interning, closure,
+   stepping and the bounded store — is the library's one lazy-DFA core:
+   [Rx_fused] runs its catalog-wide existence pass as one more [mach],
+   differing only in what closure does at an [I_match] ([on_match]). *)
 
 exception Bail
 (* The cache thrashed ([max_search_flushes] flushes in one search) or an
-   internal invariant failed; the caller must re-run the search on the
-   backtracking engine.  Raised instead of silently degrading so the
-   fallback is observable in telemetry. *)
+   internal invariant failed; the caller must re-run the search on a
+   slower path (the backtracker, or the per-rule sweeps for the fused
+   machine).  Raised instead of silently degrading so the fallback is
+   observable in telemetry. *)
 
 exception Restart
 (* Internal: the state table was flushed mid-search; the runner
@@ -61,16 +67,6 @@ let fact_of_char c =
   else if Rx_ast.is_word_char c then fact_word
   else 1
 
-(* Immutable, per-pattern, shared across domains. *)
-type static = {
-  fwd_prog : Rx_pike.inst array;
-  rev_prog : Rx_pike.inst array;
-  classes : string; (* byte -> input-class id *)
-  nclasses : int; (* real classes; the EOI sentinel is id [nclasses] *)
-  class_fact : int array; (* class id (sentinel included) -> fact *)
-  class_repr : string; (* class id -> representative byte *)
-}
-
 let rec reverse_node (n : Rx_ast.node) : Rx_ast.node =
   match n with
   | Rx_ast.Empty | Rx_ast.Char _ | Rx_ast.Any | Rx_ast.Class _ | Rx_ast.Bol
@@ -84,13 +80,6 @@ let rec reverse_node (n : Rx_ast.node) : Rx_ast.node =
   | Rx_ast.Rep (inner, mn, mx, g) -> Rx_ast.Rep (reverse_node inner, mn, mx, g)
   | Rx_ast.Group (i, inner) -> Rx_ast.Group (i, reverse_node inner)
   | Rx_ast.Backref _ as n -> n (* tier selection rejects these earlier *)
-
-let inst_accepts inst c =
-  match inst with
-  | Rx_pike.I_char c' -> c = c'
-  | Rx_pike.I_any -> c <> '\n'
-  | Rx_pike.I_class cls -> Rx_ast.class_matches cls c
-  | _ -> false
 
 (* Consuming instructions deduplicated structurally: [pred.(pc)] is the
    id of [prog.(pc)]'s predicate (-1 for non-consuming pcs), and the
@@ -163,6 +152,18 @@ let accept_table inst =
   | _ -> ());
   t
 
+(* A program's stepping tables, immutable and shared across domains. *)
+type tables = {
+  classes : string; (* byte -> input-class id *)
+  nclasses : int; (* real classes; the EOI sentinel is id [nclasses] *)
+  class_fact : int array; (* class id (sentinel included) -> fact *)
+  npred : int;
+  accept : Bytes.t;
+      (* [(c * npred) + p] is ['\001'] iff predicate [p] accepts input
+         class [c]; the sentinel's row is all zero, as no thread
+         consumes past the end *)
+}
+
 (* Byte-class derivation: bytes are equivalent when every predicate
    treats them alike and they agree on the assertion facts.  Partition
    refinement: start from the four fact blocks and split every block by
@@ -170,8 +171,12 @@ let accept_table inst =
    first reach them.  The final numbering is therefore the order in
    which bytes first show a new (fact, acceptance) signature — it does
    not depend on how the predicates are listed or how often each
-   recurs — and each class's representative is its lowest byte. *)
-let derive_classes preds =
+   recurs.  A class answers for all its bytes, so the acceptance table
+   reads each predicate at the class's lowest byte.  Returns [prog]'s
+   predicate ids with the tables. *)
+let tables prog =
+  let pred, preds = predicates prog in
+  let per_byte = Array.map accept_table preds in
   let cls = Array.init 256 (fun b -> fact_of_char (Char.chr b)) in
   let remap = Array.make 512 (-1) in
   let renumber key =
@@ -189,133 +194,184 @@ let derive_classes preds =
   in
   let nclasses = ref (renumber (fun b -> cls.(b))) in
   Array.iter
-    (fun inst ->
-      let t = accept_table inst in
+    (fun t ->
       nclasses :=
         renumber (fun b -> (2 * cls.(b)) + Char.code (Bytes.unsafe_get t b)))
-    preds;
+    per_byte;
   let nclasses = !nclasses in
+  let npred = Array.length preds in
   let classes = Bytes.create 256 in
-  let reprs = Bytes.make nclasses '\000' in
+  let repr = Array.make nclasses 0 in
   let class_fact = Array.make (nclasses + 1) fact_boundary in
   for b = 255 downto 0 do
     let c = cls.(b) in
     Bytes.set classes b (Char.chr c);
-    Bytes.set reprs c (Char.chr b);
+    repr.(c) <- b;
     class_fact.(c) <- fact_of_char (Char.chr b)
   done;
-  (Bytes.to_string classes, nclasses, class_fact, Bytes.to_string reprs)
+  let accept = Bytes.make ((nclasses + 1) * npred) '\000' in
+  Array.iteri
+    (fun p t ->
+      for c = 0 to nclasses - 1 do
+        Bytes.unsafe_set accept ((c * npred) + p) (Bytes.unsafe_get t repr.(c))
+      done)
+    per_byte;
+  let classes = Bytes.to_string classes in
+  (pred, { classes; nclasses; class_fact; npred; accept })
+
+(* Immutable, per-pattern, shared across domains.  One class table
+   serves both programs. *)
+type static = {
+  tb : tables;
+  fwd_prog : Rx_pike.inst array;
+  fwd_pred : int array;
+  rev_prog : Rx_pike.inst array;
+  rev_pred : int array;
+}
 
 let build ~fwd ~rev =
-  (* one class table serves both programs *)
-  let _, preds = predicates (Array.append fwd rev) in
-  let classes, nclasses, class_fact, class_repr = derive_classes preds in
-  { fwd_prog = fwd; rev_prog = rev; classes; nclasses; class_fact; class_repr }
+  let pred, tb = tables (Array.append fwd rev) in
+  let nf = Array.length fwd in
+  {
+    tb;
+    fwd_prog = fwd;
+    fwd_pred = Array.sub pred 0 nf;
+    rev_prog = rev;
+    rev_pred = Array.sub pred nf (Array.length rev);
+  }
 
 (* A DFA state: the left-context fact plus the pending NFA threads (the
    program counters stepped into this boundary, in priority order, not
    yet epsilon-closed — closure needs the next byte, so it happens when
-   a transition out of the state is first taken). *)
-type state = {
-  st_ctx : int;
-  st_raw : int array;
-  st_dead : bool; (* no threads at all (anchored successors only) *)
-}
+   a transition out of the state is first taken).  A state with no
+   threads is dead. *)
+type state = { ctx : int; raw : int array }
 
-let dead_or_dummy = { st_ctx = 0; st_raw = [||]; st_dead = true }
+let dead = { ctx = 0; raw = [||] }
 let no_row : int array = [||]
 
-(* One direction's mutable machine: interning table, bounded state
-   store, transition rows, and closure scratch.  Rows live in arrays
-   parallel to [states] so the match loop reaches a row in one load.
+(* States intern by hashing the thread array itself: the table compares
+   the context fact and the pcs directly, so a lookup builds no key. *)
+module Itbl = Hashtbl.Make (struct
+  type t = state
+
+  let equal a b =
+    a.ctx = b.ctx
+    &&
+    let ra = a.raw and rb = b.raw in
+    let n = Array.length ra in
+    n = Array.length rb
+    &&
+    let rec go i =
+      i = n || (Array.unsafe_get ra i = Array.unsafe_get rb i && go (i + 1))
+    in
+    go 0
+
+  let hash s =
+    let h = ref (s.ctx + 1) in
+    let raw = s.raw in
+    for i = 0 to Array.length raw - 1 do
+      h := (!h * 0x01000193) lxor Array.unsafe_get raw i
+    done;
+    let h = !h in
+    (h lxor (h lsr 23) lxor (h lsr 41)) land max_int
+end)
+
+(* What closure does on reaching an [I_match]: [Stop] collecting (the
+   forward machine — in leftmost-first semantics no lower-priority
+   thread can beat a match already found), [Flag] it and go on (the
+   backward machine, whose query is a minimum over positions), or
+   record the owning [Slots] entry once per closure (the fused
+   machine). *)
+type on_match = Stop | Flag | Slots of { owner : int array; nslots : int }
+
+(* Cache-pressure counts, maintained on the slow (materialization)
+   path only so the per-byte loop carries no accounting stores; hit
+   counts are recovered at publish time from the byte ticks.  A
+   pattern's two machines share one. *)
+type tally = { mutable misses : int; mutable flushes : int }
+
+(* One machine: a program's interning table, bounded state store,
+   transition rows and closure scratch.  Rows live in arrays parallel
+   to [states] so the match loop reaches a row in one load; a state
+   gets only the rows its machine's phases read.
 
    Row encodings (chosen so the hot loop's common case is one sign
    test):
 
-   - [urows] (unanchored, forward phase 1): [-1] not materialized,
-     [-2] a match ends at this boundary (the successor is not even
-     interned — the anchored rerun recomputes it); otherwise
-     [(sid lsl 1) lor bare] where [bare] marks a successor holding only
-     the injected fresh-start thread, i.e. a point where the skip
-     analysis may jump.  Unanchored successors always contain that
-     injected thread, so they are never dead — the loop needs no dead
-     check.
+   - [urows] (the forward machine's unanchored phase 1; empty on every
+     other machine): [-1] not materialized, [-2] a match ends at this
+     boundary (the successor is not even interned — the anchored rerun
+     recomputes it); otherwise [(sid lsl 1) lor bare] where [bare]
+     marks a successor holding only the injected fresh-start thread,
+     i.e. a point where the skip analysis may jump.  Unanchored
+     successors always contain that injected thread, so they are never
+     dead — the loop needs no dead check.
 
-   - [arows] (anchored): [-1] not materialized; otherwise
-     [(sid lsl 1) lor flag] where [flag] marks a match ending at this
-     boundary.  Dead successors are real interned states
-     ([st_dead = true]). *)
+   - [rows]: [-1] not materialized; otherwise [(sid lsl 1) lor flag]
+     where [flag] marks a match ending at this boundary (for the fused
+     machine: some slot matched).  Dead successors are real interned
+     states. *)
 type mach = {
   prog : Rx_pike.inst array;
-  prune : bool; (* stop closure at I_match (forward only) *)
+  pred : int array; (* pc -> distinct-predicate id; -1 if non-consuming *)
+  tb : tables;
+  on_match : on_match;
   swap : bool; (* backward: facts swap boundary sides *)
   ncols : int;
-  max_states : int;
+  tally : tally;
   mutable nstates : int;
   states : state array;
+  rows : int array array;
   urows : int array array;
-  arows : int array array;
-  itbl : (string, int) Hashtbl.t;
-  mutable fgen : int; (* flush generation; start-state memos key on it *)
+  itbl : int Itbl.t;
+  mutable fgen : int; (* flush generation *)
+  mutable search_flushes : int; (* flushes since the search began *)
+  start_sids : int array; (* [start]'s memo, by left-context fact *)
   stamp : int array; (* per-pc visit stamps for closure dedup *)
   mutable gen : int;
   buf : int array; (* closure output: consuming pcs, in order *)
-  (* Interned start-state ids by left-context fact, valid while
-     [start_gen = fgen]: start states depend only on the program, so
-     the memo survives across searches (and subjects) until a flush
-     drops the interned states. *)
-  start_sids : int array;
-  mutable start_gen : int;
+  mutable count : int; (* ... and its length *)
+  mutable stopped : bool; (* [Stop] reached a match in this closure *)
+  pruned : int array; (* [Slots]: per-slot stamps, matched in this closure *)
+  mbuf : int array; (* [Slots]: slots matched in this closure *)
+  mutable nmatched : int; (* ... and their count; 0 or 1 otherwise *)
+  out : int array; (* successor threads under construction *)
 }
 
-(* Cache-pressure counters, maintained on the slow (materialization)
-   path only so the per-byte loop carries no accounting stores; hit
-   counts are recovered at publish time from the byte ticks. *)
-type cache = {
-  st : static;
-  fw : mach;
-  rv : mach;
-  mutable c_misses : int;
-  mutable c_flushes : int;
-}
-
-let default_max_states = 512
 let max_search_flushes = 4
 
-let make_mach st prog ~prune ~swap ~max_states =
+let make_mach ?(unanchored = false) ~max_states ~swap ~on_match ~tally tb
+    prog pred =
+  if max_states < 2 then invalid_arg "Rx_dfa.make_mach: max_states < 2";
   let n = Array.length prog in
+  let nslots = match on_match with Slots s -> s.nslots | Stop | Flag -> 0 in
   {
     prog;
-    prune;
+    pred;
+    tb;
+    on_match;
     swap;
-    ncols = st.nclasses + 1;
-    max_states;
+    ncols = tb.nclasses + 1;
+    tally;
     nstates = 0;
-    states = Array.make max_states dead_or_dummy;
-    urows = Array.make max_states no_row;
-    arows = Array.make max_states no_row;
-    itbl = Hashtbl.create 64;
+    states = Array.make max_states dead;
+    rows = Array.make max_states no_row;
+    urows = (if unanchored then Array.make max_states no_row else [||]);
+    itbl = Itbl.create (max_states / 8);
     fgen = 0;
+    search_flushes = 0;
+    start_sids = Array.make 4 (-1);
     stamp = Array.make n 0;
     gen = 0;
     buf = Array.make (n + 1) 0;
-    start_sids = Array.make 4 (-1);
-    start_gen = -1;
+    count = 0;
+    stopped = false;
+    pruned = Array.make nslots 0;
+    mbuf = Array.make nslots 0;
+    nmatched = 0;
+    out = Array.make (n + 1) 0;
   }
-
-let make_cache ?(max_states = default_max_states) st =
-  if max_states < 2 then invalid_arg "Rx_dfa.make_cache: max_states < 2";
-  {
-    st;
-    fw = make_mach st st.fwd_prog ~prune:true ~swap:false ~max_states;
-    rv = make_mach st st.rev_prog ~prune:false ~swap:true ~max_states;
-    c_misses = 0;
-    c_flushes = 0;
-  }
-
-let hits_counter = Telemetry.Counter.make "rx_dfa_cache_hits_total"
-let misses_counter = Telemetry.Counter.make "rx_dfa_cache_misses_total"
-let flushes_counter = Telemetry.Counter.make "rx_dfa_cache_flushes_total"
 
 (* [ticks] is the number of bytes the search scanned through live
    states; each one took a cached or freshly materialized transition,
@@ -323,8 +379,9 @@ let flushes_counter = Telemetry.Counter.make "rx_dfa_cache_flushes_total"
    [recorder] is the caller's pre-fetched recording handle — the search
    entry points accept one so a whole scan sweep pays the sink lookup
    once; callers that did not thread one through still get recorded via
-   a local fetch. *)
-let publish cache ~recorder ~ticks =
+   a local fetch.  The first argument is the (hits, misses, flushes)
+   counter triple the machine reports under. *)
+let publish (hits_c, misses_c, flushes_c) tally ~recorder ~ticks =
   (match
      (match recorder with Some _ as r -> r | None -> Telemetry.recorder ())
    with
@@ -332,168 +389,204 @@ let publish cache ~recorder ~ticks =
   | Some r ->
     (* one write batch for the whole search, squarely on the
        instrumented scan hot path *)
-    let hits = ticks - cache.c_misses in
-    if hits > 0 then Telemetry.Counter.record r hits_counter hits;
-    if cache.c_misses > 0 then
-      Telemetry.Counter.record r misses_counter cache.c_misses;
-    if cache.c_flushes > 0 then
-      Telemetry.Counter.record r flushes_counter cache.c_flushes);
-  cache.c_misses <- 0;
-  cache.c_flushes <- 0
+    let hits = ticks - tally.misses in
+    if hits > 0 then Telemetry.Counter.record r hits_c hits;
+    if tally.misses > 0 then Telemetry.Counter.record r misses_c tally.misses;
+    if tally.flushes > 0 then
+      Telemetry.Counter.record r flushes_c tally.flushes);
+  tally.misses <- 0;
+  tally.flushes <- 0
 
-(* State keys pack (ctx, raw) into a string for the interning table;
-   pcs fit 16 bits (tier selection caps programs far below that). *)
-let key_of ctx raw =
-  let n = Array.length raw in
-  let b = Bytes.create (1 + (2 * n)) in
-  Bytes.unsafe_set b 0 (Char.unsafe_chr ctx);
-  for i = 0 to n - 1 do
-    let pc = Array.unsafe_get raw i in
-    Bytes.unsafe_set b (1 + (2 * i)) (Char.unsafe_chr (pc land 0xff));
-    Bytes.unsafe_set b (2 + (2 * i)) (Char.unsafe_chr (pc lsr 8))
-  done;
-  Bytes.unsafe_to_string b
-
-let flush cache m =
+(* Drops the states and rows so stale successor ids can never be
+   reached again.  A search that keeps flushing gives up. *)
+let flush m =
   Telemetry.Trace.ambient_instant Telemetry.Trace.Dfa_flush;
-  Hashtbl.reset m.itbl;
-  (* drop the states and rows so stale successor ids can never be
-     reached again *)
-  Array.fill m.states 0 m.nstates dead_or_dummy;
-  Array.fill m.urows 0 m.nstates no_row;
-  Array.fill m.arows 0 m.nstates no_row;
+  Itbl.reset m.itbl;
+  Array.fill m.states 0 m.nstates dead;
+  Array.fill m.rows 0 m.nstates no_row;
+  if Array.length m.urows > 0 then Array.fill m.urows 0 m.nstates no_row;
+  Array.fill m.start_sids 0 4 (-1);
   m.nstates <- 0;
   m.fgen <- m.fgen + 1;
-  cache.c_flushes <- cache.c_flushes + 1
+  m.tally.flushes <- m.tally.flushes + 1;
+  m.search_flushes <- m.search_flushes + 1;
+  if m.search_flushes > max_search_flushes then raise Bail
 
-let find_or_add cache m ctx raw =
-  let key = key_of ctx raw in
-  match Hashtbl.find_opt m.itbl key with
+(* The state id of [(ctx, raw)], interned on first sight.
+   @raise Restart when the store was full and got flushed.
+   @raise Bail when that flush was one too many for the search. *)
+let find_or_add m ctx raw =
+  let s = { ctx; raw } in
+  match Itbl.find_opt m.itbl s with
   | Some sid -> sid
   | None ->
-    if m.nstates >= m.max_states then begin
-      flush cache m;
+    if m.nstates >= Array.length m.states then begin
+      flush m;
       raise Restart
     end;
     let sid = m.nstates in
-    m.states.(sid) <-
-      { st_ctx = ctx; st_raw = raw; st_dead = Array.length raw = 0 };
-    m.urows.(sid) <- Array.make m.ncols (-1);
-    m.arows.(sid) <- Array.make m.ncols (-1);
-    Hashtbl.add m.itbl key sid;
+    m.states.(sid) <- s;
+    m.rows.(sid) <- Array.make m.ncols (-1);
+    if Array.length m.urows > 0 then m.urows.(sid) <- Array.make m.ncols (-1);
+    Itbl.add m.itbl s sid;
     m.nstates <- sid + 1;
     sid
 
-(* Epsilon closure of [raw] at a boundary whose subject-left fact is
-   [lf] and subject-right fact is [rf].  Collects the consuming pcs
-   reachable through zero-width instructions into [m.buf] in priority
-   order; returns [(count, matched)].  With [m.prune], collection stops
-   at the first [I_match]: in leftmost-first semantics no lower-priority
-   thread can beat a match already found. *)
-let closure m raw ~lf ~rf =
-  m.gen <- m.gen + 1;
-  let gen = m.gen in
-  let stamp = m.stamp and prog = m.prog and buf = m.buf in
-  let count = ref 0 in
-  let matched = ref false in
-  let stop = ref false in
-  let rec add pc =
-    if (not !stop) && stamp.(pc) <> gen then begin
-      stamp.(pc) <- gen;
-      match prog.(pc) with
-      | Rx_pike.I_jmp t -> add t
-      | Rx_pike.I_split (a, b) ->
-        add a;
-        add b
-      | Rx_pike.I_bol ->
-        if lf = fact_boundary || lf = fact_newline then add (pc + 1)
-      | Rx_pike.I_eol ->
-        if rf = fact_boundary || rf = fact_newline then add (pc + 1)
-      | Rx_pike.I_eos -> if rf = fact_boundary then add (pc + 1)
-      | Rx_pike.I_wordb ->
-        if (lf = fact_word) <> (rf = fact_word) then add (pc + 1)
-      | Rx_pike.I_nwordb ->
-        if (lf = fact_word) = (rf = fact_word) then add (pc + 1)
-      | Rx_pike.I_match ->
-        matched := true;
-        if m.prune then stop := true
-      | Rx_pike.I_char _ | Rx_pike.I_any | Rx_pike.I_class _ ->
-        buf.(!count) <- pc;
-        incr count
-    end
-  in
-  Array.iter add raw;
-  (!count, !matched)
+(* [find_or_add] retried once past a flush: the emptied store always
+   has room. *)
+let intern m ctx raw =
+  try find_or_add m ctx raw with Restart -> find_or_add m ctx raw
 
-(* The shared half of transition materialization: close [s] over the
-   boundary before class [c], step every collected thread on the class
-   representative, and return the successor's raw set (injection not
-   yet applied) plus the match flag. *)
-let successors cache m s c =
-  cache.c_misses <- cache.c_misses + 1;
-  let stc = cache.st in
-  let cf = stc.class_fact.(c) in
-  let lf, rf = if m.swap then (cf, s.st_ctx) else (s.st_ctx, cf) in
-  let n, matched = closure m s.st_raw ~lf ~rf in
-  let tmp = Array.make (n + 1) 0 in
+let start_raw = [| 0 |]
+
+(* The start state for left-context fact [ctx]: start states depend only
+   on the program, so the memo serves skip jumps and later searches
+   until a flush drops it. *)
+let start m ctx =
+  let s = Array.unsafe_get m.start_sids ctx in
+  if s >= 0 then s
+  else begin
+    let s = intern m ctx start_raw in
+    m.start_sids.(ctx) <- s;
+    s
+  end
+
+(* One step of [closure]'s DFS: a top-level function over the machine's
+   counters rather than a local closure, so a miss allocates nothing to
+   close over. *)
+let rec close_pc m ~gen ~lf ~rf pc =
+  let stamp = m.stamp in
+  if (not m.stopped) && stamp.(pc) <> gen then begin
+    stamp.(pc) <- gen;
+    match m.prog.(pc) with
+    | Rx_pike.I_jmp t -> close_pc m ~gen ~lf ~rf t
+    | Rx_pike.I_split (a, b) ->
+      close_pc m ~gen ~lf ~rf a;
+      close_pc m ~gen ~lf ~rf b
+    | Rx_pike.I_bol ->
+      if lf = fact_boundary || lf = fact_newline then
+        close_pc m ~gen ~lf ~rf (pc + 1)
+    | Rx_pike.I_eol ->
+      if rf = fact_boundary || rf = fact_newline then
+        close_pc m ~gen ~lf ~rf (pc + 1)
+    | Rx_pike.I_eos ->
+      if rf = fact_boundary then close_pc m ~gen ~lf ~rf (pc + 1)
+    | Rx_pike.I_wordb ->
+      if (lf = fact_word) <> (rf = fact_word) then
+        close_pc m ~gen ~lf ~rf (pc + 1)
+    | Rx_pike.I_nwordb ->
+      if (lf = fact_word) = (rf = fact_word) then
+        close_pc m ~gen ~lf ~rf (pc + 1)
+    | Rx_pike.I_match -> (
+      match m.on_match with
+      | Stop ->
+        m.nmatched <- 1;
+        m.stopped <- true
+      | Flag -> m.nmatched <- 1
+      | Slots { owner; _ } ->
+        let s = owner.(pc) in
+        if s >= 0 && m.pruned.(s) <> gen then begin
+          m.pruned.(s) <- gen;
+          m.mbuf.(m.nmatched) <- s;
+          m.nmatched <- m.nmatched + 1
+        end)
+    | Rx_pike.I_char _ | Rx_pike.I_any | Rx_pike.I_class _ ->
+      m.buf.(m.count) <- pc;
+      m.count <- m.count + 1
+  end
+
+(* Epsilon closure of [raw.(0 .. len-1)] at a boundary whose
+   subject-left fact is [lf] and subject-right fact is [rf]: the
+   consuming pcs reachable through zero-width instructions land in
+   [m.buf] in priority order, [m.nmatched] tells whether (and, for
+   [Slots], which) [I_match]es were reached.  Returns the pc count. *)
+let closure m raw ~len ~lf ~rf =
+  m.gen <- m.gen + 1;
+  m.count <- 0;
+  m.nmatched <- 0;
+  m.stopped <- false;
+  let gen = m.gen in
+  for i = 0 to len - 1 do
+    close_pc m ~gen ~lf ~rf (Array.unsafe_get raw i)
+  done;
+  m.count
+
+(* The per-pattern half of transition materialization: close [s] over
+   the boundary before class [c] and step every collected thread that
+   accepts [c] into [m.out]; returns the successor's fact and thread
+   count (injection not yet applied). *)
+let successors m s c =
+  m.tally.misses <- m.tally.misses + 1;
+  let tb = m.tb in
+  let cf = tb.class_fact.(c) in
+  let lf, rf = if m.swap then (cf, s.ctx) else (s.ctx, cf) in
+  let n = closure m s.raw ~len:(Array.length s.raw) ~lf ~rf in
+  let row = c * tb.npred in
   let k = ref 0 in
-  if c < stc.nclasses then begin
-    let repr = stc.class_repr.[c] in
-    for i = 0 to n - 1 do
-      let pc = m.buf.(i) in
-      let ok =
-        match m.prog.(pc) with
-        | Rx_pike.I_char c' -> repr = c'
-        | Rx_pike.I_any -> repr <> '\n'
-        | Rx_pike.I_class cls -> Rx_ast.class_matches cls repr
-        | _ -> false
-      in
-      if ok then begin
-        tmp.(!k) <- pc + 1;
-        incr k
-      end
-    done
-  end;
-  (cf, tmp, k, matched)
+  for i = 0 to n - 1 do
+    let pc = Array.unsafe_get m.buf i in
+    if Bytes.unsafe_get tb.accept (row + Array.unsafe_get m.pred pc) <> '\000'
+    then begin
+      Array.unsafe_set m.out !k (pc + 1);
+      incr k
+    end
+  done;
+  (cf, !k)
 
 (* Materialize the unanchored transition out of state [sid] on class
    [c].  A match flag short-circuits to [-2] without interning the
    successor (phase 2 reruns the boundary anchored anyway).
    @raise Restart when interning the successor flushed the table. *)
-let materialize_u cache m sid c =
-  let s = Array.unsafe_get m.states sid in
-  let cf, tmp, k, matched = successors cache m s c in
-  if matched then begin
+let materialize_u m sid c =
+  let cf, k = successors m (Array.unsafe_get m.states sid) c in
+  if m.nmatched > 0 then begin
     (Array.unsafe_get m.urows sid).(c) <- -2;
     -2
   end
   else begin
-    let bare = !k = 0 in
     (* inject the fresh start attempt at lowest priority — the DFA form
        of the backtracker's start loop *)
-    tmp.(!k) <- 0;
-    incr k;
-    let raw' = Array.sub tmp 0 !k in
-    let sid' = find_or_add cache m cf raw' in
-    let v = (sid' lsl 1) lor (if bare then 1 else 0) in
+    m.out.(k) <- 0;
+    let sid' = find_or_add m cf (Array.sub m.out 0 (k + 1)) in
+    let v = (sid' lsl 1) lor (if k = 0 then 1 else 0) in
     (Array.unsafe_get m.urows sid).(c) <- v;
     v
   end
 
 (* Materialize the anchored transition out of [sid] on class [c]. *)
-let materialize_a cache m sid c =
-  let s = Array.unsafe_get m.states sid in
-  let cf, tmp, k, matched = successors cache m s c in
-  let raw' = Array.sub tmp 0 !k in
-  let sid' = find_or_add cache m cf raw' in
+let materialize_a m sid c =
+  let cf, k = successors m (Array.unsafe_get m.states sid) c in
+  let matched = m.nmatched > 0 in
+  let sid' = find_or_add m cf (Array.sub m.out 0 k) in
   let v = (sid' lsl 1) lor (if matched then 1 else 0) in
-  (Array.unsafe_get m.arows sid).(c) <- v;
+  (Array.unsafe_get m.rows sid).(c) <- v;
   v
 
 let step_allowance_exceeded =
   Rx_match.Budget_exceeded "rx dfa: step cap exceeded"
 
-let start_raw = [| 0 |]
+(* The mutable, per-domain half of a pattern: one machine per
+   direction. *)
+type cache = { fw : mach; rv : mach; tally : tally }
+
+let default_max_states = 512
+
+let make_cache ?(max_states = default_max_states) (st : static) =
+  let tally = { misses = 0; flushes = 0 } in
+  {
+    fw =
+      make_mach ~unanchored:true ~max_states ~swap:false ~on_match:Stop ~tally
+        st.tb st.fwd_prog st.fwd_pred;
+    rv =
+      make_mach ~max_states ~swap:true ~on_match:Flag ~tally st.tb st.rev_prog
+        st.rev_pred;
+    tally;
+  }
+
+let counters =
+  ( Telemetry.Counter.make "rx_dfa_cache_hits_total",
+    Telemetry.Counter.make "rx_dfa_cache_misses_total",
+    Telemetry.Counter.make "rx_dfa_cache_flushes_total" )
 
 (* Start-skip shape, selected once per search from the compile-time
    start analysis.  A plain tag plus the top-level hunt helpers below
@@ -562,15 +655,15 @@ let rec hunt_lane subject ~len ~prefix ~anchor ~best s =
    need no exact span). *)
 let forward_end cache ~stop_at_first ~cap ~steps ~first_bytes ~first_byte
     ~prefixes ~bol_only subject pos =
-  let stc = cache.st in
   let m = cache.fw in
+  let tb = m.tb in
   let len = String.length subject in
-  let classes = stc.classes in
-  let sentinel = stc.nclasses in
+  let classes = tb.classes in
+  let sentinel = tb.nclasses in
   let fact_left p =
     if p = 0 then fact_boundary
     else
-      stc.class_fact.(Char.code
+      tb.class_fact.(Char.code
                         (String.unsafe_get classes
                            (Char.code (String.unsafe_get subject (p - 1)))))
   in
@@ -669,37 +762,11 @@ let forward_end cache ~stop_at_first ~cap ~steps ~first_bytes ~first_byte
   let p0 = if skippable then next_feasible pos else pos in
   if p0 > len then -1
   else begin
-    let flushes = ref 0 in
-    let intern_sid ctx raw =
-      try find_or_add cache m ctx raw
-      with Restart ->
-        incr flushes;
-        if !flushes > max_search_flushes then raise Bail;
-        find_or_add cache m ctx raw
-    in
-    (* Start states differ only by left-context fact; memoized in the
-       machine record per flush generation so skip jumps — and whole
-       subsequent searches — re-enter in O(1) with no per-call
-       scratch. *)
-    let get_start ctx =
-      if m.start_gen <> m.fgen then begin
-        Array.fill m.start_sids 0 4 (-1);
-        m.start_gen <- m.fgen
-      end;
-      let s = Array.unsafe_get m.start_sids ctx in
-      if s >= 0 then s
-      else begin
-        let s = intern_sid ctx start_raw in
-        (* intern_sid may have flushed: re-sync the memo generation *)
-        if m.start_gen <> m.fgen then begin
-          Array.fill m.start_sids 0 4 (-1);
-          m.start_gen <- m.fgen
-        end;
-        m.start_sids.(ctx) <- s;
-        s
-      end
-    in
-    let sid = ref (get_start (fact_left p0)) in
+    m.search_flushes <- 0;
+    (* start states differ only by left-context fact: the machine's memo
+       lets skip jumps — and whole subsequent searches — re-enter in
+       O(1) *)
+    let sid = ref (start m (fact_left p0)) in
     let p = ref p0 in
     let e = ref (-1) in
     (* 0 = hunting, 1 = flag seen at [!p] (recorded in [e]), 2 = no
@@ -753,7 +820,7 @@ let forward_end cache ~stop_at_first ~cap ~steps ~first_bytes ~first_byte
                  else begin
                    p := q;
                    seg := q;
-                   sid := get_start (fact_left q)
+                   sid := start m (fact_left q)
                  end
                end
              end
@@ -768,12 +835,9 @@ let forward_end cache ~stop_at_first ~cap ~steps ~first_bytes ~first_byte
              (* not materialized; capture the state record first — it
                 survives a flush even though its table slot does not *)
              let scur = Array.unsafe_get m.states !sid in
-             match materialize_u cache m !sid c with
+             match materialize_u m !sid c with
              | _ -> ()
-             | exception Restart ->
-               incr flushes;
-               if !flushes > max_search_flushes then raise Bail;
-               sid := intern_sid scur.st_ctx scur.st_raw
+             | exception Restart -> sid := intern m scur.ctx scur.raw
            end
          done
        with
@@ -795,16 +859,14 @@ let forward_end cache ~stop_at_first ~cap ~steps ~first_bytes ~first_byte
         else sentinel
       in
       let v =
-        let v = Array.unsafe_get (Array.unsafe_get m.arows !sid) c in
+        let v = Array.unsafe_get (Array.unsafe_get m.rows !sid) c in
         if v >= 0 then v
         else begin
           let scur = Array.unsafe_get m.states !sid in
-          match materialize_a cache m !sid c with
+          match materialize_a m !sid c with
           | v -> v
           | exception Restart ->
-            incr flushes;
-            if !flushes > max_search_flushes then raise Bail;
-            sid := intern_sid scur.st_ctx scur.st_raw;
+            sid := intern m scur.ctx scur.raw;
             -1
         end
       in
@@ -816,7 +878,8 @@ let forward_end cache ~stop_at_first ~cap ~steps ~first_bytes ~first_byte
         else if !p >= len then verdict := 2
         else begin
           let nsid = v lsr 1 in
-          if (Array.unsafe_get m.states nsid).st_dead then verdict := 2
+          if Array.length (Array.unsafe_get m.states nsid).raw = 0 then
+            verdict := 2
           else begin
             sid := nsid;
             incr p
@@ -841,16 +904,14 @@ let forward_end cache ~stop_at_first ~cap ~steps ~first_bytes ~first_byte
           else sentinel
         in
         let v =
-          let v = Array.unsafe_get (Array.unsafe_get m.arows !sid) c in
+          let v = Array.unsafe_get (Array.unsafe_get m.rows !sid) c in
           if v >= 0 then v
           else begin
             let scur = Array.unsafe_get m.states !sid in
-            match materialize_a cache m !sid c with
+            match materialize_a m !sid c with
             | v -> v
             | exception Restart ->
-              incr flushes;
-              if !flushes > max_search_flushes then raise Bail;
-              sid := intern_sid scur.st_ctx scur.st_raw;
+              sid := intern m scur.ctx scur.raw;
               -1
           end
         in
@@ -859,7 +920,7 @@ let forward_end cache ~stop_at_first ~cap ~steps ~first_bytes ~first_byte
           if !p >= len then extending := false
           else begin
             let nsid = v lsr 1 in
-            if (Array.unsafe_get m.states nsid).st_dead then
+            if Array.length (Array.unsafe_get m.states nsid).raw = 0 then
               extending := false
             else begin
               sid := nsid;
@@ -879,29 +940,22 @@ let forward_end cache ~stop_at_first ~cap ~steps ~first_bytes ~first_byte
    Returns -1 only if no flag fires, which the forward pass's success
    makes an internal failure (the caller bails to the backtracker). *)
 let backward_start cache ~cap ~steps ~low ~e subject =
-  let stc = cache.st in
   let m = cache.rv in
+  let tb = m.tb in
   let len = String.length subject in
-  let classes = stc.classes in
-  let sentinel = stc.nclasses in
+  let classes = tb.classes in
+  let sentinel = tb.nclasses in
   let ctx0 =
     if e = len then fact_boundary
     else
-      stc.class_fact.(Char.code
-                        (String.unsafe_get classes
-                           (Char.code (String.unsafe_get subject e))))
+      tb.class_fact.(Char.code
+                       (String.unsafe_get classes
+                          (Char.code (String.unsafe_get subject e))))
   in
-  let flushes = ref 0 in
-  let intern_sid ctx raw =
-    try find_or_add cache m ctx raw
-    with Restart ->
-      incr flushes;
-      if !flushes > max_search_flushes then raise Bail;
-      find_or_add cache m ctx raw
-  in
+  m.search_flushes <- 0;
   let best = ref (-1) in
   let p = ref e in
-  let sid = ref (intern_sid ctx0 start_raw) in
+  let sid = ref (start m ctx0) in
   let running = ref true in
   while !running do
     incr steps;
@@ -914,16 +968,14 @@ let backward_start cache ~cap ~steps ~low ~e subject =
       else sentinel
     in
     let v =
-      let v = Array.unsafe_get (Array.unsafe_get m.arows !sid) c in
+      let v = Array.unsafe_get (Array.unsafe_get m.rows !sid) c in
       if v >= 0 then v
       else begin
         let scur = Array.unsafe_get m.states !sid in
-        match materialize_a cache m !sid c with
+        match materialize_a m !sid c with
         | v -> v
         | exception Restart ->
-          incr flushes;
-          if !flushes > max_search_flushes then raise Bail;
-          sid := intern_sid scur.st_ctx scur.st_raw;
+          sid := intern m scur.ctx scur.raw;
           -1
       end
     in
@@ -932,7 +984,8 @@ let backward_start cache ~cap ~steps ~low ~e subject =
       if !p <= low || !p = 0 then running := false
       else begin
         let nsid = v lsr 1 in
-        if (Array.unsafe_get m.states nsid).st_dead then running := false
+        if Array.length (Array.unsafe_get m.states nsid).raw = 0 then
+          running := false
         else begin
           sid := nsid;
           decr p
@@ -960,10 +1013,10 @@ let search cache ?recorder ?(cap = max_int) ?steps_acc ?first_bytes
     end
   with
   | result ->
-    publish cache ~recorder ~ticks:(!steps - t0);
+    publish counters cache.tally ~recorder ~ticks:(!steps - t0);
     result
   | exception ex ->
-    publish cache ~recorder ~ticks:(!steps - t0);
+    publish counters cache.tally ~recorder ~ticks:(!steps - t0);
     raise ex
 
 let is_match cache ?recorder ?(cap = max_int) ?steps_acc ?first_bytes
@@ -976,11 +1029,8 @@ let is_match cache ?recorder ?(cap = max_int) ?steps_acc ?first_bytes
       ~first_byte ~prefixes ~bol_only subject pos
   with
   | e ->
-    publish cache ~recorder ~ticks:(!steps - t0);
+    publish counters cache.tally ~recorder ~ticks:(!steps - t0);
     e >= 0
   | exception ex ->
-    publish cache ~recorder ~ticks:(!steps - t0);
+    publish counters cache.tally ~recorder ~ticks:(!steps - t0);
     raise ex
-
-(* Introspection for benchmarks and tests. *)
-let state_count cache = (cache.fw.nstates, cache.rv.nstates)

@@ -1,32 +1,41 @@
-(** Lazy-DFA execution over the Pike-NFA program.
+(** Lazy-DFA execution over Pike-NFA programs: the one determinizing
+    core of the library.
 
     The RE2-style hybrid engine: DFA states are priority-ordered sets
-    of NFA threads, materialized on demand into bounded per-pattern
-    transition caches, giving O(subject) matching with no backtracking
-    budget on the match/no-match path.  [Rx] drives it as the default
-    execution tier — a forward pass finds where the leftmost-first
-    match ends, a backward pass over the reversed program finds where
-    it starts, and the backtracker then extracts capture groups from
-    the confirmed span.  See rx_dfa.ml for the determinization
-    invariants that preserve leftmost-first semantics.
+    of NFA threads, materialized on demand into bounded transition
+    caches, giving O(subject) matching with no backtracking budget on
+    the match/no-match path.  [Rx] drives it as the default execution
+    tier — a forward pass finds where the leftmost-first match ends, a
+    backward pass over the reversed program finds where it starts, and
+    the backtracker then extracts capture groups from the confirmed
+    span.  See rx_dfa.ml for the determinization invariants that
+    preserve leftmost-first semantics.
 
-    Nothing here is specific to the [Rx] wrapper: the functions take
-    explicit programs, caches and subjects, which is what the stress
-    tests use to exercise tiny caches. *)
-
-type static
-(** The immutable, per-pattern half: forward and reverse programs plus
-    the byte-class tables.  Shareable across domains. *)
-
-type cache
-(** The mutable half: interned states and transition rows for one
-    domain's use of one pattern.  Not synchronized — callers keep one
-    cache per (pattern, domain). *)
+    The machine layer ({!mach}: state store, interning table, closure,
+    acceptance-table stepping, clear-and-restart) is shared with
+    {!Rx_fused}, whose catalog-wide existence pass is one more
+    machine over a composed program. *)
 
 exception Bail
 (** The cache thrashed (repeated flushes within one search) or an
     internal cross-check failed; the caller must re-run the search on
-    the backtracking engine. *)
+    a slower path — the backtracker, or per-pattern sweeps after a
+    fused pass. *)
+
+exception Restart
+(** A full store was flushed while interning; the runner re-interns
+    its current state and retries the transition. *)
+
+(** {1 Per-pattern searches} *)
+
+type static
+(** The immutable, per-pattern half: forward and reverse programs plus
+    their shared stepping tables.  Shareable across domains. *)
+
+type cache
+(** The mutable half: one machine per direction for one domain's use
+    of one pattern.  Not synchronized — callers keep one cache per
+    (pattern, domain). *)
 
 val reverse_node : Rx_ast.node -> Rx_ast.node
 (** Structural reversal of a pattern: matches exactly the reversed
@@ -34,26 +43,10 @@ val reverse_node : Rx_ast.node -> Rx_ast.node
     the backward machine evaluates them with the boundary sides
     swapped. *)
 
-val inst_accepts : Rx_pike.inst -> char -> bool
-(** Whether a consuming instruction steps on the byte ([false] for
-    every non-consuming instruction). *)
-
-val predicates : Rx_pike.inst array -> int array * Rx_pike.inst array
-(** [predicates prog] deduplicates the consuming instructions of
-    [prog] structurally: [(pred, distinct)] where [pred.(pc)] indexes
-    [distinct] for consuming pcs and is [-1] elsewhere. *)
-
-val derive_classes : Rx_pike.inst array -> string * int * int array * string
-(** [derive_classes distinct] is the byte-class compression induced by
-    the predicates [distinct] and the context facts:
-    [(classes, nclasses, class_fact, class_repr)] — the byte-to-class
-    table, the class count, each class's fact (one extra entry, the
-    end-of-input sentinel), and one representative byte per class. *)
-
 val build : fwd:Rx_pike.inst array -> rev:Rx_pike.inst array -> static
-(** [build ~fwd ~rev] derives the byte-class compression and packages
-    both programs.  [rev] must be the Pike compilation of
-    [reverse_node] applied to the AST [fwd] was compiled from. *)
+(** [build ~fwd ~rev] derives the stepping tables and packages both
+    programs.  [rev] must be the Pike compilation of [reverse_node]
+    applied to the AST [fwd] was compiled from. *)
 
 val make_cache : ?max_states:int -> static -> cache
 (** A fresh, empty transition cache.  [max_states] (default 512) bounds
@@ -112,6 +105,123 @@ val is_match :
 (** Boolean variant of {!search}: the forward pass alone, stopping at
     the first match flag — no backward pass runs. *)
 
-val state_count : cache -> int * int
-(** Interned (forward, backward) state counts — cache-pressure
-    introspection for tests and benchmarks. *)
+(** {1 The machine layer} *)
+
+val fact_boundary : int
+val fact_word : int
+val fact_newline : int
+(** Context facts: the one property of an adjacent byte the zero-width
+    assertions inspect (1 is any other byte).  [fact_boundary] is also
+    the fact of the end-of-input sentinel class. *)
+
+type tables = {
+  classes : string;  (** byte -> input-class id *)
+  nclasses : int;  (** real classes; the sentinel is id [nclasses] *)
+  class_fact : int array;  (** class id (sentinel included) -> fact *)
+  npred : int;  (** distinct consuming predicates *)
+  accept : Bytes.t;
+      (** [(c * npred) + p] is ['\001'] iff predicate [p] accepts
+          class [c]; the sentinel's row is all zero *)
+}
+(** A program's byte-class compression and acceptance table. *)
+
+val tables : Rx_pike.inst array -> int array * tables
+(** [tables prog] is [(pred, tb)]: [pred.(pc)] is the distinct
+    predicate id of consuming pc [pc] ([-1] elsewhere), and [tb] the
+    classes every predicate of [prog] and the context facts induce. *)
+
+type state = { ctx : int; raw : int array }
+(** A DFA state: the left-context fact and the pending threads, in
+    priority order, not yet closed.  Empty [raw] is the dead state. *)
+
+type on_match =
+  | Stop  (** stop collecting: leftmost-first forward pass *)
+  | Flag  (** note the match and go on: backward pass *)
+  | Slots of { owner : int array; nslots : int }
+      (** record [owner.(pc)] once per closure: fused pass *)
+(** What closure does on reaching an [I_match]. *)
+
+type tally = { mutable misses : int; mutable flushes : int }
+(** Cache-pressure counts since the last {!publish}. *)
+
+module Itbl : Hashtbl.S with type key = state
+(** Interning table: hashes and compares the thread array itself. *)
+
+type mach = {
+  prog : Rx_pike.inst array;
+  pred : int array;  (** pc -> predicate id, as {!tables} returns it *)
+  tb : tables;
+  on_match : on_match;
+  swap : bool;  (** backward: facts swap boundary sides *)
+  ncols : int;  (** [tb.nclasses + 1]: one column per class + sentinel *)
+  tally : tally;
+  mutable nstates : int;
+  states : state array;  (** the store; its length is the capacity *)
+  rows : int array array;
+      (** anchored rows: [-1] unmaterialized, else
+          [(sid lsl 1) lor match_flag] *)
+  urows : int array array;  (** unanchored rows; forward pass only *)
+  itbl : int Itbl.t;
+  mutable fgen : int;  (** flush generation *)
+  mutable search_flushes : int;  (** reset when a search begins *)
+  start_sids : int array;
+  stamp : int array;
+  mutable gen : int;  (** closure generation, stamped into [stamp] *)
+  buf : int array;  (** closure output: consuming pcs in order ... *)
+  mutable count : int;  (** ... and their count *)
+  mutable stopped : bool;
+  pruned : int array;  (** [Slots]: slot stamps of this closure *)
+  mbuf : int array;  (** [Slots]: slots matched in this closure ... *)
+  mutable nmatched : int;  (** ... and their count; 0/1 otherwise *)
+  out : int array;  (** scratch for successor threads *)
+}
+(** One machine: a program's bounded state store, interning table,
+    transition rows and closure scratch.  Mutable and per-domain. *)
+
+val make_mach :
+  ?unanchored:bool ->
+  max_states:int ->
+  swap:bool ->
+  on_match:on_match ->
+  tally:tally ->
+  tables ->
+  Rx_pike.inst array ->
+  int array ->
+  mach
+(** [make_mach tb prog pred] is an empty machine over [prog];
+    [unanchored] allocates [urows] too.
+    @raise Invalid_argument when [max_states < 2]. *)
+
+val find_or_add : mach -> int -> int array -> int
+(** The state id of [(ctx, raw)], interning it on first sight.  A full
+    store is flushed first, which also counts toward the search's
+    flush limit.
+    @raise Restart after a flush; @raise Bail past the limit. *)
+
+val intern : mach -> int -> int array -> int
+(** {!find_or_add}, retried once past a flush. *)
+
+val start_raw : int array
+(** The thread set [[|0|]]: one fresh attempt at the program's entry. *)
+
+val start : mach -> int -> int
+(** The start state for a left-context fact, memoized until a flush. *)
+
+val closure : mach -> int array -> len:int -> lf:int -> rf:int -> int
+(** [closure m raw ~len ~lf ~rf] epsilon-closes [raw.(0 .. len-1)] at a
+    boundary with subject-left fact [lf] and subject-right fact [rf]:
+    consuming pcs land in [m.buf] in priority order, reached matches
+    in [m.nmatched] (and [m.mbuf]) as [m.on_match] says.  Returns the
+    pc count. *)
+
+val publish :
+  Telemetry.Counter.t * Telemetry.Counter.t * Telemetry.Counter.t ->
+  tally ->
+  recorder:Telemetry.recorder option ->
+  ticks:int ->
+  unit
+(** Records one search's (hits, misses, flushes) under the given
+    counters — hits are [ticks] minus misses — and resets the tally. *)
+
+val step_allowance_exceeded : exn
+(** The {!Rx_match.Budget_exceeded} a search raises past its [cap]. *)

@@ -45,44 +45,24 @@
    is ever dropped (no false negatives) — the differential suites
    check this against [Rx.matches] pattern by pattern.
 
-   Cache discipline is [Rx_dfa]'s: bounded interned-state store,
-   clear-and-restart on overflow ([Restart]), [Bail] after too many
+   The machine is an [Rx_dfa.mach]: the same state store, interning
+   table, closure, acceptance-table stepping and clear-and-restart
+   discipline as a single pattern's, with [Rx_dfa.Bail] after too many
    flushes in one search — the caller then falls back to the plain
    per-rule path, so correctness never depends on cache capacity.
-   There are no skip lanes: with a whole catalog fused, the union of
-   FIRST sets covers nearly every byte, so the pass is a straight
-   table walk — one load per input byte. *)
-
-exception Bail
-(* The cache thrashed ([max_search_flushes] flushes in one search); the
-   caller must fall back to the per-rule scan path. *)
-
-exception Restart
-(* Internal: the state table was flushed mid-search; the runner
-   re-interns its current state and retries the transition. *)
-
-(* Left/right context facts, [Rx_dfa]'s encoding verbatim (its byte
-   classes, which this machine shares, carry them): 0 subject boundary,
-   1 other byte, 2 word byte, 3 newline. *)
-let fact_boundary = 0
-let fact_word = 2
-let fact_newline = 3
+   What is fused-specific lives here: composing the tagged program,
+   the fan-out table, the per-slot prune and the flagged-slot side
+   table.  There are no skip lanes: with a whole catalog fused, the
+   union of FIRST sets covers nearly every byte, so the pass is a
+   straight table walk — one load per input byte. *)
 
 (* Immutable, per-catalog, shared across domains. *)
 type static = {
   prog : Rx_pike.inst array; (* fan-out preamble + rebased programs *)
   owner : int array; (* pc -> slot; -1 for the preamble *)
   nslots : int;
-  classes : string; (* byte -> input-class id *)
-  nclasses : int; (* real classes; the EOI sentinel is id [nclasses] *)
-  class_fact : int array; (* class id (sentinel included) -> fact *)
-  class_repr : string; (* class id -> representative byte *)
-  (* Derived on build and on load, never serialized: *)
-  pred : int array; (* consuming pc -> distinct-predicate id; -1 otherwise *)
-  npred : int;
-  accept : Bytes.t;
-      (* [(c * npred) + p] is ['\001'] iff predicate [p] accepts input
-         class [c]; the sentinel's row is all zero *)
+  pred : int array; (* pc -> distinct-predicate id; -1 if non-consuming *)
+  tb : Rx_dfa.tables;
 }
 
 let nslots st = st.nslots
@@ -91,29 +71,6 @@ let program_size st = Array.length st.prog
 (* Hard bound on a fused program; the composer in [Rx.Fused] caps
    total size well below this. *)
 let max_program = 65535
-
-(* The step loop's acceptance table: one row per input class, one byte
-   per distinct predicate.  A class answers for all its bytes (they
-   share one signature), so a predicate is evaluated on each class's
-   representative — except a single-byte predicate, whose byte is a
-   class of its own and the only one it accepts.  The end-of-input
-   sentinel's row stays zero: no thread consumes past the end. *)
-let derive_accept preds ~classes ~nclasses ~class_repr =
-  let npred = Array.length preds in
-  let accept = Bytes.make ((nclasses + 1) * npred) '\000' in
-  Array.iteri
-    (fun p inst ->
-      match inst with
-      | Rx_pike.I_char ch ->
-        let c = Char.code classes.[Char.code ch] in
-        Bytes.set accept ((c * npred) + p) '\001'
-      | _ ->
-        for c = 0 to nclasses - 1 do
-          if Rx_dfa.inst_accepts inst class_repr.[c] then
-            Bytes.set accept ((c * npred) + p) '\001'
-        done)
-    preds;
-  accept
 
 (* Compose one tagged program from per-slot Pike programs: a chain of
    [nslots - 1] splits at the front fans pc 0 out to every slot's entry
@@ -151,146 +108,27 @@ let compose progs =
             | other -> other))
         p)
     progs;
-  let pred, preds = Rx_dfa.predicates prog in
-  let classes, nclasses, class_fact, class_repr = Rx_dfa.derive_classes preds in
-  {
-    prog;
-    owner;
-    nslots = k;
-    classes;
-    nclasses;
-    class_fact;
-    class_repr;
-    pred;
-    npred = Array.length preds;
-    accept = derive_accept preds ~classes ~nclasses ~class_repr;
-  }
+  let pred, tb = Rx_dfa.tables prog in
+  { prog; owner; nslots = k; pred; tb }
 
-(* Whether pc 0's closure reaches an [I_match] under some pair of
-   context facts — a hosted pattern that matches the empty string,
-   which the fan-out table cannot represent.  One propagation covers
-   all sixteen (left, right) fact pairs: [live.(pc)] is the set of pairs
-   (bit [4 * lf + rf]) under which [closure] would reach [pc], and a pc
-   is re-explored only for pairs it newly gains. *)
-let fanout_matches_empty prog =
-  let pairs ok =
-    let m = ref 0 in
-    for lf = 0 to 3 do
-      for rf = 0 to 3 do
-        if ok lf rf then m := !m lor (1 lsl ((4 * lf) + rf))
-      done
-    done;
-    !m
-  in
-  let line_edge f = f = fact_boundary || f = fact_newline in
-  let bol = pairs (fun lf _ -> line_edge lf)
-  and eol = pairs (fun _ rf -> line_edge rf)
-  and eos = pairs (fun _ rf -> rf = fact_boundary)
-  and wordb = pairs (fun lf rf -> (lf = fact_word) <> (rf = fact_word))
-  and nwordb = pairs (fun lf rf -> (lf = fact_word) = (rf = fact_word)) in
-  let live = Array.make (Array.length prog) 0 in
-  let found = ref false in
-  let rec add pc m =
-    let m = m land lnot live.(pc) in
-    if m <> 0 then begin
-      live.(pc) <- live.(pc) lor m;
-      match prog.(pc) with
-      | Rx_pike.I_jmp t -> add t m
-      | Rx_pike.I_split (a, b) ->
-        add a m;
-        add b m
-      | Rx_pike.I_bol -> add (pc + 1) (m land bol)
-      | Rx_pike.I_eol -> add (pc + 1) (m land eol)
-      | Rx_pike.I_eos -> add (pc + 1) (m land eos)
-      | Rx_pike.I_wordb -> add (pc + 1) (m land wordb)
-      | Rx_pike.I_nwordb -> add (pc + 1) (m land nwordb)
-      | Rx_pike.I_match -> found := true
-      | Rx_pike.I_char _ | Rx_pike.I_any | Rx_pike.I_class _ -> ()
-    end
-  in
-  add 0 (pairs (fun _ _ -> true));
-  !found
-
-let build progs =
-  let st = compose progs in
-  if fanout_matches_empty st.prog then
-    invalid_arg "Rx_fused.build: a program matches the empty string";
-  st
-
-(* A DFA state, exactly [Rx_dfa]'s shape: left-context fact plus the
-   pending thread set, stepped into this boundary and not yet closed.
-   Every thread array ends with the re-arm thread, pc 0. *)
-type state = { st_ctx : int; st_raw : int array }
-
-let dummy_state = { st_ctx = 0; st_raw = [||] }
-let no_row : int array = [||]
-
-(* States intern by hashing the thread array itself: the table compares
-   the context fact and the pcs directly, so a lookup builds no key. *)
-module Itbl = Hashtbl.Make (struct
-  type t = state
-
-  let equal a b =
-    a.st_ctx = b.st_ctx
-    &&
-    let ra = a.st_raw and rb = b.st_raw in
-    let n = Array.length ra in
-    n = Array.length rb
-    &&
-    let rec go i =
-      i = n || (Array.unsafe_get ra i = Array.unsafe_get rb i && go (i + 1))
-    in
-    go 0
-
-  let hash s =
-    let h = ref (s.st_ctx + 1) in
-    let raw = s.st_raw in
-    for i = 0 to Array.length raw - 1 do
-      h := (!h * 0x01000193) lxor Array.unsafe_get raw i
-    done;
-    let h = !h in
-    (h lxor (h lsr 23) lxor (h lsr 41)) land max_int
-end)
-
-(* The mutable, per-domain half.  One direction only (the machine is
-   forward-only and permanently unanchored), so one row array:
-   [rows.(sid).(c)] is [-1] unmaterialized, else
+(* The mutable, per-domain half.  The machine is forward-only and
+   permanently unanchored, so a state has one row:
+   [m.rows.(sid).(c)] is [-1] unmaterialized, else
    [(sid' lsl 1) lor flag] where [flag] marks that the transition's
    closure reached at least one slot's [I_match]; the flagged slots
    themselves live in [mrows] keyed by [(sid * ncols) + c] — a side
-   table rather than a third row array because flagged transitions are
+   table rather than a second row array because flagged transitions are
    a small minority and the hot loop only consults it behind the flag
    bit. *)
 type cache = {
   st : static;
-  ncols : int;
-  max_states : int;
-  mutable nstates : int;
-  states : state array;
-  rows : int array array;
+  m : Rx_dfa.mach;
   mrows : (int, int array) Hashtbl.t;
-  itbl : int Itbl.t;
-  mutable fgen : int; (* flush generation; start-state memos key on it *)
-  (* interned start-state ids by left-context fact, valid while
-     [start_gen = fgen]: start states depend only on the program, so
-     the memo survives across searches until a flush drops the
-     interned states *)
-  start_sids : int array;
-  mutable start_gen : int;
+  mutable mgen : int; (* the flush generation [mrows] belongs to *)
   (* the re-arm thread's accepted fan-out by [(lf * ncols) + c], built
      on first use (see [fan_entry]); a function of the program alone,
      so it survives flushes *)
   fan : int array array;
-  stamp : int array; (* per-pc visit stamps for closure dedup *)
-  mutable gen : int;
-  buf : int array; (* closure output: consuming pcs, in order *)
-  mutable count : int; (* ... and its length *)
-  out : int array; (* successor threads under construction *)
-  pruned : int array; (* per-slot stamps: slot matched in this closure *)
-  mbuf : int array; (* slots matched in this closure *)
-  mutable nmatched : int; (* ... and their count *)
-  mutable c_misses : int;
-  mutable c_flushes : int;
 }
 
 (* A fused state holds threads of every rule at once, so it is an order
@@ -301,146 +139,53 @@ type cache = {
    corpus demands 2552 distinct states, and a ceiling under that
    flushes mid-traffic, rebuilding tables forever. *)
 let default_max_states = 4096
-let max_search_flushes = 4
 
 (* Marks a [fan] entry not built yet; compared physically, so an entry
    that is legitimately empty stays distinct from it. *)
 let unbuilt : int array = [| -1 |]
 
 let make_cache ?(max_states = default_max_states) st =
-  if max_states < 2 then invalid_arg "Rx_fused.make_cache: max_states < 2";
-  let n = Array.length st.prog in
-  let ncols = st.nclasses + 1 in
+  let m =
+    Rx_dfa.make_mach ~max_states ~swap:false
+      ~on_match:(Rx_dfa.Slots { owner = st.owner; nslots = st.nslots })
+      ~tally:{ Rx_dfa.misses = 0; flushes = 0 }
+      st.tb st.prog st.pred
+  in
   {
     st;
-    ncols;
-    max_states;
-    nstates = 0;
-    states = Array.make max_states dummy_state;
-    rows = Array.make max_states no_row;
+    m;
     mrows = Hashtbl.create 64;
-    itbl = Itbl.create 256;
-    fgen = 0;
-    start_sids = Array.make 4 (-1);
-    start_gen = -1;
-    fan = Array.make (4 * ncols) unbuilt;
-    stamp = Array.make n 0;
-    gen = 0;
-    buf = Array.make (n + 1) 0;
-    count = 0;
-    out = Array.make (n + 1) 0;
-    pruned = Array.make st.nslots 0;
-    mbuf = Array.make st.nslots 0;
-    nmatched = 0;
-    c_misses = 0;
-    c_flushes = 0;
+    mgen = 0;
+    fan = Array.make (4 * m.Rx_dfa.ncols) unbuilt;
   }
 
-let state_count cache = cache.nstates
-
-let hits_counter = Telemetry.Counter.make "rx_fused_cache_hits_total"
-let misses_counter = Telemetry.Counter.make "rx_fused_cache_misses_total"
-let flushes_counter = Telemetry.Counter.make "rx_fused_cache_flushes_total"
-
-let publish cache ~recorder ~ticks =
-  (match
-     (match recorder with Some _ as r -> r | None -> Telemetry.recorder ())
-   with
-  | None -> ()
-  | Some r ->
-    let hits = ticks - cache.c_misses in
-    if hits > 0 then Telemetry.Counter.record r hits_counter hits;
-    if cache.c_misses > 0 then
-      Telemetry.Counter.record r misses_counter cache.c_misses;
-    if cache.c_flushes > 0 then
-      Telemetry.Counter.record r flushes_counter cache.c_flushes);
-  cache.c_misses <- 0;
-  cache.c_flushes <- 0
-
-let flush cache =
-  Telemetry.Trace.ambient_instant Telemetry.Trace.Dfa_flush;
-  Itbl.reset cache.itbl;
-  (* [mrows] keys embed state ids: stale entries must go with them *)
-  Hashtbl.reset cache.mrows;
-  Array.fill cache.states 0 cache.nstates dummy_state;
-  Array.fill cache.rows 0 cache.nstates no_row;
-  cache.nstates <- 0;
-  cache.fgen <- cache.fgen + 1;
-  cache.c_flushes <- cache.c_flushes + 1
-
-let find_or_add cache ctx raw =
-  let s = { st_ctx = ctx; st_raw = raw } in
-  match Itbl.find_opt cache.itbl s with
-  | Some sid -> sid
-  | None ->
-    if cache.nstates >= cache.max_states then begin
-      flush cache;
-      raise Restart
-    end;
-    let sid = cache.nstates in
-    cache.states.(sid) <- s;
-    cache.rows.(sid) <- Array.make cache.ncols (-1);
-    Itbl.add cache.itbl s sid;
-    cache.nstates <- sid + 1;
-    sid
-
-(* One step of [closure]'s DFS: a top-level function over the cache's
-   counters rather than a local closure, so a miss allocates nothing to
-   close over. *)
-let rec close_pc cache ~gen ~lf ~rf pc =
-  let stamp = cache.stamp in
-  if stamp.(pc) <> gen then begin
-    stamp.(pc) <- gen;
-    match cache.st.prog.(pc) with
-    | Rx_pike.I_jmp t -> close_pc cache ~gen ~lf ~rf t
-    | Rx_pike.I_split (a, b) ->
-      close_pc cache ~gen ~lf ~rf a;
-      close_pc cache ~gen ~lf ~rf b
-    | Rx_pike.I_bol ->
-      if lf = fact_boundary || lf = fact_newline then
-        close_pc cache ~gen ~lf ~rf (pc + 1)
-    | Rx_pike.I_eol ->
-      if rf = fact_boundary || rf = fact_newline then
-        close_pc cache ~gen ~lf ~rf (pc + 1)
-    | Rx_pike.I_eos ->
-      if rf = fact_boundary then close_pc cache ~gen ~lf ~rf (pc + 1)
-    | Rx_pike.I_wordb ->
-      if (lf = fact_word) <> (rf = fact_word) then
-        close_pc cache ~gen ~lf ~rf (pc + 1)
-    | Rx_pike.I_nwordb ->
-      if (lf = fact_word) = (rf = fact_word) then
-        close_pc cache ~gen ~lf ~rf (pc + 1)
-    | Rx_pike.I_match ->
-      let s = cache.st.owner.(pc) in
-      if s >= 0 && cache.pruned.(s) <> gen then begin
-        cache.pruned.(s) <- gen;
-        cache.mbuf.(cache.nmatched) <- s;
-        cache.nmatched <- cache.nmatched + 1
-      end
-    | Rx_pike.I_char _ | Rx_pike.I_any | Rx_pike.I_class _ ->
-      cache.buf.(cache.count) <- pc;
-      cache.count <- cache.count + 1
-  end
-
-(* Epsilon closure of [raw.(0 .. len-1)] at a boundary with
-   subject-left fact [lf] and subject-right fact [rf].  Consuming pcs
-   land in [cache.buf] in priority order; slots whose [I_match] was
-   reached land in [cache.mbuf] (deduplicated through [cache.pruned]
-   stamps).  Unlike [Rx_dfa]'s closure nothing stops at a match — other
-   slots' threads must keep collecting — and the per-slot pruning
-   happens in the caller's step loop, where [pruned] stamps are still
-   valid. *)
-let closure cache raw ~len ~lf ~rf =
-  cache.gen <- cache.gen + 1;
-  let gen = cache.gen in
-  cache.count <- 0;
-  cache.nmatched <- 0;
-  for i = 0 to len - 1 do
-    close_pc cache ~gen ~lf ~rf (Array.unsafe_get raw i)
+(* Whether pc 0's closure reaches an [I_match] under some pair of
+   context facts — a hosted pattern that matches the empty string,
+   which the fan-out table cannot represent.  Asked of the machine's
+   own closure, once per (left, right) fact pair. *)
+let fanout_matches_empty st =
+  let m = (make_cache ~max_states:2 st).m in
+  let found = ref false in
+  for lf = 0 to 3 do
+    for rf = 0 to 3 do
+      ignore (Rx_dfa.closure m Rx_dfa.start_raw ~len:1 ~lf ~rf : int);
+      if m.Rx_dfa.nmatched > 0 then found := true
+    done
   done;
-  (cache.count, cache.nmatched)
+  !found
 
-let start_raw = [| 0 |]
+let build progs =
+  let st = compose progs in
+  if fanout_matches_empty st then
+    invalid_arg "Rx_fused.build: a program matches the empty string";
+  st
+
+let state_count cache = cache.m.Rx_dfa.nstates
+
+let counters =
+  ( Telemetry.Counter.make "rx_fused_cache_hits_total",
+    Telemetry.Counter.make "rx_fused_cache_misses_total",
+    Telemetry.Counter.make "rx_fused_cache_flushes_total" )
 
 (* The re-arm thread's fan-out, per (left fact [lf], input class [c]):
    the consuming pcs of pc 0's closure under [lf] and [c]'s fact that
@@ -456,27 +201,27 @@ let start_raw = [| 0 |]
    nodes of pc 0's own closure and visits the rest in that closure's
    order — so the entry, filtered by the stamps, holds exactly the
    consuming pcs the full DFS would have appended, in the same order.
-   Pc 0's closure reaches no [I_match] ([build] and [read_static] check
-   it), so it adds nothing to the matched-slot set either.  Successor
-   arrays, interned states and state counts are identical to closing
-   pc 0 in full.
+   Pc 0's closure reaches no [I_match] ([build] checks it), so it adds
+   nothing to the matched-slot set either.  Successor arrays, interned
+   states and state counts are identical to closing pc 0 in full.
 
    Entries are built on first use, not for every (fact, class) pair up
    front: a short-lived process touches a small fraction of the pairs,
    and building them all made a one-sample cold scan 2-3x slower.  The
    build runs its own closure, so it must precede the state's. *)
 let fan_entry cache ~lf c =
-  let i = (lf * cache.ncols) + c in
+  let m = cache.m in
+  let open Rx_dfa in
+  let i = (lf * m.ncols) + c in
   let e = Array.unsafe_get cache.fan i in
   if e != unbuilt then e
   else begin
-    let stc = cache.st in
-    let n, _ = closure cache start_raw ~len:1 ~lf ~rf:stc.class_fact.(c) in
-    let row = c * stc.npred in
+    let n = closure m start_raw ~len:1 ~lf ~rf:m.tb.class_fact.(c) in
+    let row = c * m.tb.npred in
     let kept = ref [] in
     for j = n - 1 downto 0 do
-      let pc = cache.buf.(j) in
-      if Bytes.unsafe_get stc.accept (row + stc.pred.(pc)) <> '\000' then
+      let pc = m.buf.(j) in
+      if Bytes.unsafe_get m.tb.accept (row + m.pred.(pc)) <> '\000' then
         kept := pc :: !kept
     done;
     let e = Array.of_list !kept in
@@ -492,25 +237,24 @@ let fan_entry cache ~lf c =
    closure did not reach, re-arm with pc 0, intern the successor.
    @raise Restart when interning flushed the table. *)
 let materialize cache sid c =
-  cache.c_misses <- cache.c_misses + 1;
-  let s = Array.unsafe_get cache.states sid in
-  let stc = cache.st in
-  let lf = s.st_ctx in
-  let cf = stc.class_fact.(c) in
-  let fan = fan_entry cache ~lf c in
-  let raw = s.st_raw in
-  let n, nmatched = closure cache raw ~len:(Array.length raw - 1) ~lf ~rf:cf in
-  let matched =
-    if nmatched = 0 then no_row else Array.sub cache.mbuf 0 nmatched
-  in
-  let gen = cache.gen in
-  let pruned = cache.pruned
-  and owner = stc.owner
-  and pred = stc.pred
-  and accept = stc.accept
-  and buf = cache.buf
-  and out = cache.out in
-  let row = c * stc.npred in
+  let m = cache.m in
+  let open Rx_dfa in
+  m.tally.misses <- m.tally.misses + 1;
+  let s = Array.unsafe_get m.states sid in
+  let tb = m.tb in
+  let cf = tb.class_fact.(c) in
+  let fan = fan_entry cache ~lf:s.ctx c in
+  let n = closure m s.raw ~len:(Array.length s.raw - 1) ~lf:s.ctx ~rf:cf in
+  let nmatched = m.nmatched in
+  let gen = m.gen in
+  let pruned = m.pruned
+  and owner = cache.st.owner
+  and pred = m.pred
+  and accept = tb.accept
+  and buf = m.buf
+  and stamp = m.stamp
+  and out = m.out in
+  let row = c * tb.npred in
   let k = ref 0 in
   for i = 0 to n - 1 do
     let pc = Array.unsafe_get buf i in
@@ -522,7 +266,6 @@ let materialize cache sid c =
       incr k
     end
   done;
-  let stamp = cache.stamp in
   for i = 0 to Array.length fan - 1 do
     let pc = Array.unsafe_get fan i in
     if
@@ -536,16 +279,20 @@ let materialize cache sid c =
   (* always re-arm every pattern: the machine never leaves its
      unanchored phase *)
   out.(!k) <- 0;
-  let raw' = Array.sub out 0 (!k + 1) in
-  let sid' = find_or_add cache cf raw' in
+  let sid' = find_or_add m cf (Array.sub out 0 (!k + 1)) in
   let v = (sid' lsl 1) lor (if nmatched > 0 then 1 else 0) in
-  (Array.unsafe_get cache.rows sid).(c) <- v;
-  if nmatched > 0 then
-    Hashtbl.replace cache.mrows ((sid * cache.ncols) + c) matched;
+  (Array.unsafe_get m.rows sid).(c) <- v;
+  if nmatched > 0 then begin
+    (* [mrows] keys embed state ids: entries from before a flush go *)
+    if cache.mgen <> m.fgen then begin
+      Hashtbl.reset cache.mrows;
+      cache.mgen <- m.fgen
+    end;
+    Hashtbl.replace cache.mrows
+      ((sid * m.ncols) + c)
+      (Array.sub m.mbuf 0 nmatched)
+  end;
   v
-
-let step_allowance_exceeded =
-  Rx_match.Budget_exceeded "rx fused: step cap exceeded"
 
 (* The one-pass existence search: walks every boundary 0..len (the
    end-of-input sentinel included, so [$]-anchored matches ending at
@@ -554,47 +301,24 @@ let step_allowance_exceeded =
    slot space, one byte per slot, and must arrive all-zero.  Step
    accounting is segment-based like [Rx_dfa]'s hot loop: one flush of
    [p - seg] into [steps] per segment, no per-byte tick.
-   @raise Bail when the cache thrashes. *)
+   @raise Rx_dfa.Bail when the cache thrashes. *)
 let search cache ?recorder ?(cap = max_int) ?steps_acc ~mask subject =
-  let stc = cache.st in
-  if Bytes.length mask <> stc.nslots then
+  let m = cache.m in
+  let open Rx_dfa in
+  let tb = m.tb in
+  let nslots = cache.st.nslots in
+  if Bytes.length mask <> nslots then
     invalid_arg "Rx_fused.search: mask length does not match the slot count";
   let len = String.length subject in
-  let classes = stc.classes in
-  let sentinel = stc.nclasses in
+  let classes = tb.classes in
+  let sentinel = tb.nclasses in
   let steps = match steps_acc with Some r -> r | None -> ref 0 in
   let t0 = !steps in
   let run () =
-    let flushes = ref 0 in
-    let intern_sid ctx raw =
-      try find_or_add cache ctx raw
-      with Restart ->
-        incr flushes;
-        if !flushes > max_search_flushes then raise Bail;
-        find_or_add cache ctx raw
-    in
-    (* start states differ only by left-context fact; the memo lives in
-       the cache (keyed on [fgen]) so it persists across searches *)
-    let get_start ctx =
-      if cache.start_gen <> cache.fgen then begin
-        Array.fill cache.start_sids 0 4 (-1);
-        cache.start_gen <- cache.fgen
-      end;
-      let s = Array.unsafe_get cache.start_sids ctx in
-      if s >= 0 then s
-      else begin
-        let s = intern_sid ctx start_raw in
-        if cache.start_gen <> cache.fgen then begin
-          Array.fill cache.start_sids 0 4 (-1);
-          cache.start_gen <- cache.fgen
-        end;
-        cache.start_sids.(ctx) <- s;
-        s
-      end
-    in
+    m.search_flushes <- 0;
     let nmatched = ref 0 in
     let absorb sid c =
-      match Hashtbl.find_opt cache.mrows ((sid * cache.ncols) + c) with
+      match Hashtbl.find_opt cache.mrows ((sid * m.ncols) + c) with
       | None -> () (* flushed since; rematerializing will restore it *)
       | Some slots ->
         Array.iter
@@ -605,7 +329,7 @@ let search cache ?recorder ?(cap = max_int) ?steps_acc ~mask subject =
             end)
           slots
     in
-    let sid = ref (get_start fact_boundary) in
+    let sid = ref (start m fact_boundary) in
     let p = ref 0 in
     let finished = ref false in
     while not !finished do
@@ -623,7 +347,7 @@ let search cache ?recorder ?(cap = max_int) ?steps_acc ~mask subject =
       let seg = ref !p in
       (match
          while (not !finished) && !p < stop do
-           let row = Array.unsafe_get cache.rows !sid in
+           let row = Array.unsafe_get m.rows !sid in
            let c =
              Char.code
                (String.unsafe_get classes
@@ -633,7 +357,7 @@ let search cache ?recorder ?(cap = max_int) ?steps_acc ~mask subject =
            if v >= 0 then begin
              if v land 1 = 1 then begin
                absorb !sid c;
-               if !nmatched = stc.nslots then finished := true
+               if !nmatched = nslots then finished := true
              end;
              sid := v lsr 1;
              incr p
@@ -641,13 +365,10 @@ let search cache ?recorder ?(cap = max_int) ?steps_acc ~mask subject =
            else begin
              (* capture the state record first — it survives a flush
                 even though its table slot does not *)
-             let scur = Array.unsafe_get cache.states !sid in
+             let scur = Array.unsafe_get m.states !sid in
              match materialize cache !sid c with
              | _ -> ()
-             | exception Restart ->
-               incr flushes;
-               if !flushes > max_search_flushes then raise Bail;
-               sid := intern_sid scur.st_ctx scur.st_raw
+             | exception Restart -> sid := intern m scur.ctx scur.raw
            end
          done
        with
@@ -663,19 +384,16 @@ let search cache ?recorder ?(cap = max_int) ?steps_acc ~mask subject =
           if !steps > cap then raise step_allowance_exceeded;
           let taken = ref false in
           while not !taken do
-            let v = Array.unsafe_get (Array.unsafe_get cache.rows !sid) sentinel in
+            let v = Array.unsafe_get (Array.unsafe_get m.rows !sid) sentinel in
             if v >= 0 then begin
               if v land 1 = 1 then absorb !sid sentinel;
               taken := true
             end
             else begin
-              let scur = Array.unsafe_get cache.states !sid in
+              let scur = Array.unsafe_get m.states !sid in
               match materialize cache !sid sentinel with
               | _ -> ()
-              | exception Restart ->
-                incr flushes;
-                if !flushes > max_search_flushes then raise Bail;
-                sid := intern_sid scur.st_ctx scur.st_raw
+              | exception Restart -> sid := intern m scur.ctx scur.raw
             end
           done;
           finished := true
@@ -683,7 +401,7 @@ let search cache ?recorder ?(cap = max_int) ?steps_acc ~mask subject =
     done
   in
   match run () with
-  | () -> publish cache ~recorder ~ticks:(!steps - t0)
+  | () -> publish counters m.tally ~recorder ~ticks:(!steps - t0)
   | exception ex ->
-    publish cache ~recorder ~ticks:(!steps - t0);
+    publish counters m.tally ~recorder ~ticks:(!steps - t0);
     raise ex

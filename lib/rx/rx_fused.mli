@@ -15,17 +15,16 @@
     patterns sharing one thread set), so flagged patterns are resolved
     by the ordinary per-pattern engines.
 
-    Cache discipline mirrors {!Rx_dfa}: a bounded per-domain
-    transition table, flushed and rebuilt on overflow, with {!Bail}
-    raised when a single search thrashes the table — the caller falls
-    back to its per-pattern path, so correctness never depends on
-    cache capacity.  This module is the raw machine; user code goes
+    The machine is an {!Rx_dfa.mach} over the composed program — the
+    per-pattern engine's state store, interning, closure and
+    clear-and-restart discipline — so {!Rx_dfa.Bail} is raised when a
+    single search thrashes the table; the caller falls back to its
+    per-pattern path, so correctness never depends on cache capacity.
+    This module holds only what is fused-specific: composing the
+    tagged program, the fan-out table, the per-slot prune, the
+    flagged-slot side table and the existence walk.  User code goes
     through [Rx.Fused], which handles hostability, slot mapping, and
     the per-domain cache registry. *)
-
-exception Bail
-(** A single search flushed the transition table too many times; the
-    caller must fall back to per-pattern scanning. *)
 
 type static
 (** The immutable fused program and its byte-class tables; shared
@@ -40,20 +39,18 @@ val build : Rx_pike.inst array array -> static
     single tagged program.  Slot [i] of the machine reports on
     [progs.(i)].
     @raise Invalid_argument when [progs] is empty, when the fused
-    program exceeds {!max_program} (the composer in [Rx.Fused] caps
-    totals well below it), or when some program can match the empty
+    program exceeds 65535 instructions (the composer in [Rx.Fused]
+    caps totals well below it), or when some program can match the empty
     string (the composer hosts none that can). *)
 
 val nslots : static -> int
 val program_size : static -> int
 
-val max_program : int
-(** Hard size cap on a fused program. *)
-
 val make_cache : ?max_states:int -> static -> cache
-(** Default [max_states] is 2048 — a fused state carries threads of
+(** Default [max_states] is 4096 — a fused state carries threads of
     every pattern at once, so the store is sized an order of magnitude
-    above {!Rx_dfa}'s. *)
+    above {!Rx_dfa}'s.
+    @raise Invalid_argument when [max_states < 2]. *)
 
 val state_count : cache -> int
 (** Interned states currently in the table (test instrumentation). *)
@@ -72,4 +69,4 @@ val search :
     length [nslots].  [cap]/[steps_acc] meter boundary steps against
     the caller's budget exactly as in [Rx_dfa].
     @raise Rx_match.Budget_exceeded when the step allowance runs out.
-    @raise Bail when the cache thrashes. *)
+    @raise Rx_dfa.Bail when the cache thrashes. *)

@@ -12,7 +12,8 @@
    empty matches), QCheck over a random pattern grammar x random
    subjects, and the full 609-sample corpus scanned with both tiers.
    A tiny-cache stress run forces the clear-and-restart overflow path
-   that full-size caches never hit. *)
+   that full-size caches never hit, and a corpus work pin counts the
+   transitions the per-pattern machines materialize. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -298,6 +299,67 @@ let test_corpus_differential () =
     samples;
   check_bool "the differential saw real findings" true (!total > 0)
 
+(* --- per-pattern work on the corpus ------------------------------------ *)
+
+(* The per-pattern DFA's work over the 609 samples, pinned the way
+   test_fused pins the fused machine's 2552 states: every DFA-tier
+   catalog pattern and suppress pattern runs [Rx.find_all] over every
+   sample from cleared caches, on a fresh domain (so its cache registry
+   holds nothing else), with a sink installed.  Each miss is one
+   materialized transition, so an interning or stepping change that
+   altered any state set moves these totals.  The 4-state run pins the
+   clear-and-restart and bail paths as well. *)
+let corpus_dfa_work = (6105, 0, 0)
+let corpus_dfa_work_4_states = (217278, 30502, 3669)
+
+let catalog_dfa_patterns () =
+  List.fold_left
+    (fun acc (r : Patchitpy.Rule.t) ->
+      List.fold_left
+        (fun acc p ->
+          if Rx.tier p = `Dfa && not (List.memq p acc) then p :: acc else acc)
+        acc
+        (r.Patchitpy.Rule.pattern :: Option.to_list r.Patchitpy.Rule.suppress))
+    []
+    Patchitpy.(Catalog.all ())
+  |> List.rev
+
+(* (misses, flushes, fallbacks) of one corpus run *)
+let dfa_work ?max_states () =
+  let patterns = catalog_dfa_patterns () in
+  let samples = Corpus.Generator.all_samples () in
+  Domain.join
+    (Domain.spawn (fun () ->
+         let sink = Telemetry.create () in
+         Telemetry.with_sink sink (fun () ->
+             List.iter
+               (fun p ->
+                 match max_states with
+                 | None -> Rx.dfa_cache_clear p
+                 | Some max_states -> Rx.dfa_shrink_cache p ~max_states)
+               patterns;
+             List.iter
+               (fun (s : Corpus.Generator.sample) ->
+                 List.iter
+                   (fun p ->
+                     try ignore (Rx.find_all p s.Corpus.Generator.code)
+                     with Rx.Budget_exceeded _ -> ())
+                   patterns)
+               samples);
+         let counters = (Telemetry.Report.of_sink sink).Telemetry.Report.counters in
+         let total name = Option.value ~default:0 (List.assoc_opt name counters) in
+         ( total "rx_dfa_cache_misses_total",
+           total "rx_dfa_cache_flushes_total",
+           total "rx_dfa_fallback_total" )))
+
+let work_pp = Alcotest.(triple int int int)
+
+let test_corpus_work () =
+  Alcotest.check work_pp "misses, flushes, fallbacks at the default cache"
+    corpus_dfa_work (dfa_work ());
+  Alcotest.check work_pp "misses, flushes, fallbacks at 4 states"
+    corpus_dfa_work_4_states (dfa_work ~max_states:4 ())
+
 (* --- compile memo ------------------------------------------------------ *)
 
 let test_compile_memo () =
@@ -323,5 +385,8 @@ let () =
         ] );
       ("qcheck", qt [ qcheck_differential; qcheck_tiny_cache ]);
       ( "corpus",
-        [ Alcotest.test_case "both tiers, 609 samples" `Slow test_corpus_differential ] );
+        [
+          Alcotest.test_case "both tiers, 609 samples" `Slow test_corpus_differential;
+          Alcotest.test_case "per-pattern work, 609 samples" `Slow test_corpus_work;
+        ] );
     ]
