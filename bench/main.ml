@@ -196,10 +196,7 @@ let micro_tests =
    [jobs] requests in flight: workers stay saturated (so ns/request is
    still the service rate) without the deep queue a one-shot burst
    builds, which would make submit-to-deliver measure queue depth
-   rather than the server.  Caveat for the jobs-4 row: domains only
-   help with hardware to run on; on a single-CPU container (this repo's
-   CI) jobs 4 adds scheduling overhead and cannot beat jobs 1 — compare
-   the rows only on a machine with >= 4 hardware threads. *)
+   rather than the server. *)
 
 let serve_workload () =
   let rec take n = function
@@ -294,17 +291,14 @@ let measure_serve jobs =
     percentile queue_wait_ns 0.99 )
 
 let measure_serve_rows () =
-  List.concat_map
-    (fun jobs ->
-      let per_req, p50, p99, qw50, qw99 = measure_serve jobs in
-      [
-        (Printf.sprintf "patchitpy/serve-throughput-jobs%d" jobs, per_req);
-        (Printf.sprintf "patchitpy/serve-latency-p50-jobs%d" jobs, p50);
-        (Printf.sprintf "patchitpy/serve-latency-p99-jobs%d" jobs, p99);
-        (Printf.sprintf "patchitpy/serve-queue-wait-p50-jobs%d" jobs, qw50);
-        (Printf.sprintf "patchitpy/serve-queue-wait-p99-jobs%d" jobs, qw99);
-      ])
-    [ 1; 4 ]
+  let per_req, p50, p99, qw50, qw99 = measure_serve 1 in
+  [
+    ("patchitpy/serve-throughput-jobs1", per_req);
+    ("patchitpy/serve-latency-p50-jobs1", p50);
+    ("patchitpy/serve-latency-p99-jobs1", p99);
+    ("patchitpy/serve-queue-wait-p50-jobs1", qw50);
+    ("patchitpy/serve-queue-wait-p99-jobs1", qw99);
+  ]
 
 (* serve-cache rows: the result cache's hit path against the scan it
    replaces, both in-process.  The hit path must be measured here, not
@@ -551,149 +545,6 @@ let measure_warm_start_rows () =
     ("patchitpy/rulepack-warm-seed-per-domain", seed);
   ]
 
-(* Sustained-RPS rows: the open-loop loadgen against in-process HTTP
-   and NDJSON front-ends — real sockets, real framing, real threads,
-   only the process boundary elided.  Each mix climbs a rate ladder;
-   the reported rate is the highest rung served within 5% of target,
-   error-free, with p99 under 25 ms.  The duplicate-heavy mix cycles 8
-   corpus bodies (the fleet-of-AI-generators shape the result cache
-   exists for); the unique mix defeats the cache by stamping every
-   body.  Single-CPU caveat as above: loadgen threads, front-end
-   threads and the worker domain all time-slice one core here, so
-   absolute rates undershoot real hardware — the rows exist to track
-   the trajectory and catch regressions, not to advertise capacity. *)
-
-let loadgen_rates = [ 250.; 500.; 1000.; 2000.; 4000.; 8000. ]
-let loadgen_duration = 1.5
-let loadgen_connections = 8
-let loadgen_p99_bound_ns = 25e6
-
-let corpus_bodies =
-  lazy
-    (Array.of_list
-       (List.map
-          (fun (s : Corpus.Generator.sample) -> s.Corpus.Generator.code)
-          (Corpus.Generator.all_samples ())))
-
-let loadgen_body = function
-  | `Duplicate -> fun i -> (Lazy.force corpus_bodies).(i mod 8)
-  | `Unique ->
-    fun i ->
-      let all = Lazy.force corpus_bodies in
-      Printf.sprintf "%s\n# unique-%d\n" all.(i mod Array.length all) i
-
-let with_bench_pool f =
-  let rcache =
-    Server.Rcache.create ~max_bytes:(64 * 1024 * 1024) ~salt:"bench" ()
-  in
-  let pool =
-    Server.Pool.create ~rcache ~jobs:1 ~queue_capacity:256
-      ~scanner:catalog_scanner ()
-  in
-  let result = f pool in
-  ignore (Server.Pool.shutdown ~drain_timeout:30. pool);
-  result
-
-let with_http_gateway pool f =
-  let lfd = Unix.socket ~cloexec:true PF_INET SOCK_STREAM 0 in
-  Unix.setsockopt lfd SO_REUSEADDR true;
-  Unix.bind lfd (ADDR_INET (Unix.inet_addr_loopback, 0));
-  Unix.listen lfd 64;
-  let port =
-    match Unix.getsockname lfd with
-    | ADDR_INET (_, p) -> p
-    | _ -> assert false
-  in
-  let gateway = Server.Gateway.create ~pool () in
-  let rec accept_loop () =
-    match Unix.accept ~cloexec:true lfd with
-    | fd, _ ->
-      ignore
-        (Thread.create
-           (fun () -> Server.Gateway.handle_connection gateway ~peer:"bench" fd)
-           ());
-      accept_loop ()
-    | exception Unix.Unix_error (EINTR, _, _) -> accept_loop ()
-    | exception Unix.Unix_error _ -> ()
-  in
-  ignore (Thread.create accept_loop ());
-  let result = f port in
-  (try Unix.close lfd with Unix.Unix_error _ -> ());
-  result
-
-let with_ndjson_listener pool f =
-  let path = Filename.temp_file "patchitpy-bench" ".sock" in
-  Sys.remove path;
-  let lfd = Unix.socket ~cloexec:true PF_UNIX SOCK_STREAM 0 in
-  Unix.bind lfd (ADDR_UNIX path);
-  Unix.listen lfd 64;
-  let rec accept_loop () =
-    match Unix.accept ~cloexec:true lfd with
-    | fd, _ ->
-      ignore
-        (Thread.create
-           (fun () ->
-             Server.Serve.connection_loop pool
-               ~max_request_bytes:Server.Serve.default_max_request_bytes
-               ~input:fd ~output:fd;
-             try Unix.close fd with Unix.Unix_error _ -> ())
-           ());
-      accept_loop ()
-    | exception Unix.Unix_error (EINTR, _, _) -> accept_loop ()
-    | exception Unix.Unix_error _ -> ()
-  in
-  ignore (Thread.create accept_loop ());
-  let result = f path in
-  (try Unix.close lfd with Unix.Unix_error _ -> ());
-  (try Sys.remove path with Sys_error _ -> ());
-  result
-
-let sustained_rows name connect =
-  let attempt rate =
-    Loadgen.run ~rate ~duration:loadgen_duration
-      ~connections:loadgen_connections ~connect
-  in
-  match
-    Loadgen.sustained ~p99_bound_ns:loadgen_p99_bound_ns ~rates:loadgen_rates
-      attempt
-  with
-  | Some (rate, r) ->
-    [
-      (Printf.sprintf "patchitpy/serve-%s-rps-sustained" name, rate);
-      ( Printf.sprintf "patchitpy/serve-%s-p99-at-sustained" name,
-        r.Loadgen.p99_ns );
-    ]
-  | None ->
-    [
-      (Printf.sprintf "patchitpy/serve-%s-rps-sustained" name, 0.0);
-      (Printf.sprintf "patchitpy/serve-%s-p99-at-sustained" name, 0.0);
-    ]
-
-let measure_loadgen_rows () =
-  let http mix_name mix =
-    with_bench_pool (fun pool ->
-        with_http_gateway pool (fun port ->
-            sustained_rows mix_name (fun () ->
-                Loadgen.http_client ~port ~path:"/v1/scan"
-                  ~body:(loadgen_body mix))))
-  in
-  let ndjson =
-    with_bench_pool (fun pool ->
-        with_ndjson_listener pool (fun path ->
-            sustained_rows "ndjson" (fun () ->
-                let body = loadgen_body `Duplicate in
-                Loadgen.ndjson_client ~socket:path ~request:(fun i ->
-                    {
-                      Server.Protocol.id = string_of_int i;
-                      deadline_steps = None;
-                      kind =
-                        Server.Protocol.Scan
-                          { file = Printf.sprintf "loadgen-%d.py" (i mod 8);
-                            source = body i };
-                    }))))
-  in
-  http "http" `Duplicate @ http "http-unique" `Unique @ ndjson
-
 let measure_micro () =
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
@@ -715,7 +566,7 @@ let measure_micro () =
     (!rows @ measure_serve_rows () @ measure_cache_rows ()
     @ measure_fused_pass_rows () @ measure_dfa_confirm_cold_rows ()
     @ measure_fused_bail_rows ()
-    @ measure_warm_start_rows () @ measure_loadgen_rows ())
+    @ measure_warm_start_rows ())
 
 let run_micro () =
   print_string (Experiments.Tables.section "B  Bechamel micro-benchmarks");

@@ -376,6 +376,7 @@ let patch_cmd =
 (* --- serve --------------------------------------------------------------- *)
 
 let serve_cmd =
+  let mib = 1024 * 1024 in
   let socket =
     Arg.(value & opt (some string) None
          & info [ "socket" ] ~docv:"PATH"
@@ -425,12 +426,16 @@ let serve_cmd =
                    $(b,scan --json) output.")
   in
   let cache_mb =
-    Arg.(value & opt int 64
+    let default = Server.Serve.default_cache_bytes / mib in
+    Arg.(value & opt int default
          & info [ "cache-mb" ] ~docv:"MIB"
-             ~doc:"Content-hash result cache budget in MiB (default 64; \
-                   0 disables).  Scan/patch responses for byte-identical \
-                   request bodies under the same rule catalog are served \
-                   from the cache without touching a worker.")
+             ~doc:(Printf.sprintf
+                     "Content-hash result cache budget in MiB (default %d; \
+                      0 disables).  Scan/patch responses for \
+                      byte-identical request bodies under the same rule \
+                      catalog are served from the cache without touching \
+                      a worker."
+                     default))
   in
   let cache_file =
     Arg.(value & opt (some string) None
@@ -457,11 +462,14 @@ let serve_cmd =
                    at least 1).")
   in
   let max_request_mb =
-    Arg.(value & opt int 8
+    let default = Server.Serve.default_max_request_bytes / mib in
+    Arg.(value & opt int default
          & info [ "max-request-mb" ] ~docv:"MIB"
-             ~doc:"Per-frame request bound in MiB (default 8): an NDJSON \
-                   line over it is answered with a typed too_large error, \
-                   an HTTP body over it with 413.")
+             ~doc:(Printf.sprintf
+                     "Per-frame request bound in MiB (default %d): an \
+                      NDJSON line over it is answered with a typed \
+                      too_large error, an HTTP body over it with 413."
+                     default))
   in
   let run socket http jobs queue drain_timeout trace_dir cache_mb cache_file
       quota_rps quota_burst max_request_mb lang rules_file only exclude
@@ -537,8 +545,8 @@ let serve_cmd =
            queue_capacity = queue;
            drain_timeout;
            trace_dir;
-           max_request_bytes = max_request_mb * 1024 * 1024;
-           cache_bytes = cache_mb * 1024 * 1024;
+           max_request_bytes = max_request_mb * mib;
+           cache_bytes = cache_mb * mib;
            cache_file;
            quota;
          })

@@ -29,11 +29,15 @@ let imports_removed_counter =
 let fixpoint_counter = Telemetry.Counter.make "patcher_fixpoint_total"
 let round_cap_counter = Telemetry.Counter.make "patcher_round_cap_total"
 
+(* A fix whose captures blow the matcher budget is no fix: the finding
+   stays in [remaining] rather than killing the CLI or a serve worker. *)
 let render_fix (rule : Rule.t) (m : Rx.m) =
-  match rule.Rule.fix with
-  | Rule.No_fix -> None
-  | Rule.Replace_template template -> Some (Rx.expand_template m template)
-  | Rule.Rewrite ir -> Some (Rewrite.eval ir m)
+  try
+    match rule.Rule.fix with
+    | Rule.No_fix -> None
+    | Rule.Replace_template template -> Some (Rx.expand_template m template)
+    | Rule.Rewrite ir -> Some (Rewrite.eval ir m)
+  with Rx.Budget_exceeded _ -> None
 
 (* One round of fixes as an edit list: every fixable, non-overlapping
    finding whose replacement differs from the matched text becomes one

@@ -617,18 +617,22 @@ let of_result subject ngroups (r : Rx_match.result) =
    so the spans it records are the authoritative ones.  It runs under
    the ordinary per-attempt budget but outside any request deadline —
    the request that found the match may be long gone when a patcher
-   finally reads a capture.  The two impossible-by-construction
-   failures (no match at [s], budget blown on a confirmed match)
-   degrade to unset groups rather than raising from an accessor; the
+   finally reads a capture.  A blown budget raises [Budget_exceeded]
+   from the group accessor, counted and traced as [wrap_budget] does:
+   the DFA found the span in linear time, but the captures exist only
+   through the backtracker, and unset groups would be made up (the
+   pinned backtracker raises on the same search).  No match at [s] is
+   impossible by construction and degrades to unset groups; the
    differential suites compare group spans across tiers, so a real
    divergence cannot hide there. *)
 let deferred_groups t subject s =
   lazy
     (rincr (Telemetry.recorder ()) dfa_confirm_counter;
-     match Rx_match.match_at t.node t.ngroups subject s with
+     match
+       wrap_budget (fun () -> Rx_match.match_at t.node t.ngroups subject s)
+     with
      | Some r -> r.Rx_match.m_groups
-     | None | (exception Rx_match.Budget_exceeded _) ->
-       Array.make (t.ngroups + 1) None)
+     | None -> Array.make (t.ngroups + 1) None)
 
 (* DFA tier: one linear forward pass finds the match end, a backward
    pass pins the leftmost start.  Capture groups are not extracted

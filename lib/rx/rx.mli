@@ -146,7 +146,11 @@ val group : m -> int -> string option
     @raise Invalid_argument if [i] exceeds the pattern's group count. *)
 
 val group_span : m -> int -> (int * int) option
-(** Offsets of group [i] in the subject, if it participated. *)
+(** Offsets of group [i] in the subject, if it participated.  A DFA-tier
+    match extracts its captures on first access with one anchored
+    backtracker attempt; {!group_span}, {!group} and the template
+    expanders raise {!Budget_exceeded} when that attempt blows its
+    budget, exactly as the pinned backtracker's search would. *)
 
 val exec : ?pos:int -> t -> string -> m option
 (** [exec t s] finds the leftmost match of [t] in [s] at or after [pos]

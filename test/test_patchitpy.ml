@@ -593,6 +593,26 @@ let test_rule_file_load () =
       (Patchitpy.Engine.is_vulnerable ~rules r.Patcher.patched)
   | Ok rules -> Alcotest.failf "expected 1 rule, got %d" (List.length rules)
 
+let test_rule_file_budget_blown_fix () =
+  (* the pattern runs on the DFA tier, but rendering [$1] needs an
+     anchored backtracker attempt that blows the budget on this subject:
+     the fix is skipped and the finding stays, never a made-up capture *)
+  let json =
+    {|[{"id": "X-BUDGET", "title": "t", "cwe": 1, "severity": "LOW",
+        "pattern": "(.*a){20}", "fix": "<$1>"}]|}
+  in
+  match Rule_file.load json with
+  | Error e -> Alcotest.fail e
+  | Ok rules ->
+    let src = String.concat "" (List.init 40 (fun _ -> "ab")) in
+    let r = Patcher.patch ~rules src in
+    Alcotest.(check string) "source unchanged" src r.Patcher.patched;
+    check_int "no application" 0 (List.length r.Patcher.applications);
+    (match r.Patcher.remaining with
+    | [ f ] ->
+      Alcotest.(check string) "remaining" "X-BUDGET" f.Engine.rule.Rule.id
+    | l -> Alcotest.failf "expected 1 remaining finding, got %d" (List.length l))
+
 let test_rule_file_errors () =
   let bad cases =
     List.iter
@@ -900,6 +920,8 @@ let () =
           Alcotest.test_case "jsonin values" `Quick test_jsonin_values;
           Alcotest.test_case "rule file load" `Quick test_rule_file_load;
           Alcotest.test_case "rule file errors" `Quick test_rule_file_errors;
+          Alcotest.test_case "rule file budget-blown fix" `Quick
+            test_rule_file_budget_blown_fix;
           Alcotest.test_case "scan selection" `Quick test_scan_selection;
         ] );
       ("report", [ Alcotest.test_case "renders" `Quick test_report_renders ]);

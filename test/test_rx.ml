@@ -308,6 +308,39 @@ let test_pike_linear_on_redos () =
   | (_ : bool) -> ()
   | exception Rx.Budget_exceeded _ -> ())
 
+let test_budget_captures () =
+  (* the DFA tier finds the span in linear time, but its captures come
+     from an anchored backtracker attempt that blows the budget here —
+     the group accessors must raise as the pinned backtracker does, not
+     report unset groups *)
+  let rx = Rx.compile "(.*a){20}" in
+  let subject = String.concat "" (List.init 40 (fun _ -> "ab")) in
+  Alcotest.(check bool) "runs on the DFA tier" true (Rx.tier rx = `Dfa);
+  let raises label f =
+    match f () with
+    | _ -> Alcotest.failf "%s: expected Budget_exceeded" label
+    | exception Rx.Budget_exceeded _ -> ()
+  in
+  raises "pinned backtracker" (fun () ->
+      ignore (Rx.exec (Rx.backtrack_tier rx) subject));
+  let sink = Telemetry.create () in
+  Telemetry.with_sink sink (fun () ->
+      match Rx.exec rx subject with
+      | None -> Alcotest.fail "DFA tier found no match"
+      | Some m ->
+        Alcotest.(check (pair int int)) "span" (0, 79)
+          (Rx.m_start m, Rx.m_stop m);
+        raises "group_span" (fun () -> Rx.group_span m 1);
+        raises "replace" (fun () -> Rx.replace rx ~template:"<$1>" subject));
+  let report = Telemetry.Report.of_sink sink in
+  Alcotest.(check bool) "counted" true
+    (match
+       List.assoc_opt "rx_budget_exhausted_total"
+         report.Telemetry.Report.counters
+     with
+    | Some n -> n >= 2
+    | None -> false)
+
 let test_pike_unsupported () =
   (* what the Pike compiler cannot express runs on the backtracker *)
   Alcotest.(check bool) "backref backtracks" true
@@ -357,6 +390,8 @@ let () =
           Alcotest.test_case "pike on rule shapes" `Quick test_pike_on_rule_shapes;
           Alcotest.test_case "pike linear on redos" `Quick test_pike_linear_on_redos;
           Alcotest.test_case "pike unsupported" `Quick test_pike_unsupported;
+          Alcotest.test_case "budget-blown captures raise" `Quick
+            test_budget_captures;
         ] );
       ( "property",
         qt
