@@ -392,41 +392,54 @@ let measure_fused_pass_rows () =
    every rule it does not host) runs [Rx.find_all] on it, with every
    catalog pattern's transition cache dropped before each pass — the
    confirm sweeps a one-shot CLI command pays after its first fused
-   pass, materializing every state they reach.  Median over repeated
-   passes; reported, not gated. *)
+   pass, materializing every state they reach.  The plain row sweeps
+   each flagged rule to the end of the file; the fenced row bounds each
+   hosted rule's sweep at its [Rx.Fused.run] bound, as the scanner
+   does.  Medians over repeated passes; reported, not gated. *)
 let measure_dfa_confirm_cold_rows () =
   let f = Option.get (Patchitpy.Scanner.fused_machine catalog_scanner) in
+  (* per file: each swept pattern with its fence ([max_int] unhosted) *)
   let work =
     List.map
       (fun (_, s) ->
-        let mask = Rx.Fused.run f s in
+        let bounds = Rx.Fused.run f s in
         ( s,
-          List.filteri
-            (fun i _ ->
-              (not (Rx.Fused.is_hosted f i)) || Bytes.get mask i <> '\000')
-            (Array.to_list catalog_patterns) ))
+          List.filter_map
+            (fun (i, p) ->
+              if not (Rx.Fused.is_hosted f i) then Some (p, max_int)
+              else if bounds.(i) >= 0 then Some (p, bounds.(i))
+              else None)
+            (List.mapi (fun i p -> (i, p)) (Array.to_list catalog_patterns)) ))
       (Corpus.Generator.long_files ())
   in
   let kb =
     float_of_int (List.fold_left (fun a (s, _) -> a + String.length s) 0 work)
     /. 1024.
   in
-  let iters = 40 in
-  let ns = Array.make iters 0.0 in
-  for i = 0 to iters - 1 do
-    Array.iter Rx.dfa_cache_clear catalog_patterns;
-    let t0 = Telemetry.now_ns () in
-    List.iter
-      (fun (s, flagged) ->
-        List.iter
-          (fun p ->
-            try ignore (Rx.find_all p s) with Rx.Budget_exceeded _ -> ())
-          flagged)
-      work;
-    ns.(i) <- float_of_int (Telemetry.now_ns () - t0) /. kb
-  done;
-  Array.sort compare ns;
-  [ ("patchitpy/dfa-confirm-cold-per-kb", percentile ns 0.50) ]
+  let per_kb sweep =
+    let iters = 40 in
+    let ns = Array.make iters 0.0 in
+    for i = 0 to iters - 1 do
+      Array.iter Rx.dfa_cache_clear catalog_patterns;
+      let t0 = Telemetry.now_ns () in
+      List.iter
+        (fun (s, flagged) ->
+          List.iter
+            (fun (p, until) ->
+              try ignore (sweep p until s) with Rx.Budget_exceeded _ -> ())
+            flagged)
+        work;
+      ns.(i) <- float_of_int (Telemetry.now_ns () - t0) /. kb
+    done;
+    Array.sort compare ns;
+    percentile ns 0.50
+  in
+  [
+    ( "patchitpy/dfa-confirm-cold-per-kb",
+      per_kb (fun p _ s -> Rx.find_all p s) );
+    ( "patchitpy/dfa-confirm-fenced-cold-per-kb",
+      per_kb (fun p until s -> Rx.find_all ~until p s) );
+  ]
 
 (* Bail-path row, ns per long file: the 30 golden long files scanned
    through a plan whose fused pass bails on every one of them, so each

@@ -119,35 +119,36 @@ let fused_confirms_counter =
 let fused_fallbacks_counter =
   Telemetry.Counter.make "scanner_fused_fallbacks_total"
 
-(* One fused pass over [source], or [None] when the tier is off, hosts
-   nothing, or bailed on this subject (cache thrash).  Never affects
-   results — [None] simply means "sweep every rule". *)
-let fused_mask t source =
+(* One fused pass over [source]: each rule's last-flag bound, or
+   [None] when the tier is off, hosts nothing, or bailed on this
+   subject (cache thrash).  Never affects results — [None] simply means
+   "sweep every rule in full". *)
+let fused_bounds t source =
   match fused_machine t with
   | None -> None
   | Some f -> (
     match Rx.Fused.run f source with
-    | mask ->
+    | bounds ->
       if Telemetry.enabled () then begin
         let flagged = ref 0 in
-        Bytes.iter (fun c -> if c <> '\000' then incr flagged) mask;
+        Array.iter (fun b -> if b >= 0 then incr flagged) bounds;
         if !flagged > 0 then
           Telemetry.Counter.incr fused_candidates_counter ~by:!flagged
       end;
-      Some (f, mask)
+      Some (f, bounds)
     | exception Rx.Fused.Bail ->
       Telemetry.Counter.incr fused_fallbacks_counter;
       None)
 
-(* Whether rule [i] still needs its per-rule sweep given the fused
-   verdict: unhosted rules always do; hosted rules only when flagged
-   (an unflagged hosted rule provably has no match — skipping its
-   sweep cannot change results). *)
-let fused_wants fmask i =
-  match fmask with
-  | None -> true
-  | Some (f, mask) ->
-    (not (Rx.Fused.is_hosted f i)) || Bytes.get mask i <> '\000'
+(* How far rule [i]'s per-rule sweep must look given the fused verdict:
+   [max_int] (the whole source) for unhosted rules and after a bail,
+   [-1] (no sweep: the rule provably has no match) for an unflagged
+   hosted rule, and otherwise the rule's last flag, which no match
+   start exceeds — so fencing the sweep there cannot change results. *)
+let fused_until fbounds i =
+  match fbounds with
+  | None -> max_int
+  | Some (f, bounds) -> if Rx.Fused.is_hosted f i then bounds.(i) else max_int
 
 (* --- scan states ------------------------------------------------------ *)
 
@@ -169,7 +170,7 @@ let state_source st = st.st_source
    is recorded when a sink is installed. *)
 let scan_state t source =
   Telemetry.Trace.ambient_span Telemetry.Trace.Scan @@ fun () ->
-  let fmask = fused_mask t source in
+  let fbounds = fused_bounds t source in
   let confirms = ref 0 in
   let rules = t.rules () in
   let nrules = Array.length rules in
@@ -196,10 +197,9 @@ let scan_state t source =
   in
   Array.iteri
     (fun i (rule : Rule.t) ->
-      if fused_wants fmask i then begin
-        (match fmask with
-        | Some (f, _) when Rx.Fused.is_hosted f i -> incr confirms
-        | _ -> ());
+      let until = fused_until fbounds i in
+      if until >= 0 then begin
+        if until < max_int then incr confirms;
         let steps = ref 0 in
         let exhausted = ref false in
         (* A pathological input must never take the scanner down: a rule
@@ -209,8 +209,9 @@ let scan_state t source =
         let matches =
           try
             match block with
-            | None -> Rx.find_all rule.Rule.pattern source
-            | Some _ -> Rx.find_all_counted rule.Rule.pattern source ~steps
+            | None -> Rx.find_all ~until rule.Rule.pattern source
+            | Some _ ->
+              Rx.find_all_counted ~until rule.Rule.pattern source ~steps
           with Rx.Budget_exceeded _ ->
             exhausted := true;
             []

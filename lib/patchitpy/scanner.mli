@@ -90,12 +90,13 @@ val telemetry_def : t -> Telemetry.Rules.def
     A plan fuses every hostable rule pattern into one tagged lazy DFA
     ({!Rx.Fused}) on first scan.  A scan then runs ONE fused pass over
     the source (an exact per-rule existence filter), and per-rule
-    sweeps only for rules the fused pass flagged plus unhosted rules —
+    sweeps only for rules the fused pass flagged, each stopped at the
+    rule's last flag (no match starts past it), plus unhosted rules —
     so per-sample cost approaches one traversal of the input regardless
     of catalog size, while results stay byte-identical to the per-rule
     path by construction.
 
-    With no fused mask — a plan pinned by {!per_rule_tier}, a plan in
+    With no fused bounds — a plan pinned by {!per_rule_tier}, a plan in
     which no rule is hostable, or a subject on which the fused pass's
     bounded transition cache thrashed and bailed — the scan sweeps
     every rule ([scanner_fused_fallbacks_total] counts the bails; the

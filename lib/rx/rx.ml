@@ -12,8 +12,8 @@ type t = {
   first_bytes : Bytes.t option;
   (* [first_bytes] narrowed to a single byte when the FIRST set is a
      singleton — the common fixed-literal-prefix case — letting the DFA
-     tier skip dead stretches with [String.index_from] (memchr) instead
-     of a byte-at-a-time table walk. *)
+     tier skip dead stretches with libc memchr instead of a
+     byte-at-a-time table walk. *)
   first_byte : char option;
   (* Small set of literals such that every match starts with one of
      them ([||] when none could be derived), each paired with the
@@ -114,9 +114,12 @@ let rec bol_only_node = function
    [(?:requests\.(?:get|post)|urlopen)\(] — whose FIRST set spans
    several bytes and whose common prefix is empty — still get a usable
    skip.  The walk stops extending a branch at the first node that is
-   not an exact literal (class, repetition, back-reference) and gives
-   up entirely past [max_width] branches: more memchr lanes per skip
-   detour than that stops paying for itself.  Branches that share a
+   not an exact literal (class, repetition, back-reference), and an
+   alternation of more than [max_width] branches ends the walk at the
+   literal fixed before it (more memchr lanes per skip detour than that
+   stops paying for itself; every match still starts with that
+   literal, so [\bsubprocess\.(call|run|Popen|...)] keeps
+   ["subprocess."]).  Branches that share a
    head byte collapse to their longest common prefix — two lanes
    hunting the same byte would find every occurrence twice.  The DFA
    tier's skip loop verifies one of these literals at every candidate
@@ -161,7 +164,6 @@ let rarest_byte_offset p =
 
 let start_prefixes_node node0 =
   let max_len = 16 and max_width = 4 in
-  let exception Give_up in
   (* [go buf nodes] = every literal a match of [Seq nodes] can start
      with, each already prefixed by the fixed [buf]. *)
   let rec go buf nodes =
@@ -179,41 +181,38 @@ let start_prefixes_node node0 =
         | Rx_ast.Group (_, inner) -> go buf (inner :: tl)
         | Rx_ast.Alt branches ->
           let all = List.concat_map (fun b -> go buf (b :: tl)) branches in
-          if List.length all > max_width then raise Give_up;
-          all
+          if List.length all > max_width then [ buf ] else all
         | Rx_ast.Class _ | Rx_ast.Any | Rx_ast.Rep _ | Rx_ast.Backref _ ->
           [ buf ])
   in
-  match go "" [ node0 ] with
-  | exception Give_up -> [||]
-  | raw ->
-    if List.exists (fun p -> String.length p = 0) raw then [||]
-    else begin
-      let lcp a b =
-        let n = min (String.length a) (String.length b) in
-        let i = ref 0 in
-        while !i < n && a.[!i] = b.[!i] do
-          incr i
-        done;
-        String.sub a 0 !i
-      in
-      let merged =
-        List.fold_left
-          (fun acc p ->
-            let rec ins = function
-              | [] -> [ p ]
-              | q :: rest -> if q.[0] = p.[0] then lcp p q :: rest else q :: ins rest
-            in
-            ins acc)
-          [] raw
-      in
-      (* The skip shape needs at least two bytes per lane to verify —
-         a one-byte literal is just the FIRST-byte memchr the engine
-         already has. *)
-      if List.exists (fun p -> String.length p < 2) merged then [||]
-      else
-        Array.of_list (List.map (fun p -> (p, rarest_byte_offset p)) merged)
-    end
+  let raw = go "" [ node0 ] in
+  if List.exists (fun p -> String.length p = 0) raw then [||]
+  else begin
+    let lcp a b =
+      let n = min (String.length a) (String.length b) in
+      let i = ref 0 in
+      while !i < n && a.[!i] = b.[!i] do
+        incr i
+      done;
+      String.sub a 0 !i
+    in
+    let merged =
+      List.fold_left
+        (fun acc p ->
+          let rec ins = function
+            | [] -> [ p ]
+            | q :: rest -> if q.[0] = p.[0] then lcp p q :: rest else q :: ins rest
+          in
+          ins acc)
+        [] raw
+    in
+    (* The skip shape needs at least two bytes per lane to verify —
+       a one-byte literal is just the FIRST-byte memchr the engine
+       already has. *)
+    if List.exists (fun p -> String.length p < 2) merged then [||]
+    else
+      Array.of_list (List.map (fun p -> (p, rarest_byte_offset p)) merged)
+  end
 
 (* --- execution-tier selection -------------------------------------------- *)
 
@@ -640,8 +639,10 @@ let deferred_groups t subject s =
    at that start if and when a group is actually read — byte-identical
    spans either way, since a backtracker-only search would have found
    its first (hence identical) match at the same start.  [Rx_dfa.Bail]
-   (cache thrash) falls back to the legacy search wholesale. *)
-let tier_search ~recorder ?cap ?steps_acc t subject pos =
+   (cache thrash) falls back to the legacy search wholesale.  [until]
+   fences the DFA tier's starts ([Rx_dfa.search]); the backtracking
+   paths ignore it, so a caller must drop a match starting past it. *)
+let tier_search ~recorder ?cap ?steps_acc ?until t subject pos =
   match t.dfa with
   | None ->
     rincr recorder exec_backtrack_counter;
@@ -651,7 +652,7 @@ let tier_search ~recorder ?cap ?steps_acc t subject pos =
     rincr recorder exec_dfa_counter;
     let cache = get_cache t d in
     match
-      Rx_dfa.search cache ?recorder ?cap ?steps_acc
+      Rx_dfa.search cache ?recorder ?cap ?steps_acc ?until
         ?first_bytes:t.first_bytes ?first_byte:t.first_byte
         ~prefixes:t.start_prefixes ~bol_only:t.bol_only subject pos
     with
@@ -721,54 +722,57 @@ let matches_whole t subject =
   guarded (fun ?cap ?steps_acc () ->
       Rx_match.match_whole ?cap ?steps_acc t.node t.ngroups subject)
 
+(* The sweep behind [find_all] and [find_all_counted]: matches left to
+   right, keeping those that start at or before [until].  The DFA tier
+   injects no start past [until], so a sweep fenced at a bound no match
+   start exceeds ([Fused.run]'s) stops scanning there; a match from a
+   backtracking path starting past it ends the sweep like [None]. *)
+let sweep ~search ~until subject =
+  let len = String.length subject in
+  let last = if until < len then until else len in
+  let rec loop pos acc =
+    if pos > last then List.rev acc
+    else
+      match search pos with
+      | None -> List.rev acc
+      | Some m when m_start m > last -> List.rev acc
+      | Some m ->
+        let next = if m_stop m = m_start m then m_stop m + 1 else m_stop m in
+        loop next (m :: acc)
+  in
+  loop 0 []
+
 (* One recorder fetch and one [guarded] entry for the whole sweep, not
    one per match: the deadline cap is invariant across the sweep (each
    charge shrinks [remaining] by exactly the steps the shared
    accumulator grew), so hoisting the wrapper out of the loop changes
    no budget or deadline behaviour — it only removes the per-[exec]
    DLS fetches from the scanner's confirm path. *)
-let find_all t subject =
+let find_all ?(until = max_int) t subject =
   let recorder = Telemetry.recorder () in
-  let len = String.length subject in
   guarded (fun ?cap ?steps_acc () ->
-      let rec loop pos acc =
-        if pos > len then List.rev acc
-        else
-          match tier_search ~recorder ?cap ?steps_acc t subject pos with
-          | None -> List.rev acc
-          | Some m ->
-            let next = if m_stop m = m_start m then m_stop m + 1 else m_stop m in
-            loop next (m :: acc)
-      in
-      loop 0 [])
+      sweep ~until subject
+        ~search:(tier_search ~recorder ?cap ?steps_acc ~until t subject))
 
 let search_steps_histogram = Telemetry.Histogram.make "rx_search_steps"
 
-let exec_steps ~recorder ?(pos = 0) t subject ~steps =
+let exec_steps ~recorder ~until t subject ~steps pos =
   guarded ~steps_acc:steps (fun ?cap ?steps_acc () ->
       let steps = match steps_acc with Some acc -> acc | None -> steps in
-      tier_search ~recorder ?cap ~steps_acc:steps t subject pos)
+      tier_search ~recorder ?cap ~steps_acc:steps ~until t subject pos)
 
 let observe_sweep recorder before steps =
   robserve recorder search_steps_histogram (!steps - before)
 
-let find_all_counted t subject ~steps =
+let find_all_counted ?(until = max_int) t subject ~steps =
   let recorder = Telemetry.recorder () in
   let before = !steps in
-  let len = String.length subject in
-  let rec loop pos acc =
-    if pos > len then List.rev acc
-    else
-      match exec_steps ~recorder ~pos t subject ~steps with
-      | None -> List.rev acc
-      | Some m ->
-        let next = if m_stop m = m_start m then m_stop m + 1 else m_stop m in
-        loop next (m :: acc)
-  in
   (* One histogram observation per sweep, not per exec: the scanner calls
      this once per candidate rule, and the cheap path must stay within
      the documented <=2% overhead budget. *)
-  match loop 0 [] with
+  match
+    sweep ~until subject ~search:(exec_steps ~recorder ~until t subject ~steps)
+  with
   | result ->
     observe_sweep recorder before steps;
     result
@@ -941,19 +945,20 @@ module Fused = struct
 
   let state_count f = Rx_fused.state_count (get_cache f)
 
-  (* One fused pass: a byte per caller pattern index, ['\001'] iff
-     that pattern matches anywhere in [subject].  Unhosted patterns
-     stay ['\000'] — the caller must treat them as "unknown", not "no
-     match".  Runs under the installed step deadline like every other
-     entry point; [Bail] (cache thrash) propagates for the caller's
-     per-pattern fallback. *)
+  (* One fused pass: an int per caller pattern index, the last
+     boundary where that pattern flagged (every match of it starts at
+     or before it), or [-1] iff it matches nowhere in [subject].
+     Unhosted patterns stay [-1] — the caller must treat them as
+     "unknown", not "no match".  Runs under the installed step
+     deadline like every other entry point; [Bail] (cache thrash)
+     propagates for the caller's per-pattern fallback. *)
   let run f subject =
     let recorder = Telemetry.recorder () in
-    let mask = Bytes.make (Rx_fused.nslots f.fstatic) '\000' in
+    let last = Array.make (Rx_fused.nslots f.fstatic) (-1) in
     let cache = get_cache f in
     let ok =
       guarded (fun ?cap ?steps_acc () ->
-          match Rx_fused.search cache ?recorder ?cap ?steps_acc ~mask subject with
+          match Rx_fused.search cache ?recorder ?cap ?steps_acc ~last subject with
           | () -> true
           | exception Rx_dfa.Bail -> false)
     in
@@ -962,14 +967,11 @@ module Fused = struct
       raise Bail
     end;
     (* full-catalog hosting means the slot map is the identity: the
-       slot-space mask already is the caller-space answer *)
-    if Rx_fused.nslots f.fstatic = Array.length f.f_hosted then mask
+       slot-space bounds already are the caller-space answer *)
+    if Rx_fused.nslots f.fstatic = Array.length f.f_hosted then last
     else begin
-      let out = Bytes.make (Array.length f.f_hosted) '\000' in
-      Array.iteri
-        (fun s i ->
-          if Bytes.unsafe_get mask s <> '\000' then Bytes.set out i '\001')
-        f.f_slots;
+      let out = Array.make (Array.length f.f_hosted) (-1) in
+      Array.iteri (fun s i -> out.(i) <- last.(s)) f.f_slots;
       out
     end
 end

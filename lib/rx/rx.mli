@@ -163,9 +163,15 @@ val matches : t -> string -> bool
 val matches_whole : t -> string -> bool
 (** [matches_whole t s] is [true] iff [t] matches all of [s]. *)
 
-val find_all : t -> string -> m list
+val find_all : ?until:int -> t -> string -> m list
 (** All non-overlapping matches, left to right.  Empty matches advance the
-    scan by one character, as Python's [re.finditer] does. *)
+    scan by one character, as Python's [re.finditer] does.  With
+    [until], only the matches starting at or before [until] — exactly
+    the leading matches of the unbounded call whose starts are
+    [<= until] — and the DFA tier injects no start past it, so the
+    sweep stops there instead of walking to the end of the subject.
+    A bound no match start exceeds (the one {!Fused.run} returns)
+    leaves the result unchanged. *)
 
 (** {1 Instrumented matching}
 
@@ -177,7 +183,7 @@ val find_all : t -> string -> m list
     still reports the work it burned.  Every search observed this way
     also feeds the ["rx_search_steps"] telemetry histogram. *)
 
-val find_all_counted : t -> string -> steps:int ref -> m list
+val find_all_counted : ?until:int -> t -> string -> steps:int ref -> m list
 (** {!find_all}, adding the steps consumed to [steps]. *)
 
 (** {1 Step deadlines}
@@ -250,9 +256,10 @@ type fused
     oversized programs, {!backtrack_tier} copies) and patterns
     able to match the empty string are left out and must be scanned
     per-pattern as before; so must every pattern beyond the fused
-    program size budget (taken in pattern order).  {!Fused.run}'s mask
-    is exact for hosted patterns in both directions, which is what
-    lets a caller skip per-pattern work without changing results. *)
+    program size budget (taken in pattern order).  {!Fused.run}'s
+    bounds are exact for hosted patterns in both directions, which is
+    what lets a caller skip per-pattern work without changing results,
+    and bound every match start, which lets it fence the rest. *)
 module Fused : sig
   exception Bail
   (** The fused pass thrashed its transition cache and gave up; the
@@ -266,12 +273,15 @@ module Fused : sig
       pattern's forward program as {!Rx.compile} left it, so fusing
       builds no per-pattern DFA tables. *)
 
-  val run : fused -> string -> Bytes.t
-  (** [run f subject] executes the fused pass and returns one byte per
-      pattern of the [compile]-time array: ['\001'] iff that pattern
-      matches somewhere in [subject].  Unhosted patterns are always
-      ['\000'] — "unknown", not "no match"; check {!is_hosted}.  Runs
-      under the installed step deadline like any other search.
+  val run : fused -> string -> int array
+  (** [run f subject] executes the fused pass and returns one int per
+      pattern of the [compile]-time array: the last boundary where the
+      fused pass flagged that pattern, or [-1] iff it matches nowhere
+      in [subject].  Every match of the pattern in [subject] starts at
+      or before that bound, so [find_all ~until:bound] returns what
+      {!find_all} does.  Unhosted patterns are always [-1] —
+      "unknown", not "no match"; check {!is_hosted}.  Runs under the
+      installed step deadline like any other search.
       @raise Bail on cache thrash (fall back to per-pattern scans).
       @raise Deadline_exceeded / Budget_exceeded as usual. *)
 

@@ -588,6 +588,15 @@ let counters =
     Telemetry.Counter.make "rx_dfa_cache_misses_total",
     Telemetry.Counter.make "rx_dfa_cache_flushes_total" )
 
+(* libc memchr (rx_memchr.c): the index of the first byte [c] in [s]
+   at or after [from], or -1 when there is none or [from >= length s].
+   Every skip lane below hunts through it, a word or vector at a time;
+   [String.index_from] is a byte-at-a-time loop. *)
+external memchr :
+  string -> (int[@untagged]) -> (int[@untagged]) -> (int[@untagged])
+  = "rx_memchr" "rx_memchr_unboxed"
+[@@noalloc]
+
 (* Start-skip shape, selected once per search from the compile-time
    start analysis.  A plain tag plus the top-level hunt helpers below
    (rather than a closure pair built per search) keeps the skip path
@@ -610,9 +619,11 @@ let rec hunt_prefix subject ~len ~prefix ~anchor s =
   let plen = String.length prefix in
   if s + plen > len then len + 1
   else
-    match String.index_from subject (s + anchor) prefix.[anchor] with
-    | exception Not_found -> len + 1
-    | ia ->
+    let ia =
+      memchr subject (Char.code (String.unsafe_get prefix anchor)) (s + anchor)
+    in
+    if ia < 0 then len + 1
+    else begin
       let i = ia - anchor in
       if i + plen > len then len + 1
       else begin
@@ -626,16 +637,18 @@ let rec hunt_prefix subject ~len ~prefix ~anchor s =
         if !j = plen then i
         else hunt_prefix subject ~len ~prefix ~anchor (i + 1)
       end
+    end
 
 (* One lane of the multi-prefix shape: like [hunt_prefix] but records
    the earliest verified hit in [best] and stops as soon as the lane
    passes the best hit so far. *)
 let rec hunt_lane subject ~len ~prefix ~anchor ~best s =
   let plen = String.length prefix in
-  if s < !best && s + plen <= len then
-    match String.index_from subject (s + anchor) prefix.[anchor] with
-    | exception Not_found -> ()
-    | ia ->
+  if s < !best && s + plen <= len then begin
+    let ia =
+      memchr subject (Char.code (String.unsafe_get prefix anchor)) (s + anchor)
+    in
+    if ia >= 0 then begin
       let i = ia - anchor in
       if i < !best && i + plen <= len then begin
         let j = ref 0 in
@@ -648,13 +661,43 @@ let rec hunt_lane subject ~len ~prefix ~anchor ~best s =
         if !j = plen then best := i
         else hunt_lane subject ~len ~prefix ~anchor ~best (i + 1)
       end
+    end
+  end
+
+(* The first line start [>= s] (offset 0 or just past a ['\n']), or
+   [len + 1] when none remains: one memchr per line, not a test per
+   byte.  A line start at [len] (after a trailing newline) counts. *)
+let next_line_start subject ~len s =
+  if s > len then len + 1
+  else if s = 0 || String.unsafe_get subject (s - 1) = '\n' then s
+  else
+    let i = memchr subject (Char.code '\n') s in
+    if i < 0 then len + 1 else i + 1
+
+(* The first line start [>= s] whose byte is in the FIRST set [fb] (so
+   never [len]), or [len + 1]: a line jump per rejected line. *)
+let rec next_line_first subject ~len fb s =
+  let s = next_line_start subject ~len s in
+  if s >= len then len + 1
+  else if
+    Bytes.unsafe_get fb (Char.code (String.unsafe_get subject s)) <> '\000'
+  then s
+  else next_line_first subject ~len fb (s + 1)
 
 (* Forward pass: returns the boundary where the leftmost-first match
-   ends, or -1 when there is no match with a start at or after [pos].
+   ends, or -1 when there is no match with a start in [pos..until].
    [stop_at_first] short-circuits at the first flag (boolean queries
-   need no exact span). *)
-let forward_end cache ~stop_at_first ~cap ~steps ~first_bytes ~first_byte
-    ~prefixes ~bol_only subject pos =
+   need no exact span).
+
+   [until] fences the starts: the unanchored phase injects no fresh
+   attempt past it, and a skip landing past it ends the search.  The
+   threads it drops all rank below every attempt started at or before
+   [until], so when the leftmost match start from [pos] is [<= until]
+   the fenced pass flags the same leftmost-first match as an unfenced
+   one — leftmost-first priority never lets a later attempt change an
+   earlier attempt's end — and otherwise it finds none. *)
+let forward_end ?(until = max_int) cache ~stop_at_first ~cap ~steps
+    ~first_bytes ~first_byte ~prefixes ~bol_only subject pos =
   let m = cache.fw in
   let tb = m.tb in
   let len = String.length subject in
@@ -677,8 +720,9 @@ let forward_end cache ~stop_at_first ~cap ~steps ~first_bytes ~first_byte
      search, kept on this tier.  The shape is selected once per search
      as a plain tag (the hunt helpers are top-level, so a detour
      allocates nothing): a singleton FIRST set delegates to memchr,
-     required literals get memchr-plus-verify lanes, the general table
-     case is one tight byte loop. *)
+     required literals get memchr-plus-verify lanes, line-anchored
+     shapes jump from line to line with memchr ['\n'], the general
+     table case is one tight byte loop. *)
   let shape =
     if Array.length prefixes = 1 && not bol_only then Skip_prefix1
     else if Array.length prefixes >= 2 && not bol_only then Skip_prefixes
@@ -707,10 +751,9 @@ let forward_end cache ~stop_at_first ~cap ~steps ~first_bytes ~first_byte
         hunt_lane subject ~len ~prefix:p ~anchor ~best s
       done;
       !best
-    | Skip_memchr1 fb1 -> (
-      match String.index_from_opt subject s fb1 with
-      | Some i -> i
-      | None -> len + 1)
+    | Skip_memchr1 fb1 ->
+      let i = memchr subject (Char.code fb1) s in
+      if i < 0 then len + 1 else i
     | Skip_table fb ->
       let s = ref s in
       while
@@ -721,29 +764,10 @@ let forward_end cache ~stop_at_first ~cap ~steps ~first_bytes ~first_byte
         incr s
       done;
       if !s < len then !s else len + 1
-    | Skip_bol_table fb ->
-      let s = ref s in
-      while
-        !s <= len
-        && not
-             ((!s = 0 || String.unsafe_get subject (!s - 1) = '\n')
-             && !s < len
-             && Bytes.unsafe_get fb (Char.code (String.unsafe_get subject !s))
-                <> '\000')
-      do
-        incr s
-      done;
-      if !s <= len then !s else len + 1
+    | Skip_bol_table fb -> next_line_first subject ~len fb s
     | Skip_bol ->
       (* [skippable] implies [bol_only] here *)
-      let s = ref s in
-      while
-        !s <= len
-        && not (!s = 0 || String.unsafe_get subject (!s - 1) = '\n')
-      do
-        incr s
-      done;
-      if !s <= len then !s else len + 1
+      next_line_start subject ~len s
   in
   let stay ch =
     (* whether the hot loop should keep stepping in place on a dead
@@ -759,8 +783,10 @@ let forward_end cache ~stop_at_first ~cap ~steps ~first_bytes ~first_byte
     | Skip_memchr1 fb1 -> ch = fb1
     | _ -> false
   in
+  (* the last boundary an attempt may start at *)
+  let lim = if until < len then until else len in
   let p0 = if skippable then next_feasible pos else pos in
-  if p0 > len then -1
+  if p0 > lim then -1
   else begin
     m.search_flushes <- 0;
     (* start states differ only by left-context fact: the machine's memo
@@ -772,18 +798,18 @@ let forward_end cache ~stop_at_first ~cap ~steps ~first_bytes ~first_byte
     (* 0 = hunting, 1 = flag seen at [!p] (recorded in [e]), 2 = no
        match possible *)
     let verdict = ref 0 in
-    (* Phase 1a, the hot loop: the unanchored stretch over start
-       offsets < [len].  Step accounting is segment-based — [p - seg]
-       bytes are flushed into [steps] at every exit — which folds the
-       deadline check into the loop bound instead of paying a tick per
-       byte. *)
-    while !verdict = 0 && !p < len do
+    (* Phase 1a, the hot loop: the unanchored stretch, injecting a
+       fresh attempt at every boundary up to [lim].  Step accounting is
+       segment-based — [p - seg] bytes are flushed into [steps] at
+       every exit — which folds the deadline check into the loop bound
+       instead of paying a tick per byte. *)
+    while !verdict = 0 && !p < lim do
       let stop =
-        if cap = max_int then len
+        if cap = max_int then lim
         else begin
           let allowed = cap - !steps in
           if allowed <= 0 then raise step_allowance_exceeded
-          else if allowed >= len - !p then len
+          else if allowed >= lim - !p then lim
           else !p + allowed
         end
       in
@@ -816,7 +842,7 @@ let forward_end cache ~stop_at_first ~cap ~steps ~first_bytes ~first_byte
                  (* jump to the next offset the start analysis allows *)
                  steps := !steps + (!p - !seg);
                  let q = next_feasible !p in
-                 if q > len then verdict := 2
+                 if q > lim then verdict := 2
                  else begin
                    p := q;
                    seg := q;
@@ -846,8 +872,9 @@ let forward_end cache ~stop_at_first ~cap ~steps ~first_bytes ~first_byte
         steps := !steps + (!p - !seg);
         raise ex)
     done;
-    (* Phase 1b: the end-of-subject boundary, stepped on the anchored
-       table with the sentinel class — no fresh attempt starts there. *)
+    (* Phase 1b: no fresh attempt starts past [lim]; the live ones run
+       on the anchored table until one flags or all die — at [len] that
+       is the one sentinel step. *)
     while !verdict = 0 do
       incr steps;
       if !steps > cap then raise step_allowance_exceeded;
@@ -995,14 +1022,14 @@ let backward_start cache ~cap ~steps ~low ~e subject =
   done;
   !best
 
-let search cache ?recorder ?(cap = max_int) ?steps_acc ?first_bytes
+let search cache ?recorder ?(cap = max_int) ?steps_acc ?until ?first_bytes
     ?first_byte ?(prefixes = [||]) ~bol_only subject pos =
   if pos < 0 then invalid_arg "Rx: negative position";
   let steps = match steps_acc with Some r -> r | None -> ref 0 in
   let t0 = !steps in
   match
     let e =
-      forward_end cache ~stop_at_first:false ~cap ~steps ~first_bytes
+      forward_end ?until cache ~stop_at_first:false ~cap ~steps ~first_bytes
         ~first_byte ~prefixes ~bol_only subject pos
     in
     if e < 0 then None

@@ -60,6 +60,7 @@ val search :
   ?recorder:Telemetry.recorder ->
   ?cap:int ->
   ?steps_acc:int ref ->
+  ?until:int ->
   ?first_bytes:Bytes.t ->
   ?first_byte:char ->
   ?prefixes:(string * int) array ->
@@ -75,7 +76,8 @@ val search :
     backtracker at [start] for authoritative spans.  [first_bytes]
     and [bol_only] have {!Rx_match.search}'s semantics;
     [first_byte], when the FIRST set is a singleton, lets dead
-    stretches be skipped with [String.index_from] (memchr).
+    stretches be skipped with libc memchr; line-anchored patterns jump
+    from line to line with memchr ['\n'].
     [prefixes], when every match starts with one of a few literals of
     two or more bytes each, upgrades the skip to memchr-plus-verify —
     one lane per literal, each [(lit, anchor)] hunting the byte at
@@ -83,6 +85,11 @@ val search :
     on the earliest verified hit: candidate offsets whose surrounding
     bytes don't spell any of the literals never touch the transition
     tables at all.
+    [until] (default unbounded) fences the starts: no attempt starts
+    past it, so the result is [None] when the leftmost match start at
+    or after [pos] lies past [until], and otherwise the unfenced
+    result — the scan can stop near [until] instead of walking to the
+    end of the subject.
     Each scanned byte ticks [steps_acc] once and is checked against
     [cap] ({!Rx_match.Budget_exceeded} past it) — the deadline hook.
     [recorder], when supplied, is the pre-fetched telemetry handle the

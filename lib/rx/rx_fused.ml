@@ -3,12 +3,14 @@
    [Rx_dfa] answers "where does THE match of this one pattern end";
    this machine answers a different, weaker question for many patterns
    simultaneously: "which of these N patterns match ANYWHERE in the
-   subject" — one forward pass over the input, whatever N is.  The
-   scanner uses it as an exact existence filter in front of the
-   per-rule sweeps: rules the fused pass did not flag are skipped
-   entirely (their [find_all] would have returned []), and flagged
-   rules run the unchanged per-rule machinery to resolve exact spans,
-   so results stay byte-identical to the per-rule path by construction.
+   subject, and where is the last boundary each one flagged at" — one
+   forward pass over the input, whatever N is.  The scanner uses it as
+   an exact existence filter in front of the per-rule sweeps: rules the
+   fused pass did not flag are skipped entirely (their [find_all] would
+   have returned []), and flagged rules run the unchanged per-rule
+   machinery to resolve exact spans, fenced at the slot's last flag (see
+   "Why the last flag bounds every match start" below), so results stay
+   byte-identical to the per-rule path by construction.
 
    Existence — not leftmost-first spans — is the strongest per-rule
    answer one fused pass can give: deriving each rule's leftmost-first
@@ -36,14 +38,33 @@
      attempts keep being injected via pc 0, which costs a few
      redundant threads but keeps one transition table serving every
      run.
-   - The runner accumulates flagged slots into a per-run mask and
-     stops early once every slot has matched.
+   - The runner records, per slot, the last boundary a flagged
+     transition named it at ([-1] when it never flagged), so it walks
+     the whole subject even once every slot has flagged: stopping there
+     would leave the bounds short.
 
    Exactness of the flag (both directions) is what makes the scanner
    integration sound: a flag is raised only by a genuine NFA thread of
    that slot (no false positives), and no thread of an unmatched slot
    is ever dropped (no false negatives) — the differential suites
    check this against [Rx.matches] pattern by pattern.
+
+   Why the last flag bounds every match start.  The machine prunes slot
+   [s]'s threads only at a boundary where [s] flags, and it re-arms a
+   fresh start of every slot at every boundary.  Take any match of [s]
+   starting at [q]: the fresh thread injected at [q] follows it, so
+   either [s] flags at [q] itself (the thread is pruned before it
+   steps), or it is pruned later at some boundary [p >= q] where [s]
+   flags, or it survives to reach [I_match] at the match's own end,
+   which is [>= q] and flags there too.  Interning merges threads with
+   the same pc into one, but merged threads have equal futures, so the
+   survivor flags or is pruned exactly where the dropped one would
+   have.  Hence every match start of [s] is [<= last.(s)].  A per-rule
+   search that injects no start past [until >= last.(s)]
+   ([Rx_dfa.search ?until]) returns the same leftmost-first match as an
+   unfenced one: the leftmost start's threads outrank every thread the
+   fence drops, and leftmost-first priority never lets a lower-ranked
+   thread change a higher-ranked one's end.
 
    The machine is an [Rx_dfa.mach]: the same state store, interning
    table, closure, acceptance-table stepping and clear-and-restart
@@ -294,21 +315,20 @@ let materialize cache sid c =
   end;
   v
 
-(* The one-pass existence search: walks every boundary 0..len (the
-   end-of-input sentinel included, so [$]-anchored matches ending at
-   EOF flag too), absorbing each flagged transition's slot list into
-   [mask], and stops early once every slot has matched.  [mask] is in
-   slot space, one byte per slot, and must arrive all-zero.  Step
-   accounting is segment-based like [Rx_dfa]'s hot loop: one flush of
-   [p - seg] into [steps] per segment, no per-byte tick.
+(* The one-pass search: walks every boundary 0..len (the end-of-input
+   sentinel included, so [$]-anchored matches ending at EOF flag too),
+   recording in [last.(slot)] the last boundary each flagged
+   transition names the slot at.  [last] is in slot space and must
+   arrive all [-1].  Step accounting is segment-based like
+   [Rx_dfa]'s hot loop: one flush of [p - seg] into [steps] per
+   segment, no per-byte tick.
    @raise Rx_dfa.Bail when the cache thrashes. *)
-let search cache ?recorder ?(cap = max_int) ?steps_acc ~mask subject =
+let search cache ?recorder ?(cap = max_int) ?steps_acc ~last subject =
   let m = cache.m in
   let open Rx_dfa in
   let tb = m.tb in
-  let nslots = cache.st.nslots in
-  if Bytes.length mask <> nslots then
-    invalid_arg "Rx_fused.search: mask length does not match the slot count";
+  if Array.length last <> cache.st.nslots then
+    invalid_arg "Rx_fused.search: bounds length does not match the slot count";
   let len = String.length subject in
   let classes = tb.classes in
   let sentinel = tb.nclasses in
@@ -316,23 +336,21 @@ let search cache ?recorder ?(cap = max_int) ?steps_acc ~mask subject =
   let t0 = !steps in
   let run () =
     m.search_flushes <- 0;
-    let nmatched = ref 0 in
-    let absorb sid c =
+    let absorb sid c p =
       match Hashtbl.find_opt cache.mrows ((sid * m.ncols) + c) with
-      | None -> () (* flushed since; rematerializing will restore it *)
+      | None ->
+        (* unreachable: [materialize] writes a flagged row and its
+           [mrows] entry together, and a flush drops both — never drop
+           a flag silently *)
+        raise Bail
       | Some slots ->
-        Array.iter
-          (fun s ->
-            if Bytes.unsafe_get mask s = '\000' then begin
-              Bytes.unsafe_set mask s '\001';
-              incr nmatched
-            end)
-          slots
+        for i = 0 to Array.length slots - 1 do
+          Array.unsafe_set last (Array.unsafe_get slots i) p
+        done
     in
     let sid = ref (start m fact_boundary) in
     let p = ref 0 in
-    let finished = ref false in
-    while not !finished do
+    while !p < len do
       (* [stop] fences this segment at the step allowance; the sentinel
          boundary counts as one more step past [len] *)
       let stop =
@@ -345,59 +363,51 @@ let search cache ?recorder ?(cap = max_int) ?steps_acc ~mask subject =
         end
       in
       let seg = ref !p in
-      (match
-         while (not !finished) && !p < stop do
-           let row = Array.unsafe_get m.rows !sid in
-           let c =
-             Char.code
-               (String.unsafe_get classes
-                  (Char.code (String.unsafe_get subject !p)))
-           in
-           let v = Array.unsafe_get row c in
-           if v >= 0 then begin
-             if v land 1 = 1 then begin
-               absorb !sid c;
-               if !nmatched = nslots then finished := true
-             end;
-             sid := v lsr 1;
-             incr p
-           end
-           else begin
-             (* capture the state record first — it survives a flush
-                even though its table slot does not *)
-             let scur = Array.unsafe_get m.states !sid in
-             match materialize cache !sid c with
-             | _ -> ()
-             | exception Restart -> sid := intern m scur.ctx scur.raw
-           end
-         done
-       with
+      match
+        while !p < stop do
+          let row = Array.unsafe_get m.rows !sid in
+          let c =
+            Char.code
+              (String.unsafe_get classes
+                 (Char.code (String.unsafe_get subject !p)))
+          in
+          let v = Array.unsafe_get row c in
+          if v >= 0 then begin
+            if v land 1 = 1 then absorb !sid c !p;
+            sid := v lsr 1;
+            incr p
+          end
+          else begin
+            (* capture the state record first — it survives a flush
+               even though its table slot does not *)
+            let scur = Array.unsafe_get m.states !sid in
+            match materialize cache !sid c with
+            | _ -> ()
+            | exception Restart -> sid := intern m scur.ctx scur.raw
+          end
+        done
+      with
       | () -> steps := !steps + (!p - !seg)
       | exception ex ->
         steps := !steps + (!p - !seg);
-        raise ex);
-      if not !finished then
-        if !p < len then () (* allowance-fenced segment: loop re-checks *)
-        else begin
-          (* the end-of-input boundary: one sentinel transition *)
-          incr steps;
-          if !steps > cap then raise step_allowance_exceeded;
-          let taken = ref false in
-          while not !taken do
-            let v = Array.unsafe_get (Array.unsafe_get m.rows !sid) sentinel in
-            if v >= 0 then begin
-              if v land 1 = 1 then absorb !sid sentinel;
-              taken := true
-            end
-            else begin
-              let scur = Array.unsafe_get m.states !sid in
-              match materialize cache !sid sentinel with
-              | _ -> ()
-              | exception Restart -> sid := intern m scur.ctx scur.raw
-            end
-          done;
-          finished := true
-        end
+        raise ex
+    done;
+    (* the end-of-input boundary: one sentinel transition *)
+    incr steps;
+    if !steps > cap then raise step_allowance_exceeded;
+    let taken = ref false in
+    while not !taken do
+      let v = Array.unsafe_get (Array.unsafe_get m.rows !sid) sentinel in
+      if v >= 0 then begin
+        if v land 1 = 1 then absorb !sid sentinel len;
+        taken := true
+      end
+      else begin
+        let scur = Array.unsafe_get m.states !sid in
+        match materialize cache !sid sentinel with
+        | _ -> ()
+        | exception Restart -> sid := intern m scur.ctx scur.raw
+      end
     done
   in
   match run () with

@@ -2,12 +2,15 @@
     forward pass.
 
     The machine answers an existence query for every pattern at once:
-    one walk over the subject sets a per-slot flag iff that slot's
-    pattern matches anywhere in the subject.  The flag is exact in
-    both directions — it is raised only by a genuine thread of that
-    pattern and no unmatched pattern's thread is ever dropped — so a
-    caller can skip any downstream per-pattern work for unflagged
-    slots without changing results.
+    one walk over the subject records, per slot, the last boundary
+    where that slot's pattern flagged, or [-1] iff it matches nowhere
+    in the subject.  The flag is exact in both directions — it is
+    raised only by a genuine thread of that pattern and no unmatched
+    pattern's thread is ever dropped — so a caller can skip any
+    downstream per-pattern work for unflagged slots without changing
+    results; and every match of a flagged pattern starts at or before
+    its last flag, so downstream searches can stop injecting starts
+    there (the argument is in [rx_fused.ml]'s header).
 
     Spans are deliberately out of scope: per-pattern leftmost-first
     spans cannot be recovered from a single fused pass (the phase
@@ -60,13 +63,15 @@ val search :
   ?recorder:Telemetry.recorder ->
   ?cap:int ->
   ?steps_acc:int ref ->
-  mask:Bytes.t ->
+  last:int array ->
   string ->
   unit
-(** [search cache ~mask subject] runs the fused pass and sets
-    [mask.[slot]] to ['\001'] for every slot whose pattern matches
-    anywhere in [subject].  [mask] must be all-zero on entry with
-    length [nslots].  [cap]/[steps_acc] meter boundary steps against
-    the caller's budget exactly as in [Rx_dfa].
+(** [search cache ~last subject] runs the fused pass and sets
+    [last.(slot)] to the last boundary where the slot flagged, for
+    every slot whose pattern matches anywhere in [subject]; every match
+    of that pattern starts at or before it.  [last] must hold [-1]
+    everywhere on entry, with length [nslots]; unmatched slots keep
+    [-1].  [cap]/[steps_acc] meter boundary steps against the caller's
+    budget exactly as in [Rx_dfa].
     @raise Rx_match.Budget_exceeded when the step allowance runs out.
     @raise Rx_dfa.Bail when the cache thrashes. *)

@@ -41,12 +41,12 @@ let source =
 let patterns_run scanner =
   let rules = Array.of_list (Patchitpy.Scanner.rules scanner) in
   let fused = Option.get (Patchitpy.Scanner.fused_machine scanner) in
-  let mask = Rx.Fused.run fused source in
+  let bounds = Rx.Fused.run fused source in
   let run = ref [] in
   let add p = if Rx.tier p = `Dfa then run := Rx.pattern p :: !run in
   Array.iteri
     (fun i (r : Patchitpy.Rule.t) ->
-      if (not (Rx.Fused.is_hosted fused i)) || Bytes.get mask i <> '\000'
+      if (not (Rx.Fused.is_hosted fused i)) || bounds.(i) >= 0
       then begin
         add r.Patchitpy.Rule.pattern;
         if Rx.find_all r.Patchitpy.Rule.pattern source <> [] then

@@ -5,13 +5,15 @@
    warnings, same patch results — because the fused pass is an *exact*
    existence filter and per-rule sweeps still resolve every span.
 
-   Layers: unit checks on hosting decisions and the raw mask; QCheck
-   over random pattern sets x random subjects (mask vs the pinned
+   Layers: unit checks on hosting decisions and the raw flags; QCheck
+   over random pattern sets x random subjects (flags vs the pinned
    backtracker, full-size and deliberately thrashing caches); scanner
    differentials including the patcher's round scans and
    deadline/budget edges; the fused rule-pack section (round-trip and
-   forged-section degradation); and the 609-sample corpus under
-   --jobs 1 and 4. *)
+   forged-section degradation); the 609-sample corpus under --jobs 1
+   and 4; and the last-flag fence — every match starts at or before
+   its pattern's [Fused.run] bound, so sweeps fenced there return what
+   unfenced ones do. *)
 
 open Patchitpy
 module G = Corpus.Generator
@@ -19,7 +21,7 @@ module G = Corpus.Generator
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-(* --- unit: hosting and the raw mask ------------------------------------ *)
+(* --- unit: hosting and the raw flags ----------------------------------- *)
 
 let test_hosting () =
   let pats =
@@ -39,13 +41,13 @@ let test_hosting () =
     check_bool "backref unhosted" false (Rx.Fused.is_hosted f 1);
     check_bool "nullable unhosted" false (Rx.Fused.is_hosted f 2);
     check_bool "literal-headed hosted" true (Rx.Fused.is_hosted f 3);
-    let mask = Rx.Fused.run f "x = abccc; os.system(cmd)" in
-    check_bool "hosted match flagged" true (Bytes.get mask 0 = '\001');
-    check_bool "unhosted stays unknown" true (Bytes.get mask 1 = '\000');
-    check_bool "other hosted match flagged" true (Bytes.get mask 3 = '\001');
-    let mask = Rx.Fused.run f "nothing here" in
-    check_bool "no match, no flag" true (Bytes.get mask 0 = '\000');
-    check_bool "no match, no flag (2)" true (Bytes.get mask 3 = '\000')
+    let bounds = Rx.Fused.run f "x = abccc; os.system(cmd)" in
+    check_bool "hosted match flagged" true (bounds.(0) >= 0);
+    check_bool "unhosted stays unknown" true (bounds.(1) = -1);
+    check_bool "other hosted match flagged" true (bounds.(3) >= 0);
+    let bounds = Rx.Fused.run f "nothing here" in
+    check_bool "no match, no flag" true (bounds.(0) = -1);
+    check_bool "no match, no flag (2)" true (bounds.(3) = -1)
 
 let test_nothing_hostable () =
   check_bool "all-unhosted catalog fuses to None" true
@@ -59,14 +61,14 @@ let test_edge_anchors () =
   let f = Option.get (Rx.Fused.compile ts) in
   List.iter
     (fun subject ->
-      let mask = Rx.Fused.run f subject in
+      let bounds = Rx.Fused.run f subject in
       Array.iteri
         (fun i t ->
           if Rx.Fused.is_hosted f i then
             check_bool
               (Printf.sprintf "%S on %S" pats.(i) subject)
               (Rx.matches (Rx.backtrack_tier t) subject)
-              (Bytes.get mask i = '\001'))
+              (bounds.(i) >= 0))
         ts)
     [ "foo"; "xfoo"; "foo\n"; "foox"; "bar"; "x\nbar"; "xbar"; "qux";
       "quxy"; "qux!"; "end."; "end"; ""; "\n" ]
@@ -117,28 +119,63 @@ let case_print (ps, s) =
     (String.concat "; " (List.map (Printf.sprintf "%S") ps))
     s
 
-(* The mask against the pinned backtracker, pattern by pattern.  The
-   reference is the backtracking engine so the fused pass is not being
-   compared against the machinery it was derived from. *)
-let check_mask_exact ?(name = "") f ts subject =
-  let mask = Rx.Fused.run f subject in
+(* One fused pass checked pattern by pattern against [reference t s]
+   ([Some (matches, find_all)], or [None] when it ran out of budget).
+   [Fused.run]'s bound for a pattern is the last boundary where the pass
+   flagged it, and the argument in [rx_fused.ml] says every match of
+   the pattern starts at or before it.  So for every hosted pattern:
+   the bound is [>= 0] exactly when the pattern matches, no [find_all]
+   match starts past it, and [find_all ~until:bound] equals [find_all]
+   — the fenced sweep the scanner runs.  Unhosted patterns stay [-1].
+   Returns the bounds. *)
+let spans ms = List.map (fun m -> (Rx.m_start m, Rx.m_stop m)) ms
+
+let check_exact ~name ~reference f ts subject =
+  let bounds = Rx.Fused.run f subject in
   Array.iteri
     (fun i t ->
-      let flagged = Bytes.get mask i = '\001' in
-      if Rx.Fused.is_hosted f i then (
-        match Rx.matches (Rx.backtrack_tier t) subject with
-        | exception Rx.Budget_exceeded _ -> ()
-        | want ->
-          if want <> flagged then
-            QCheck.Test.fail_reportf
-              "%s: pattern %S on %S: backtracker says %b, fused flag %b" name
-              (Rx.pattern t) subject want flagged)
-      else if flagged then
-        QCheck.Test.fail_reportf "%s: unhosted pattern %S flagged" name
-          (Rx.pattern t))
+      let bound = bounds.(i) in
+      let fail fmt =
+        Printf.ksprintf
+          (fun msg ->
+            QCheck.Test.fail_reportf "%s: pattern %S on %S (bound %d): %s" name
+              (Rx.pattern t) subject bound msg)
+          fmt
+      in
+      if not (Rx.Fused.is_hosted f i) then begin
+        if bound <> -1 then fail "unhosted pattern flagged"
+      end
+      else
+        match reference t subject with
+        | None -> ()
+        | Some (matches, all) -> (
+          if (bound >= 0) <> matches then
+            fail "reference says matches = %b" matches;
+          List.iter
+            (fun m ->
+              if Rx.m_start m > bound then
+                fail "a match starts at %d, past the bound" (Rx.m_start m))
+            all;
+          match Rx.find_all ~until:bound t subject with
+          | exception Rx.Budget_exceeded _ -> ()
+          | fenced ->
+            if spans fenced <> spans all then
+              fail "fenced find_all %d matches, unfenced %d"
+                (List.length fenced) (List.length all)))
     ts;
-  true
+  bounds
 
+(* For random patterns the reference is the pinned backtracker, so the
+   fused pass is not compared against the machinery it was derived
+   from. *)
+let backtracker_reference t subject =
+  let bt = Rx.backtrack_tier t in
+  match (Rx.matches bt subject, Rx.find_all bt subject) with
+  | r -> Some r
+  | exception Rx.Budget_exceeded _ -> None
+
+(* A cold pass, then a second over the warm cache, whose bounds must
+   repeat the first's. *)
 let qcheck_mask =
   QCheck.Test.make ~count:1000
     ~name:"fused existence flags match the backtracker exactly"
@@ -147,10 +184,18 @@ let qcheck_mask =
       let ts = Array.of_list (List.map Rx.compile srcs) in
       match Rx.Fused.compile ts with
       | None -> true
-      | Some f -> check_mask_exact ~name:"full" f ts subject)
+      | Some f ->
+        let check () =
+          check_exact ~name:"full" ~reference:backtracker_reference f ts
+            subject
+        in
+        let cold = check () in
+        cold = check ())
 
-(* Same property through the overflow paths: a thrashing cache either
-   bails (the scanner's fallback; fine) or must still be exact. *)
+(* Same property through the overflow paths: caches of a few states
+   flush in the middle of a pass, so the walk restarts from re-interned
+   states, and each pass either bails (the scanner's fallback; fine) or
+   must still be exact. *)
 let qcheck_tiny_cache =
   QCheck.Test.make ~count:400
     ~name:"thrashing fused caches bail or stay exact"
@@ -160,14 +205,22 @@ let qcheck_tiny_cache =
       match Rx.Fused.compile ts with
       | None -> true
       | Some f ->
-        Rx.Fused.shrink_cache f ~max_states:3;
-        let ok =
-          match check_mask_exact ~name:"tiny" f ts subject with
-          | b -> b
-          | exception Rx.Fused.Bail -> true
-        in
-        Rx.Fused.cache_clear f;
-        ok)
+        Fun.protect
+          ~finally:(fun () -> Rx.Fused.cache_clear f)
+          (fun () ->
+            List.iter
+              (fun max_states ->
+                Rx.Fused.shrink_cache f ~max_states;
+                for _ = 1 to 2 do
+                  match
+                    check_exact ~name:"tiny" ~reference:backtracker_reference
+                      f ts subject
+                  with
+                  | _ -> ()
+                  | exception Rx.Fused.Bail -> ()
+                done)
+              [ 3; 5; 8 ]);
+        true)
 
 (* --- scanner differentials --------------------------------------------- *)
 
@@ -372,10 +425,10 @@ let check_catalog_masks ~name f =
     (fun k (subject, want) ->
       match Rx.Fused.run f subject with
       | exception Rx.Fused.Bail -> incr bails
-      | mask ->
+      | bounds ->
         Array.iteri
           (fun i w ->
-            let flagged = Bytes.get mask i = '\001' in
+            let flagged = bounds.(i) >= 0 in
             match w with
             | Some m when Rx.Fused.is_hosted f i && m <> flagged ->
               Alcotest.failf "%s: subject %d, pattern %d: backtracker %b, fused %b"
@@ -528,6 +581,65 @@ let test_corpus_differential () =
     (patched (Lazy.force scanner_fused)
     = patched (Lazy.force scanner_per_rule))
 
+(* --- the last-flag fence ------------------------------------------- *)
+
+(* [check_exact] for the catalog over the 609 samples (LF and CRLF)
+   and the 30 long files, a cold and a warm pass each; the unfenced DFA
+   tier is the reference here (test_rx_dfa holds it to the
+   backtracker), and only flagged patterns pay a [find_all]. *)
+let fence_subjects =
+  lazy
+    (let samples = List.map (fun (s : G.sample) -> s.G.code) (G.all_samples ()) in
+     let crlf s = String.concat "\r\n" (String.split_on_char '\n' s) in
+     samples @ List.map crlf samples @ List.map snd (G.long_files ()))
+
+let dfa_reference t subject =
+  match Rx.matches t subject with
+  | false -> Some (false, [])
+  | true -> (
+    match Rx.find_all t subject with
+    | all -> Some (true, all)
+    | exception Rx.Budget_exceeded _ -> None)
+  | exception Rx.Budget_exceeded _ -> None
+
+let catalog_fence ~name f =
+  let ts, _ = Lazy.force catalog_fused in
+  let bails = ref 0 in
+  List.iter
+    (fun subject ->
+      for _ = 1 to 2 do
+        match check_exact ~name ~reference:dfa_reference f ts subject with
+        | _ -> ()
+        | exception Rx.Fused.Bail -> incr bails
+      done)
+    (Lazy.force fence_subjects);
+  !bails
+
+let test_fence_catalog () =
+  let _, f = Lazy.force catalog_fused in
+  Rx.Fused.cache_clear f;
+  check_int "no search bails" 0 (catalog_fence ~name:"fence" f)
+
+let test_fence_catalog_small_cache () =
+  let _, f = Lazy.force catalog_fused in
+  Rx.Fused.shrink_cache f ~max_states:64;
+  let sink = Telemetry.create () in
+  let bails =
+    Fun.protect
+      ~finally:(fun () -> Rx.Fused.cache_clear f)
+      (fun () ->
+        Telemetry.with_sink sink (fun () ->
+            catalog_fence ~name:"fence, 64 states" f))
+  in
+  let flushes =
+    Option.value ~default:0
+      (List.assoc_opt "rx_fused_cache_flushes_total"
+         (Telemetry.Report.of_sink sink).Telemetry.Report.counters)
+  in
+  check_bool "flushes landed mid-search" true (flushes > 0);
+  check_bool "most searches completed" true
+    (bails * 10 < 2 * List.length (Lazy.force fence_subjects))
+
 let () =
   let qt = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "fused"
@@ -538,7 +650,8 @@ let () =
           Alcotest.test_case "nothing hostable" `Quick test_nothing_hostable;
           Alcotest.test_case "edge anchors" `Quick test_edge_anchors;
         ] );
-      ("qcheck", qt [ qcheck_mask; qcheck_tiny_cache ]);
+      ( "qcheck",
+qt [ qcheck_mask; qcheck_tiny_cache ]);
       ( "scanner",
         qt [ prop_scan_differential; prop_patch_differential ]
         @ [
@@ -570,5 +683,12 @@ let () =
             test_catalog_default_cache;
           Alcotest.test_case "masks = backtracker, 64-state cache" `Slow
             test_catalog_small_cache;
+        ] );
+      ( "fence",
+        [
+          Alcotest.test_case "bounds fence every match, catalog subjects" `Slow
+            test_fence_catalog;
+          Alcotest.test_case "bounds fence every match, 64-state cache" `Slow
+            test_fence_catalog_small_cache;
         ] );
     ]

@@ -107,6 +107,22 @@ let unit_cases =
      [ "    return f\"<p>{cmd}</p>\"\n"; "return f\"plain\"\n" ]);
     ({|\.run\(([^)\n]*)debug\s*=\s*True([^)\n]*)\)|},
      [ "app.run(debug=True)\n"; "app.run(debug=False)\n" ]);
+    (* memchr skip lanes at the subject's edges — a hit at offset 0 and
+       in the last bytes ([differential] also searches from [pos = len])
+       — and over NUL and high bytes, in the subject and as the hunted
+       byte: one literal lane, several lanes, a singleton FIRST byte,
+       and line jumps for [^] patterns *)
+    ({|os\.system\(|},
+     [ "os.system("; "x = 1\nos.system("; "\000os.system(\000";
+       "\xff\x80os.system(\xc3\xa9"; "os.syste"; "" ]);
+    ("(?:foo|bar)baz",
+     [ "foobaz"; "xx barbaz"; "\000foobaz\xffbarbaz"; "fooba"; "barba" ]);
+    ("x[0-9]+", [ "x1"; "aaax9"; "\000x5\xff"; "\x80\x80x"; "xx"; "abc x7" ]);
+    ("\000ab", [ "\000ab"; "zz\000ab"; "\000a"; "ab\000" ]);
+    ("\xffab", [ "\xffab"; "\x80\xffab"; "\xffa"; "ab\xff" ]);
+    ({|^\s*def |},
+     [ "def f"; "x\n  def g"; "x\r\ndef h\r\n"; "\000\ndef "; "nodef " ]);
+    ("^a*", [ "b\nb\n"; "a"; "\n\n"; ""; "\xff\na" ]);
   ]
 
 let test_unit_differential () =
@@ -133,8 +149,9 @@ let test_tier_selection () =
 (* Pins the compile-time skip analysis on known shapes: a fixed literal
    prefix is a singleton, a leading alternation contributes one literal
    per branch, branches sharing a head byte collapse to their common
-   prefix, and patterns whose first consumed byte is unconstrained get
-   no set at all.  The matcher never depends on these (the differential
+   prefix, an alternation too wide for lanes keeps the literal fixed
+   before it, and patterns whose first consumed byte is unconstrained
+   get no set at all.  The matcher never depends on these (the differential
    suites prove that); this guards the *speed* contract from silently
    rotting. *)
 let test_start_literals () =
@@ -154,7 +171,30 @@ let test_start_literals () =
     (lits {|[a-z]+@example\.com|});
   Alcotest.(check (list string))
     "one-byte literal is not a usable lane" []
-    (lits {|a[0-9]+|})
+    (lits {|a[0-9]+|});
+  Alcotest.(check (list string))
+    "a wide alternation keeps the literal before it" [ "subprocess." ]
+    (lits {|\bsubprocess\.(call|run|Popen|check_call|check_output)\(|});
+  (* catalog rules whose lane comes from a literal before a wide
+     alternation *)
+  let rule_lits id =
+    let r =
+      List.find
+        (fun (r : Patchitpy.Rule.t) -> r.Patchitpy.Rule.id = id)
+        Patchitpy.(Catalog.all ())
+    in
+    Array.to_list (Rx.start_literals r.Patchitpy.Rule.pattern)
+  in
+  List.iter
+    (fun (id, want) ->
+      Alcotest.(check (list string)) (id ^ " start literal") want (rule_lits id))
+    [
+      ("PIT-003", [ "subprocess." ]);
+      ("PIT-004", [ "os." ]);
+      ("PIT-031", [ "requests." ]);
+      ("PIT-036", [ "ssl.PROTOCOL_" ]);
+      ("PIT-084", [ "requests." ]);
+    ]
 
 (* --- tiny-cache stress ------------------------------------------------- *)
 
@@ -309,8 +349,8 @@ let test_corpus_differential () =
    materialized transition, so an interning or stepping change that
    altered any state set moves these totals.  The 4-state run pins the
    clear-and-restart and bail paths as well. *)
-let corpus_dfa_work = (6105, 0, 0)
-let corpus_dfa_work_4_states = (217278, 30502, 3669)
+let corpus_dfa_work = (5981, 0, 0)
+let corpus_dfa_work_4_states = (207943, 28890, 3424)
 
 let catalog_dfa_patterns () =
   List.fold_left
