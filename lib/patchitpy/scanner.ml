@@ -207,11 +207,8 @@ let scan_state t source =
            the plan still runs — but the skip is not silent: it is
            reported as a warning and counted in telemetry. *)
         let matches =
-          try
-            match block with
-            | None -> Rx.find_all ~until rule.Rule.pattern source
-            | Some _ ->
-              Rx.find_all_counted ~until rule.Rule.pattern source ~steps
+          let steps = match block with None -> None | Some _ -> Some steps in
+          try Rx.find_all ~until ?steps rule.Rule.pattern source
           with Rx.Budget_exceeded _ ->
             exhausted := true;
             []

@@ -579,17 +579,11 @@ let dfa_confirm_counter = Telemetry.Counter.make "rx_dfa_confirm_total"
 (* The search dispatch counts every dispatch decision, so each search
    would otherwise pay a sink-and-collector lookup per counter.  The
    entry points fetch the recorder once instead and record through it;
-   a sweep ([find_all_counted]) reuses one fetch across all its
-   searches. *)
+   a sweep ([find_all]) reuses one fetch across all its searches. *)
 let rincr recorder c =
   match recorder with
   | None -> ()
   | Some r -> Telemetry.Counter.record r c 1
-
-let robserve recorder h v =
-  match recorder with
-  | None -> ()
-  | Some r -> Telemetry.Histogram.record r h v
 
 let bt_search ?cap ?steps_acc t subject pos =
   Rx_match.search ?cap ?steps_acc ?first_bytes:t.first_bytes
@@ -633,37 +627,44 @@ let deferred_groups t subject s =
      | Some r -> r.Rx_match.m_groups
      | None -> Array.make (t.ngroups + 1) None)
 
+(* The tier dispatch every query shares: counts the tier that ran, runs
+   [dfa] on the calling domain's cache for [t], and answers through
+   [bt] from the backtracking search when [t] has no DFA tier or the
+   DFA gave up ([Rx_dfa.Bail]: cache thrash, or an internal cross-check
+   failed) — never letting an engine bug change results. *)
+let dispatch ~recorder ?cap ?steps_acc t subject pos ~bt ~dfa =
+  match t.dfa with
+  | None ->
+    rincr recorder exec_backtrack_counter;
+    bt (bt_search ?cap ?steps_acc t subject pos)
+  | Some d -> (
+    rincr recorder exec_dfa_counter;
+    match dfa (get_cache t d) with
+    | result -> result
+    | exception Rx_dfa.Bail ->
+      rincr recorder dfa_fallback_counter;
+      Telemetry.Trace.ambient_instant Telemetry.Trace.Dfa_bail;
+      bt (bt_search ?cap ?steps_acc t subject pos))
+
 (* DFA tier: one linear forward pass finds the match end, a backward
    pass pins the leftmost start.  Capture groups are not extracted
    here: the match carries a thunk that runs the backtracker anchored
    at that start if and when a group is actually read — byte-identical
    spans either way, since a backtracker-only search would have found
-   its first (hence identical) match at the same start.  [Rx_dfa.Bail]
-   (cache thrash) falls back to the legacy search wholesale.  [until]
+   its first (hence identical) match at the same start.  [until]
    fences the DFA tier's starts ([Rx_dfa.search]); the backtracking
    paths ignore it, so a caller must drop a match starting past it. *)
 let tier_search ~recorder ?cap ?steps_acc ?until t subject pos =
-  match t.dfa with
-  | None ->
-    rincr recorder exec_backtrack_counter;
-    Option.map (of_result subject t.ngroups)
-      (bt_search ?cap ?steps_acc t subject pos)
-  | Some d -> (
-    rincr recorder exec_dfa_counter;
-    let cache = get_cache t d in
-    match
-      Rx_dfa.search cache ?recorder ?cap ?steps_acc ?until
-        ?first_bytes:t.first_bytes ?first_byte:t.first_byte
-        ~prefixes:t.start_prefixes ~bol_only:t.bol_only subject pos
-    with
-    | exception Rx_dfa.Bail ->
-      rincr recorder dfa_fallback_counter;
-      Telemetry.Trace.ambient_instant Telemetry.Trace.Dfa_bail;
-      Option.map (of_result subject t.ngroups)
-        (bt_search ?cap ?steps_acc t subject pos)
-    | None -> None
-    | Some (s, e) ->
-      if t.end_exact then
+  dispatch ~recorder ?cap ?steps_acc t subject pos
+    ~bt:(Option.map (of_result subject t.ngroups))
+    ~dfa:(fun cache ->
+      match
+        Rx_dfa.search cache ?recorder ?cap ?steps_acc ?until
+          ?first_bytes:t.first_bytes ?first_byte:t.first_byte
+          ~prefixes:t.start_prefixes ~bol_only:t.bol_only subject pos
+      with
+      | None -> None
+      | Some (s, e) when t.end_exact ->
         (* (s, e) already is the leftmost-first span: the forward pass
            records the match flag under prune-after-match with start
            injection stopped, which is exactly the end the backtracker's
@@ -674,59 +675,42 @@ let tier_search ~recorder ?cap ?steps_acc ?until t subject pos =
           if t.ngroups = 0 then no_group_spans else deferred_groups t subject s
         in
         Some { subject; ngroups = t.ngroups; m_s = s; m_e = e; m_groups }
-      else begin
+      | Some (s, _) -> (
         (* A repetition with a nullable body can rank ends differently
            across tiers (see [has_nullable_rep]): [s] is still the
            authoritative leftmost start, but the span must come from
            the backtracker, anchored there — groups ride along for
-           free. *)
+           free.  No match there is impossible by construction. *)
         rincr recorder dfa_confirm_counter;
         match Rx_match.match_at ?cap ?steps_acc t.node t.ngroups subject s with
         | Some r -> Some (of_result subject t.ngroups r)
-        | None ->
-          (* impossible by construction; never let an engine bug change
-             results — re-run the whole search on the legacy tier *)
-          rincr recorder dfa_fallback_counter;
-          Telemetry.Trace.ambient_instant Telemetry.Trace.Dfa_bail;
-          Option.map (of_result subject t.ngroups)
-            (bt_search ?cap ?steps_acc t subject pos)
-      end)
+        | None -> raise Rx_dfa.Bail))
 
 let exec ?(pos = 0) t subject =
   let recorder = Telemetry.recorder () in
   guarded (fun ?cap ?steps_acc () ->
       tier_search ~recorder ?cap ?steps_acc t subject pos)
 
+(* A boolean query: on the DFA tier, the forward pass alone, stopping at
+   the first match flag — no backward pass, no capture confirmation. *)
 let matches t subject =
-  match t.dfa with
-  | None -> exec t subject <> None
-  | Some d ->
-    (* boolean query: forward pass only, stopping at the first match
-       flag — no backward pass, no capture confirmation *)
-    let recorder = Telemetry.recorder () in
-    guarded (fun ?cap ?steps_acc () ->
-        rincr recorder exec_dfa_counter;
-        let cache = get_cache t d in
-        match
+  let recorder = Telemetry.recorder () in
+  guarded (fun ?cap ?steps_acc () ->
+      dispatch ~recorder ?cap ?steps_acc t subject 0 ~bt:Option.is_some
+        ~dfa:(fun cache ->
           Rx_dfa.is_match cache ?recorder ?cap ?steps_acc
             ?first_bytes:t.first_bytes ?first_byte:t.first_byte
-            ~prefixes:t.start_prefixes ~bol_only:t.bol_only subject 0
-        with
-        | exception Rx_dfa.Bail ->
-          rincr recorder dfa_fallback_counter;
-          Telemetry.Trace.ambient_instant Telemetry.Trace.Dfa_bail;
-          bt_search ?cap ?steps_acc t subject 0 <> None
-        | found -> found)
+            ~prefixes:t.start_prefixes ~bol_only:t.bol_only subject 0))
 
 let matches_whole t subject =
   guarded (fun ?cap ?steps_acc () ->
       Rx_match.match_whole ?cap ?steps_acc t.node t.ngroups subject)
 
-(* The sweep behind [find_all] and [find_all_counted]: matches left to
-   right, keeping those that start at or before [until].  The DFA tier
-   injects no start past [until], so a sweep fenced at a bound no match
-   start exceeds ([Fused.run]'s) stops scanning there; a match from a
-   backtracking path starting past it ends the sweep like [None]. *)
+(* The sweep behind [find_all]: matches left to right, keeping those
+   that start at or before [until].  The DFA tier injects no start past
+   [until], so a sweep fenced at a bound no match start exceeds
+   ([Fused.run]'s) stops scanning there; a match from a backtracking
+   path starting past it ends the sweep like [None]. *)
 let sweep ~search ~until subject =
   let len = String.length subject in
   let last = if until < len then until else len in
@@ -742,43 +726,30 @@ let sweep ~search ~until subject =
   in
   loop 0 []
 
+let search_steps_histogram = Telemetry.Histogram.make "rx_search_steps"
+
 (* One recorder fetch and one [guarded] entry for the whole sweep, not
    one per match: the deadline cap is invariant across the sweep (each
    charge shrinks [remaining] by exactly the steps the shared
    accumulator grew), so hoisting the wrapper out of the loop changes
-   no budget or deadline behaviour — it only removes the per-[exec]
-   DLS fetches from the scanner's confirm path. *)
-let find_all ?(until = max_int) t subject =
+   no budget — it only removes the per-search DLS fetches from the
+   scanner's confirm path.  A counted sweep makes one histogram
+   observation, not one per search: the scanner counts every swept
+   rule, and the cheap path must stay within the documented <=2%
+   overhead budget. *)
+let find_all ?(until = max_int) ?steps t subject =
   let recorder = Telemetry.recorder () in
-  guarded (fun ?cap ?steps_acc () ->
-      sweep ~until subject
-        ~search:(tier_search ~recorder ?cap ?steps_acc ~until t subject))
-
-let search_steps_histogram = Telemetry.Histogram.make "rx_search_steps"
-
-let exec_steps ~recorder ~until t subject ~steps pos =
-  guarded ~steps_acc:steps (fun ?cap ?steps_acc () ->
-      let steps = match steps_acc with Some acc -> acc | None -> steps in
-      tier_search ~recorder ?cap ~steps_acc:steps ~until t subject pos)
-
-let observe_sweep recorder before steps =
-  robserve recorder search_steps_histogram (!steps - before)
-
-let find_all_counted ?(until = max_int) t subject ~steps =
-  let recorder = Telemetry.recorder () in
-  let before = !steps in
-  (* One histogram observation per sweep, not per exec: the scanner calls
-     this once per candidate rule, and the cheap path must stay within
-     the documented <=2% overhead budget. *)
-  match
-    sweep ~until subject ~search:(exec_steps ~recorder ~until t subject ~steps)
-  with
-  | result ->
-    observe_sweep recorder before steps;
-    result
-  | exception e ->
-    observe_sweep recorder before steps;
-    raise e
+  let run () =
+    guarded ?steps_acc:steps (fun ?cap ?steps_acc () ->
+        sweep ~until subject
+          ~search:(tier_search ~recorder ?cap ?steps_acc ~until t subject))
+  in
+  match (steps, recorder) with
+  | Some acc, Some r ->
+    let before = !acc in
+    Fun.protect run ~finally:(fun () ->
+        Telemetry.Histogram.record r search_steps_histogram (!acc - before))
+  | _ -> run ()
 
 let expand_template m template =
   let buf = Buffer.create (String.length template + 16) in

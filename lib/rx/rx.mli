@@ -41,8 +41,11 @@
     the tier is already decided by then, and compiling a catalog most
     of whose patterns a short process never runs stays cheap.  Each
     build counts in the ["rx_dfa_builds_total"] telemetry counter.  Backtracking execution keeps its step budget;
-    exceeding it raises {!Budget_exceeded} (it indicates a pathological
-    rule, never a pathological subject in this codebase). *)
+    exceeding it raises {!Budget_exceeded}.  A trip needs a pattern
+    with nested or stacked repetitions, but whether one trips depends
+    on the subject too: [(.*a){20}] over ["ab"] repeated 40 times blows
+    the budget extracting its captures, and user rule files may carry
+    any pattern. *)
 
 type t
 (** A compiled pattern. *)
@@ -163,7 +166,7 @@ val matches : t -> string -> bool
 val matches_whole : t -> string -> bool
 (** [matches_whole t s] is [true] iff [t] matches all of [s]. *)
 
-val find_all : ?until:int -> t -> string -> m list
+val find_all : ?until:int -> ?steps:int ref -> t -> string -> m list
 (** All non-overlapping matches, left to right.  Empty matches advance the
     scan by one character, as Python's [re.finditer] does.  With
     [until], only the matches starting at or before [until] — exactly
@@ -171,20 +174,13 @@ val find_all : ?until:int -> t -> string -> m list
     [<= until] — and the DFA tier injects no start past it, so the
     sweep stops there instead of walking to the end of the subject.
     A bound no match start exceeds (the one {!Fused.run} returns)
-    leaves the result unchanged. *)
+    leaves the result unchanged.
 
-(** {1 Instrumented matching}
-
-    The scanner's telemetry needs the backtracking cost of each rule.
-    The [_counted] variants behave exactly like their plain
-    counterparts but additionally accumulate the matcher steps they
-    consumed into [steps]; the accumulation is flushed even when the
-    step budget is exhausted mid-search, so a {!Budget_exceeded} scan
-    still reports the work it burned.  Every search observed this way
-    also feeds the ["rx_search_steps"] telemetry histogram. *)
-
-val find_all_counted : ?until:int -> t -> string -> steps:int ref -> m list
-(** {!find_all}, adding the steps consumed to [steps]. *)
+    With [steps], the sweep also adds the matcher steps it consumed to
+    [steps] — the scanner's per-rule cost telemetry — even when a
+    {!Budget_exceeded} or {!Deadline_exceeded} cuts it short, and
+    observes the total once in the ["rx_search_steps"] telemetry
+    histogram.  Results do not depend on [steps]. *)
 
 (** {1 Step deadlines}
 

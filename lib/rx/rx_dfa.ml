@@ -24,8 +24,14 @@
    the match end down to the search origin, anchored, without pruning;
    the smallest flagged boundary is the leftmost start.  Capture groups
    are not tracked at all — the caller re-runs the backtracker anchored
-   at the discovered start, which also guarantees byte-identical spans
-   and group semantics.
+   at the discovered start when a group is read (and for the span
+   itself when a repetition's body can match empty, where the two
+   engines may rank ends differently).
+
+   The forward pass's anchored tail and extension and the whole
+   backward pass go through one runner ([anchored]): one step per
+   boundary, a miss materializes the row ([miss]), and the run stops
+   when the threads die or it reaches the edge.
 
    The alphabet is compressed at build time into equivalence classes:
    two bytes that no instruction of either program distinguishes (and
@@ -397,6 +403,20 @@ let publish (hits_c, misses_c, flushes_c) tally ~recorder ~ticks =
   tally.misses <- 0;
   tally.flushes <- 0
 
+(* The one exit path of every search: [run] gets the step accumulator
+   ([steps_acc], or a fresh one), and the steps it ticked are published
+   as the search's byte ticks whether it returns or raises. *)
+let metered counters tally ~recorder ~steps_acc run =
+  let steps = match steps_acc with Some r -> r | None -> ref 0 in
+  let t0 = !steps in
+  match run steps with
+  | result ->
+    publish counters tally ~recorder ~ticks:(!steps - t0);
+    result
+  | exception ex ->
+    publish counters tally ~recorder ~ticks:(!steps - t0);
+    raise ex
+
 (* Drops the states and rows so stale successor ids can never be
    reached again.  A search that keeps flushing gives up. *)
 let flush m =
@@ -602,30 +622,30 @@ external memchr :
    (rather than a closure pair built per search) keeps the skip path
    allocation-free. *)
 type skip_shape =
-  | Skip_prefix1
   | Skip_prefixes
   | Skip_memchr1 of char
   | Skip_table of bytes
   | Skip_bol_table of bytes
   | Skip_bol
 
-(* [s] is a candidate match start for a required literal [prefix]
-   anchored on its rarest byte [prefix.[anchor]]; the memchr hunts the
-   anchor byte, so occurrences map back to starts at [- anchor] —
-   monotone in [s], hence the early stops.  False anchor hits never
-   wake the state machine up: the in-place verify loop rejects them
-   cheaper than DFA steps would. *)
-let rec hunt_prefix subject ~len ~prefix ~anchor s =
+(* One literal lane: the earliest candidate start [>= s] for a required
+   literal [prefix], or [best] when none comes before [best].  The lane
+   is anchored on the literal's rarest byte [prefix.[anchor]]; the
+   memchr hunts the anchor byte, so occurrences map back to starts at
+   [- anchor] — monotone in [s], hence the early stops.  False anchor
+   hits never wake the state machine up: the in-place verify loop
+   rejects them cheaper than DFA steps would. *)
+let rec hunt_lane subject ~len ~prefix ~anchor ~best s =
   let plen = String.length prefix in
-  if s + plen > len then len + 1
+  if s >= best || s + plen > len then best
   else
     let ia =
       memchr subject (Char.code (String.unsafe_get prefix anchor)) (s + anchor)
     in
-    if ia < 0 then len + 1
+    if ia < 0 then best
     else begin
       let i = ia - anchor in
-      if i + plen > len then len + 1
+      if i >= best || i + plen > len then best
       else begin
         let j = ref 0 in
         while
@@ -635,34 +655,9 @@ let rec hunt_prefix subject ~len ~prefix ~anchor s =
           incr j
         done;
         if !j = plen then i
-        else hunt_prefix subject ~len ~prefix ~anchor (i + 1)
-      end
-    end
-
-(* One lane of the multi-prefix shape: like [hunt_prefix] but records
-   the earliest verified hit in [best] and stops as soon as the lane
-   passes the best hit so far. *)
-let rec hunt_lane subject ~len ~prefix ~anchor ~best s =
-  let plen = String.length prefix in
-  if s < !best && s + plen <= len then begin
-    let ia =
-      memchr subject (Char.code (String.unsafe_get prefix anchor)) (s + anchor)
-    in
-    if ia >= 0 then begin
-      let i = ia - anchor in
-      if i < !best && i + plen <= len then begin
-        let j = ref 0 in
-        while
-          !j < plen
-          && String.unsafe_get subject (i + !j) = String.unsafe_get prefix !j
-        do
-          incr j
-        done;
-        if !j = plen then best := i
         else hunt_lane subject ~len ~prefix ~anchor ~best (i + 1)
       end
     end
-  end
 
 (* The first line start [>= s] (offset 0 or just past a ['\n']), or
    [len + 1] when none remains: one memchr per line, not a test per
@@ -684,6 +679,71 @@ let rec next_line_first subject ~len fb s =
   then s
   else next_line_first subject ~len fb (s + 1)
 
+(* The input class of byte [i] of [subject], or the end-of-input
+   sentinel when [i] lies off the subject; [tb.class_fact] of it is the
+   byte's fact, [fact_boundary] off the subject. *)
+let class_at tb subject i =
+  if i >= 0 && i < String.length subject then
+    Char.code
+      (String.unsafe_get tb.classes (Char.code (String.unsafe_get subject i)))
+  else tb.nclasses
+[@@inline]
+
+(* A miss in state [sid] on class [c]: [materialize arg sid c] fills the
+   row entry.  Returns the state to go on from — [sid], or its
+   re-interned copy when materializing flushed the store (the state
+   record survives a flush even though its table slot does not, and
+   the copy's row is empty again).  The caller re-reads the row either
+   way.  The materializer's context comes as an argument, so a miss
+   builds no closure. *)
+let miss m materialize arg sid c =
+  let s = Array.unsafe_get m.states sid in
+  match materialize arg sid c with
+  | (_ : int) -> sid
+  | exception Restart -> intern m s.ctx s.raw
+
+(* The one anchored runner: steps [m] from boundary [p] in state [!sid]
+   until the threads die or the run has read boundary [edge], each
+   boundary reading the byte after it ([back = 0], forward) or before
+   it ([back = 1], backward) — the end-of-input sentinel past the
+   subject's edge — and costing one step, checked against [cap].
+   Returns the last boundary whose transition carried the match flag,
+   or -1.  With [first], the first flag ends the run before its
+   transition is taken, with [sid] left on the state at that boundary
+   so a second run can resume there. *)
+let anchored m ~cap ~steps ~back ~edge ~first subject sid p =
+  let tb = m.tb in
+  let cur = ref !sid and p = ref p and e = ref (-1) and running = ref true in
+  while !running do
+    incr steps;
+    if !steps > cap then raise step_allowance_exceeded;
+    let c = class_at tb subject (!p - back) in
+    let v = Array.unsafe_get (Array.unsafe_get m.rows !cur) c in
+    let v =
+      if v >= 0 then v
+      else begin
+        cur := miss m materialize_a m !cur c;
+        (* still -1 after a flush: the next round retries the boundary *)
+        Array.unsafe_get (Array.unsafe_get m.rows !cur) c
+      end
+    in
+    if v >= 0 then begin
+      if v land 1 = 1 then e := !p;
+      if v land 1 = 1 && first then running := false
+      else begin
+        let nsid = v lsr 1 in
+        if !p = edge || Array.length (Array.unsafe_get m.states nsid).raw = 0
+        then running := false
+        else begin
+          cur := nsid;
+          p := !p + 1 - (2 * back)
+        end
+      end
+    end
+  done;
+  sid := !cur;
+  !e
+
 (* Forward pass: returns the boundary where the leftmost-first match
    ends, or -1 when there is no match with a start in [pos..until].
    [stop_at_first] short-circuits at the first flag (boolean queries
@@ -702,14 +762,7 @@ let forward_end ?(until = max_int) cache ~stop_at_first ~cap ~steps
   let tb = m.tb in
   let len = String.length subject in
   let classes = tb.classes in
-  let sentinel = tb.nclasses in
-  let fact_left p =
-    if p = 0 then fact_boundary
-    else
-      tb.class_fact.(Char.code
-                        (String.unsafe_get classes
-                           (Char.code (String.unsafe_get subject (p - 1)))))
-  in
+  let fact_left p = tb.class_fact.(class_at tb subject (p - 1)) in
   let skippable =
     bol_only || first_bytes <> None || first_byte <> None
     || Array.length prefixes > 0
@@ -724,8 +777,7 @@ let forward_end ?(until = max_int) cache ~stop_at_first ~cap ~steps
      shapes jump from line to line with memchr ['\n'], the general
      table case is one tight byte loop. *)
   let shape =
-    if Array.length prefixes = 1 && not bol_only then Skip_prefix1
-    else if Array.length prefixes >= 2 && not bol_only then Skip_prefixes
+    if Array.length prefixes > 0 && not bol_only then Skip_prefixes
     else
       match (first_byte, first_bytes) with
       | Some fb1, _ when not bol_only -> Skip_memchr1 fb1
@@ -735,20 +787,15 @@ let forward_end ?(until = max_int) cache ~stop_at_first ~cap ~steps
   in
   let next_feasible s =
     match shape with
-    | Skip_prefix1 ->
-      let prefix, anchor = prefixes.(0) in
-      hunt_prefix subject ~len ~prefix ~anchor s
     | Skip_prefixes ->
-      (* several required-literal alternatives (a leading alternation):
-         one memchr lane per branch — each anchored on its literal's
-         rarest byte and verified in place — and the skip lands on the
-         earliest surviving hit.  Later lanes stop as soon as they pass
-         the best hit so far, so the per-detour cost stays close to the
-         single-prefix shape. *)
+      (* one memchr lane per required literal (several for a leading
+         alternation), landing on the earliest verified hit; later
+         lanes stop as soon as they pass the best hit so far, so the
+         per-detour cost stays close to a single lane's *)
       let best = ref (len + 1) in
       for b = 0 to Array.length prefixes - 1 do
-        let p, anchor = Array.unsafe_get prefixes b in
-        hunt_lane subject ~len ~prefix:p ~anchor ~best s
+        let prefix, anchor = Array.unsafe_get prefixes b in
+        best := hunt_lane subject ~len ~prefix ~anchor ~best:!best s
       done;
       !best
     | Skip_memchr1 fb1 ->
@@ -794,12 +841,10 @@ let forward_end ?(until = max_int) cache ~stop_at_first ~cap ~steps
        O(1) *)
     let sid = ref (start m (fact_left p0)) in
     let p = ref p0 in
-    let e = ref (-1) in
-    (* 0 = hunting, 1 = flag seen at [!p] (recorded in [e]), 2 = no
-       match possible *)
+    (* 0 = hunting, 1 = a match ends at [!p], 2 = no match possible *)
     let verdict = ref 0 in
-    (* Phase 1a, the hot loop: the unanchored stretch, injecting a
-       fresh attempt at every boundary up to [lim].  Step accounting is
+    (* The hot loop: the unanchored stretch, injecting a fresh attempt
+       at every boundary up to [lim].  Step accounting is
        segment-based — [p - seg] bytes are flushed into [steps] at
        every exit — which folds the deadline check into the loop bound
        instead of paying a tick per byte. *)
@@ -854,17 +899,9 @@ let forward_end ?(until = max_int) cache ~stop_at_first ~cap ~steps
              (* a match ends at this boundary *)
              steps := !steps + 1 + (!p - !seg);
              seg := !p;
-             e := !p;
              verdict := 1
            end
-           else begin
-             (* not materialized; capture the state record first — it
-                survives a flush even though its table slot does not *)
-             let scur = Array.unsafe_get m.states !sid in
-             match materialize_u m !sid c with
-             | _ -> ()
-             | exception Restart -> sid := intern m scur.ctx scur.raw
-           end
+           else sid := miss m materialize_u m !sid c
          done
        with
       | () -> steps := !steps + (!p - !seg)
@@ -872,92 +909,23 @@ let forward_end ?(until = max_int) cache ~stop_at_first ~cap ~steps
         steps := !steps + (!p - !seg);
         raise ex)
     done;
-    (* Phase 1b: no fresh attempt starts past [lim]; the live ones run
-       on the anchored table until one flags or all die — at [len] that
-       is the one sentinel step. *)
-    while !verdict = 0 do
-      incr steps;
-      if !steps > cap then raise step_allowance_exceeded;
-      let c =
-        if !p < len then
-          Char.code
-            (String.unsafe_get classes
-               (Char.code (String.unsafe_get subject !p)))
-        else sentinel
+    if !verdict = 2 then -1
+    else begin
+      (* No fresh attempt starts past [lim]: the live ones run on the
+         anchored table until one flags or all die — at [len] that is
+         the one sentinel step.  Then, unless only existence was asked,
+         a match is known to end at [e]; a second anchored run from the
+         same boundary keeps going until the threads die, recording the
+         last flag.  Every flag now belongs to the leftmost attempt
+         (prune-after-match removed everything below it), so the final
+         flag is the end of a match starting at the leftmost start. *)
+      let cur = ref !sid in
+      let run ~first p =
+        anchored m ~cap ~steps ~back:0 ~edge:len ~first subject cur p
       in
-      let v =
-        let v = Array.unsafe_get (Array.unsafe_get m.rows !sid) c in
-        if v >= 0 then v
-        else begin
-          let scur = Array.unsafe_get m.states !sid in
-          match materialize_a m !sid c with
-          | v -> v
-          | exception Restart ->
-            sid := intern m scur.ctx scur.raw;
-            -1
-        end
-      in
-      if v >= 0 then
-        if v land 1 = 1 then begin
-          e := !p;
-          verdict := 1
-        end
-        else if !p >= len then verdict := 2
-        else begin
-          let nsid = v lsr 1 in
-          if Array.length (Array.unsafe_get m.states nsid).raw = 0 then
-            verdict := 2
-          else begin
-            sid := nsid;
-            incr p
-          end
-        end
-    done;
-    (* Phase 2: a match is known to end at [e]; keep running anchored —
-       no new starts — until the threads die, recording the last flag.
-       Every flag now belongs to the leftmost attempt (prune-after-match
-       removed everything below it), so the final [e] is the end of a
-       match starting at the leftmost start. *)
-    if !verdict = 1 && not stop_at_first then begin
-      let extending = ref true in
-      while !extending do
-        incr steps;
-        if !steps > cap then raise step_allowance_exceeded;
-        let c =
-          if !p < len then
-            Char.code
-              (String.unsafe_get classes
-                 (Char.code (String.unsafe_get subject !p)))
-          else sentinel
-        in
-        let v =
-          let v = Array.unsafe_get (Array.unsafe_get m.rows !sid) c in
-          if v >= 0 then v
-          else begin
-            let scur = Array.unsafe_get m.states !sid in
-            match materialize_a m !sid c with
-            | v -> v
-            | exception Restart ->
-              sid := intern m scur.ctx scur.raw;
-              -1
-          end
-        in
-        if v >= 0 then begin
-          if v land 1 = 1 then e := !p;
-          if !p >= len then extending := false
-          else begin
-            let nsid = v lsr 1 in
-            if Array.length (Array.unsafe_get m.states nsid).raw = 0 then
-              extending := false
-            else begin
-              sid := nsid;
-              incr p
-            end
-          end
-        end
-      done
-    end;
-    !e
+      let e = if !verdict = 1 then !p else run ~first:true !p in
+      if e < 0 || stop_at_first then e else run ~first:false e
+    end
   end
 
 (* Backward pass: the smallest boundary in [low..e] where a match
@@ -968,96 +936,29 @@ let forward_end ?(until = max_int) cache ~stop_at_first ~cap ~steps
    makes an internal failure (the caller bails to the backtracker). *)
 let backward_start cache ~cap ~steps ~low ~e subject =
   let m = cache.rv in
-  let tb = m.tb in
-  let len = String.length subject in
-  let classes = tb.classes in
-  let sentinel = tb.nclasses in
-  let ctx0 =
-    if e = len then fact_boundary
-    else
-      tb.class_fact.(Char.code
-                       (String.unsafe_get classes
-                          (Char.code (String.unsafe_get subject e))))
-  in
   m.search_flushes <- 0;
-  let best = ref (-1) in
-  let p = ref e in
-  let sid = ref (start m ctx0) in
-  let running = ref true in
-  while !running do
-    incr steps;
-    if !steps > cap then raise step_allowance_exceeded;
-    let c =
-      if !p > 0 then
-        Char.code
-          (String.unsafe_get classes
-             (Char.code (String.unsafe_get subject (!p - 1))))
-      else sentinel
-    in
-    let v =
-      let v = Array.unsafe_get (Array.unsafe_get m.rows !sid) c in
-      if v >= 0 then v
-      else begin
-        let scur = Array.unsafe_get m.states !sid in
-        match materialize_a m !sid c with
-        | v -> v
-        | exception Restart ->
-          sid := intern m scur.ctx scur.raw;
-          -1
-      end
-    in
-    if v >= 0 then begin
-      if v land 1 = 1 then best := !p;
-      if !p <= low || !p = 0 then running := false
-      else begin
-        let nsid = v lsr 1 in
-        if Array.length (Array.unsafe_get m.states nsid).raw = 0 then
-          running := false
-        else begin
-          sid := nsid;
-          decr p
-        end
-      end
-    end
-  done;
-  !best
+  let sid = ref (start m m.tb.class_fact.(class_at m.tb subject e)) in
+  anchored m ~cap ~steps ~back:1 ~edge:low ~first:false subject sid e
 
 let search cache ?recorder ?(cap = max_int) ?steps_acc ?until ?first_bytes
     ?first_byte ?(prefixes = [||]) ~bol_only subject pos =
   if pos < 0 then invalid_arg "Rx: negative position";
-  let steps = match steps_acc with Some r -> r | None -> ref 0 in
-  let t0 = !steps in
-  match
-    let e =
-      forward_end ?until cache ~stop_at_first:false ~cap ~steps ~first_bytes
-        ~first_byte ~prefixes ~bol_only subject pos
-    in
-    if e < 0 then None
-    else begin
-      let s = backward_start cache ~cap ~steps ~low:pos ~e subject in
-      if s < 0 then raise Bail (* forward/backward disagreement *)
-      else Some (s, e)
-    end
-  with
-  | result ->
-    publish counters cache.tally ~recorder ~ticks:(!steps - t0);
-    result
-  | exception ex ->
-    publish counters cache.tally ~recorder ~ticks:(!steps - t0);
-    raise ex
+  metered counters cache.tally ~recorder ~steps_acc (fun steps ->
+      let e =
+        forward_end ?until cache ~stop_at_first:false ~cap ~steps ~first_bytes
+          ~first_byte ~prefixes ~bol_only subject pos
+      in
+      if e < 0 then None
+      else begin
+        let s = backward_start cache ~cap ~steps ~low:pos ~e subject in
+        if s < 0 then raise Bail (* forward/backward disagreement *)
+        else Some (s, e)
+      end)
 
 let is_match cache ?recorder ?(cap = max_int) ?steps_acc ?first_bytes
     ?first_byte ?(prefixes = [||]) ~bol_only subject pos =
   if pos < 0 then invalid_arg "Rx: negative position";
-  let steps = match steps_acc with Some r -> r | None -> ref 0 in
-  let t0 = !steps in
-  match
-    forward_end cache ~stop_at_first:true ~cap ~steps ~first_bytes
-      ~first_byte ~prefixes ~bol_only subject pos
-  with
-  | e ->
-    publish counters cache.tally ~recorder ~ticks:(!steps - t0);
-    e >= 0
-  | exception ex ->
-    publish counters cache.tally ~recorder ~ticks:(!steps - t0);
-    raise ex
+  metered counters cache.tally ~recorder ~steps_acc (fun steps ->
+      forward_end cache ~stop_at_first:true ~cap ~steps ~first_bytes
+        ~first_byte ~prefixes ~bol_only subject pos
+      >= 0)

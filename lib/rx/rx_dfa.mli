@@ -70,10 +70,11 @@ val search :
   (int * int) option
 (** [search cache subject pos] is [Some (start, e)] where [start] is
     the start offset of the leftmost-first match beginning at or after
-    [pos] and [e] the boundary where the forward pass saw that match
-    end — an end of {e some} match from [start], not necessarily the
-    backtracker-preferred one, which is why callers re-run the
-    backtracker at [start] for authoritative spans.  [first_bytes]
+    [pos] and [e] the last boundary where the forward pass flagged that
+    match's end.  [e] is the leftmost-first end for every pattern
+    without a repetition whose body can match empty; for those ([Rx]'s
+    [has_nullable_rep]) the backtracker may rank another end first, so
+    the caller re-runs it anchored at [start] for the span.  [first_bytes]
     and [bol_only] have {!Rx_match.search}'s semantics;
     [first_byte], when the FIRST set is a singleton, lets dead
     stretches be skipped with libc memchr; line-anchored patterns jump
@@ -149,7 +150,7 @@ type on_match =
 (** What closure does on reaching an [I_match]. *)
 
 type tally = { mutable misses : int; mutable flushes : int }
-(** Cache-pressure counts since the last {!publish}. *)
+(** Cache-pressure counts since the last search's exit ({!metered}). *)
 
 module Itbl : Hashtbl.S with type key = state
 (** Interning table: hashes and compares the thread array itself. *)
@@ -221,14 +222,25 @@ val closure : mach -> int array -> len:int -> lf:int -> rf:int -> int
     in [m.nmatched] (and [m.mbuf]) as [m.on_match] says.  Returns the
     pc count. *)
 
-val publish :
+val miss : mach -> ('a -> int -> int -> int) -> 'a -> int -> int -> int
+(** [miss m materialize arg sid c] handles a transition not cached yet:
+    [materialize arg sid c] fills row entry [c] of state [sid].
+    Returns the state to go on from — [sid], or its re-interned copy
+    when materializing flushed the store ({!Restart}); the caller
+    re-reads the row either way. *)
+
+val metered :
   Telemetry.Counter.t * Telemetry.Counter.t * Telemetry.Counter.t ->
   tally ->
   recorder:Telemetry.recorder option ->
-  ticks:int ->
-  unit
-(** Records one search's (hits, misses, flushes) under the given
-    counters — hits are [ticks] minus misses — and resets the tally. *)
+  steps_acc:int ref option ->
+  (int ref -> 'a) ->
+  'a
+(** [metered counters tally ~recorder ~steps_acc run] is a search's
+    exit path: [run] gets the step accumulator ([steps_acc] or a fresh
+    one), and whether it returns or raises, the search's (hits, misses,
+    flushes) are recorded under [counters] — hits are the ticked steps
+    minus misses — and [tally] is reset. *)
 
 val step_allowance_exceeded : exn
 (** The {!Rx_match.Budget_exceeded} a search raises past its [cap]. *)

@@ -332,86 +332,66 @@ let search cache ?recorder ?(cap = max_int) ?steps_acc ~last subject =
   let len = String.length subject in
   let classes = tb.classes in
   let sentinel = tb.nclasses in
-  let steps = match steps_acc with Some r -> r | None -> ref 0 in
-  let t0 = !steps in
-  let run () =
-    m.search_flushes <- 0;
-    let absorb sid c p =
-      match Hashtbl.find_opt cache.mrows ((sid * m.ncols) + c) with
-      | None ->
-        (* unreachable: [materialize] writes a flagged row and its
-           [mrows] entry together, and a flush drops both — never drop
-           a flag silently *)
-        raise Bail
-      | Some slots ->
-        for i = 0 to Array.length slots - 1 do
-          Array.unsafe_set last (Array.unsafe_get slots i) p
-        done
-    in
-    let sid = ref (start m fact_boundary) in
-    let p = ref 0 in
-    while !p < len do
-      (* [stop] fences this segment at the step allowance; the sentinel
-         boundary counts as one more step past [len] *)
-      let stop =
-        if cap = max_int then len
-        else begin
-          let allowed = cap - !steps in
-          if allowed <= 0 then raise step_allowance_exceeded
-          else if allowed >= len - !p then len
-          else !p + allowed
-        end
+  metered counters m.tally ~recorder ~steps_acc (fun steps ->
+      m.search_flushes <- 0;
+      let absorb sid c p =
+        match Hashtbl.find_opt cache.mrows ((sid * m.ncols) + c) with
+        | None ->
+          (* unreachable: [materialize] writes a flagged row and its
+             [mrows] entry together, and a flush drops both — never drop
+             a flag silently *)
+          raise Bail
+        | Some slots ->
+          for i = 0 to Array.length slots - 1 do
+            Array.unsafe_set last (Array.unsafe_get slots i) p
+          done
       in
-      let seg = ref !p in
-      match
-        while !p < stop do
-          let row = Array.unsafe_get m.rows !sid in
-          let c =
-            Char.code
-              (String.unsafe_get classes
-                 (Char.code (String.unsafe_get subject !p)))
-          in
-          let v = Array.unsafe_get row c in
-          if v >= 0 then begin
-            if v land 1 = 1 then absorb !sid c !p;
-            sid := v lsr 1;
-            incr p
-          end
+      let sid = ref (start m fact_boundary) in
+      let p = ref 0 in
+      while !p < len do
+        (* [stop] fences this segment at the step allowance; the sentinel
+           boundary counts as one more step past [len] *)
+        let stop =
+          if cap = max_int then len
           else begin
-            (* capture the state record first — it survives a flush
-               even though its table slot does not *)
-            let scur = Array.unsafe_get m.states !sid in
-            match materialize cache !sid c with
-            | _ -> ()
-            | exception Restart -> sid := intern m scur.ctx scur.raw
+            let allowed = cap - !steps in
+            if allowed <= 0 then raise step_allowance_exceeded
+            else if allowed >= len - !p then len
+            else !p + allowed
           end
-        done
-      with
-      | () -> steps := !steps + (!p - !seg)
-      | exception ex ->
-        steps := !steps + (!p - !seg);
-        raise ex
-    done;
-    (* the end-of-input boundary: one sentinel transition *)
-    incr steps;
-    if !steps > cap then raise step_allowance_exceeded;
-    let taken = ref false in
-    while not !taken do
-      let v = Array.unsafe_get (Array.unsafe_get m.rows !sid) sentinel in
-      if v >= 0 then begin
-        if v land 1 = 1 then absorb !sid sentinel len;
-        taken := true
-      end
-      else begin
-        let scur = Array.unsafe_get m.states !sid in
-        match materialize cache !sid sentinel with
-        | _ -> ()
-        | exception Restart -> sid := intern m scur.ctx scur.raw
-      end
-    done
-  in
-  match run () with
-  | () -> publish counters m.tally ~recorder ~ticks:(!steps - t0)
-  | exception ex ->
-    publish counters m.tally ~recorder ~ticks:(!steps - t0);
-    raise ex
+        in
+        let seg = ref !p in
+        match
+          while !p < stop do
+            let row = Array.unsafe_get m.rows !sid in
+            let c =
+              Char.code
+                (String.unsafe_get classes
+                   (Char.code (String.unsafe_get subject !p)))
+            in
+            let v = Array.unsafe_get row c in
+            if v >= 0 then begin
+              if v land 1 = 1 then absorb !sid c !p;
+              sid := v lsr 1;
+              incr p
+            end
+            else sid := miss m materialize cache !sid c
+          done
+        with
+        | () -> steps := !steps + (!p - !seg)
+        | exception ex ->
+          steps := !steps + (!p - !seg);
+          raise ex
+      done;
+      (* the end-of-input boundary: one sentinel transition *)
+      incr steps;
+      if !steps > cap then raise step_allowance_exceeded;
+      let taken = ref false in
+      while not !taken do
+        let v = Array.unsafe_get (Array.unsafe_get m.rows !sid) sentinel in
+        if v >= 0 then begin
+          if v land 1 = 1 then absorb !sid sentinel len;
+          taken := true
+        end
+        else sid := miss m materialize cache !sid sentinel
+      done)

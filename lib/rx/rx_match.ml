@@ -4,9 +4,11 @@
    attempts to match [node] starting at offset [pos] and calls [k pos']
    for every way the node can match; [k] returns [true] to accept.  Group
    spans are recorded in a mutable array and restored on backtrack.  A step
-   budget guards against catastrophic backtracking — the rule patterns in
-   this project are small, so hitting the budget indicates a buggy rule and
-   raises [Budget_exceeded]. *)
+   budget guards against catastrophic backtracking and raises
+   [Budget_exceeded].  A trip takes a pattern with nested or stacked
+   repetitions and a subject that drives them: [(.*a){20}] over ["ab"]
+   repeated 40 times trips it, and user rule files may carry any
+   pattern. *)
 
 exception Budget_exceeded of string
 

@@ -27,8 +27,7 @@ type t = {
   mask : int;
   shard_budget : int;
   max_bytes : int;
-  salt : string Atomic.t;
-  generation : int Atomic.t;
+  salt : string;
   hits : int Atomic.t;
   misses : int Atomic.t;
   insertions : int Atomic.t;
@@ -68,8 +67,7 @@ let create ?(shards = 8) ~max_bytes ~salt () =
     mask = n - 1;
     shard_budget = max 1 (max_bytes / n);
     max_bytes;
-    salt = Atomic.make salt;
-    generation = Atomic.make 0;
+    salt;
     hits = Atomic.make 0;
     misses = Atomic.make 0;
     insertions = Atomic.make 0;
@@ -77,16 +75,15 @@ let create ?(shards = 8) ~max_bytes ~salt () =
     restored = Atomic.make 0;
   }
 
-type key = { k1 : int64; k2 : int64; key_gen : int }
+type key = { k1 : int64; k2 : int64 }
 
 let key t ~kind ~file ~options ~body =
-  let key_gen = Atomic.get t.generation in
   let k1 = Binio.hash64 body in
   let meta =
-    Printf.sprintf "%s\x00%s\x00%s\x00%s\x00%d\x00%Lx" (Atomic.get t.salt)
-      kind file options (String.length body) k1
+    Printf.sprintf "%s\x00%s\x00%s\x00%s\x00%d\x00%Lx" t.salt kind file
+      options (String.length body) k1
   in
-  { k1; k2 = Binio.hash64 meta; key_gen }
+  { k1; k2 = Binio.hash64 meta }
 
 let shard_of t k = t.shards.(Int64.to_int k.k2 land t.mask)
 
@@ -137,65 +134,42 @@ let find t k =
 
 let add t k value =
   let size = String.length value + entry_overhead in
-  if size <= t.shard_budget && k.key_gen = Atomic.get t.generation then begin
+  if size <= t.shard_budget then begin
     let shard = shard_of t k in
     let evicted =
       Mutex.protect shard.lock (fun () ->
-          (* Inserting under a generation the invalidator already
-             retired would resurrect a stale result; the generation
-             check just above closes all but a tiny window, and the
-             clear below runs with every shard lock held in turn, so
-             re-checking here under the lock closes it completely. *)
-          if k.key_gen <> Atomic.get t.generation then None
-          else begin
-            (match Hashtbl.find_opt shard.table (k.k1, k.k2) with
-            | Some old -> drop shard old
-            | None -> ());
-            let node =
-              {
-                nd_key = (k.k1, k.k2);
-                nd_value = value;
-                nd_size = size;
-                nd_prev = None;
-                nd_next = None;
-              }
-            in
-            Hashtbl.replace shard.table node.nd_key node;
-            push_front shard node;
-            shard.bytes <- shard.bytes + size;
-            let evicted = ref 0 in
-            while shard.bytes > t.shard_budget do
-              match shard.lru with
-              | Some victim ->
-                drop shard victim;
-                incr evicted
-              | None -> shard.bytes <- 0 (* unreachable: list mirrors bytes *)
-            done;
-            Some !evicted
-          end)
+          (match Hashtbl.find_opt shard.table (k.k1, k.k2) with
+          | Some old -> drop shard old
+          | None -> ());
+          let node =
+            {
+              nd_key = (k.k1, k.k2);
+              nd_value = value;
+              nd_size = size;
+              nd_prev = None;
+              nd_next = None;
+            }
+          in
+          Hashtbl.replace shard.table node.nd_key node;
+          push_front shard node;
+          shard.bytes <- shard.bytes + size;
+          let evicted = ref 0 in
+          while shard.bytes > t.shard_budget do
+            match shard.lru with
+            | Some victim ->
+              drop shard victim;
+              incr evicted
+            | None -> shard.bytes <- 0 (* unreachable: list mirrors bytes *)
+          done;
+          !evicted)
     in
-    match evicted with
-    | None -> ()
-    | Some evicted ->
-      Atomic.incr t.insertions;
-      Telemetry.Counter.incr insertions_counter;
-      for _ = 1 to evicted do
-        Atomic.incr t.evictions;
-        Telemetry.Counter.incr evictions_counter
-      done
+    Atomic.incr t.insertions;
+    Telemetry.Counter.incr insertions_counter;
+    for _ = 1 to evicted do
+      Atomic.incr t.evictions;
+      Telemetry.Counter.incr evictions_counter
+    done
   end
-
-let invalidate t ~salt =
-  Atomic.set t.salt salt;
-  Atomic.incr t.generation;
-  Array.iter
-    (fun shard ->
-      Mutex.protect shard.lock (fun () ->
-          Hashtbl.reset shard.table;
-          shard.mru <- None;
-          shard.lru <- None;
-          shard.bytes <- 0))
-    t.shards
 
 type stats = {
   hits : int;
@@ -233,8 +207,8 @@ let stats (t : t) =
 
 (* Layout mirrors the rule pack's:
 
-     magic (8 bytes) | version (u8) | salt (str) | generation (u32)
-     | entry count (u32) | entries | XXH64 of everything above
+     magic (8 bytes) | version (u8) | salt (str) | entry count (u32)
+     | entries | XXH64 of everything above
 
    An entry is the raw 128-bit key (two int64, little-endian) plus the
    length-prefixed response body.  The key hashes are persisted as-is —
@@ -246,14 +220,13 @@ let stats (t : t) =
    restore reproduces the recency order. *)
 
 let snapshot_magic = "PITRCS\x00\x00"
-let snapshot_version = 1
+let snapshot_version = 2
 
 let save_snapshot t ~path =
   let buf = Buffer.create (1 lsl 16) in
   Buffer.add_string buf snapshot_magic;
   Binio.w_u8 buf snapshot_version;
-  Binio.w_str buf (Atomic.get t.salt);
-  Binio.w_u32 buf (Atomic.get t.generation);
+  Binio.w_str buf t.salt;
   let count = ref 0 in
   let entries = Buffer.create (1 lsl 16) in
   Array.iter
@@ -313,11 +286,7 @@ let restore_snapshot t ~path =
                  (Printf.sprintf "snapshot version %d, this build reads %d"
                     version snapshot_version));
           let salt = Binio.r_str r in
-          let (_ : int) = Binio.r_u32 r in
-          (* saved generation: informational — generations are
-             process-local, restored entries are re-keyed under the
-             live one below *)
-          if not (String.equal salt (Atomic.get t.salt)) then
+          if not (String.equal salt t.salt) then
             raise
               (Binio.Corrupt
                  "snapshot was taken under a different rule-pack fingerprint");
@@ -334,10 +303,7 @@ let restore_snapshot t ~path =
           done;
           if not (Binio.at_end r) then
             raise (Binio.Corrupt "trailing bytes after the last entry");
-          let gen = Atomic.get t.generation in
-          List.iter
-            (fun (k1, k2, value) -> add t { k1; k2; key_gen = gen } value)
-            (List.rev !acc);
+          List.iter (fun (k1, k2, value) -> add t { k1; k2 } value) (List.rev !acc);
           count
         in
         match Binio.protect parse with

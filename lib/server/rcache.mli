@@ -15,10 +15,8 @@
     passes), so collisions are ignorable without storing or comparing
     request bodies.
 
-    Invalidation: {!invalidate} swaps the fingerprint salt and clears
-    every shard.  Keys minted before the swap carry the old generation
-    and are refused by {!add}, so a scan that raced the invalidation
-    cannot resurrect a stale result.
+    A cache is valid for one rule catalog: its salt is fixed when it is
+    created, and the daemon creates it once at boot.
 
     Instruments: [server_cache_hits_total], [server_cache_misses_total],
     [server_cache_insertions_total], [server_cache_evictions_total]. *)
@@ -37,7 +35,7 @@ val key :
   t -> kind:string -> file:string -> options:string -> body:string -> key
 (** Hashes once for the whole request round trip: probe with the key,
     and insert the computed response under the same key after a miss.
-    The key binds the current salt and generation. *)
+    The key binds the cache's salt. *)
 
 val find : t -> key -> string option
 (** The cached response body, promoting the entry to most recently
@@ -46,13 +44,7 @@ val find : t -> key -> string option
 val add : t -> key -> string -> unit
 (** Caches a response body under [key], evicting least-recently-used
     entries while the shard is over budget.  Dropped silently when the
-    body alone exceeds the shard budget or the key's generation is no
-    longer current (an {!invalidate} happened since {!key}). *)
-
-val invalidate : t -> salt:string -> unit
-(** Swap to a new rule-pack fingerprint: clears every shard and bumps
-    the generation so in-flight keys minted under the old salt cannot
-    be inserted afterwards. *)
+    body alone exceeds the shard budget. *)
 
 type stats = {
   hits : int;
@@ -69,7 +61,7 @@ type stats = {
 val stats : t -> stats
 
 val save_snapshot : t -> path:string -> (int, string) result
-(** Persists the cache — salt, generation and every entry (128-bit
+(** Persists the cache — salt and every entry (128-bit
     key + response body), checksummed — to [path] via
     {!Binio.save_atomic}, so a crash mid-write never leaves a torn
     snapshot.  Returns the number of entries written, or [Error] when
@@ -78,8 +70,8 @@ val save_snapshot : t -> path:string -> (int, string) result
     graceful shutdown. *)
 
 val restore_snapshot : t -> path:string -> (int, string) result
-(** Replays a {!save_snapshot} file into the cache, re-keying entries
-    under the live generation, and counts them in [stats.restored] and
+(** Replays a {!save_snapshot} file into the cache and counts its
+    entries in [stats.restored] and
     [server_cache_restored_entries_total].  Refuses — [Error], cache
     untouched — a snapshot whose fingerprint salt differs from the
     cache's, and any truncated, corrupt or version-skewed file; the

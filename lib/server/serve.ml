@@ -112,43 +112,51 @@ let connection_loop pool ~max_request_bytes ~input ~output =
     Atomic.incr pending;
     deliver (too_large_reply ~max_request_bytes actual)
   in
-  (* [discarding] means the current frame already exceeded the bound
-     and was answered; its remaining bytes are dropped until the next
-     newline resynchronizes framing.  The carried [leftover] is thus
-     never longer than the bound: memory stays bounded no matter what
-     the peer streams. *)
-  let leftover = ref "" in
+  (* [frame] carries the current frame's bytes across reads; each read
+     is searched for newlines once, so framing stays linear in the
+     bytes received however many reads a frame spans.  [discarding]
+     means the current frame already exceeded the bound and was
+     answered; its remaining bytes are dropped until the next newline
+     resynchronizes framing.  [frame] is thus never longer than the
+     bound: memory stays bounded no matter what the peer streams. *)
+  let frame = Buffer.create 4096 in
   let discarding = ref false in
   let chunk = Bytes.create 65536 in
   let rec read_loop () =
     match Unix.read input chunk 0 (Bytes.length chunk) with
     | 0 -> ()
     | n ->
-      let data = !leftover ^ Bytes.sub_string chunk 0 n in
-      let rec split = function
-        | [] -> leftover := ""
-        | [ tail ] ->
-          if !discarding then leftover := ""
-          else if String.length tail > max_request_bytes then begin
-            reject (String.length tail);
-            discarding := true;
-            leftover := ""
-          end
-          else leftover := tail (* no newline yet: incomplete *)
-        | line :: rest ->
+      let data = Bytes.sub_string chunk 0 n in
+      let rec split from =
+        match String.index_from_opt data from '\n' with
+        | Some j ->
+          let size = Buffer.length frame + (j - from) in
           if !discarding then discarding := false
-          else if String.length line > max_request_bytes then
-            reject (String.length line)
-          else process line;
-          split rest
+          else if size > max_request_bytes then reject size
+          else begin
+            Buffer.add_substring frame data from (j - from);
+            process (Buffer.contents frame)
+          end;
+          Buffer.clear frame;
+          split (j + 1)
+        | None when !discarding -> ()
+        | None ->
+          (* no newline yet: the frame goes on in the next read *)
+          let size = Buffer.length frame + (n - from) in
+          if size > max_request_bytes then begin
+            reject size;
+            discarding := true;
+            Buffer.clear frame
+          end
+          else Buffer.add_substring frame data from (n - from)
       in
-      split (String.split_on_char '\n' data);
+      split 0;
       read_loop ()
     | exception Unix.Unix_error (EINTR, _, _) -> read_loop ()
     | exception Unix.Unix_error _ -> ()
   in
   read_loop ();
-  if not !discarding then process !leftover;
+  if not !discarding then process (Buffer.contents frame);
   let rec await_deliveries () =
     if Atomic.get pending > 0 then begin
       Unix.sleepf 0.005;

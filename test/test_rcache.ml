@@ -1,7 +1,6 @@
 (* The content-hash result cache: LRU and byte-budget invariants under
    random op sequences, byte-identical hits through the pool over the
-   full corpus, invalidation on rule-pack swap, and concurrent-domain
-   races. *)
+   full corpus, snapshot round trips, and concurrent-domain races. *)
 
 module Rcache = Server.Rcache
 module Pool = Server.Pool
@@ -36,7 +35,11 @@ let test_hit_miss_insert () =
   Alcotest.(check int) "one entry" 1 s.Rcache.entries;
   Alcotest.(check int) "hits" 2 s.Rcache.hits;
   Alcotest.(check int) "misses" 4 s.Rcache.misses;
-  Alcotest.(check int) "insertions" 1 s.Rcache.insertions
+  Alcotest.(check int) "insertions" 1 s.Rcache.insertions;
+  (* the salt (the rule-pack fingerprint) is keyed too *)
+  let other = Rcache.create ~shards:1 ~max_bytes:4096 ~salt:"other-pack" () in
+  Alcotest.(check (option string)) "salt differs" None
+    (Rcache.find t (key other "print(1)"))
 
 let test_lru_eviction () =
   (* one shard so the LRU order is global and observable *)
@@ -78,26 +81,6 @@ let test_oversized_body_dropped () =
   Rcache.add t (key t "big") (String.make 4096 'x');
   Alcotest.(check int) "not inserted" 0 (Rcache.stats t).Rcache.entries;
   Alcotest.(check int) "no bytes held" 0 (Rcache.stats t).Rcache.bytes
-
-let test_invalidation () =
-  let t = mk () in
-  let stale = key t "code" in
-  Rcache.add t stale "OLD";
-  Alcotest.(check (option string)) "cached" (Some "OLD") (Rcache.find t stale);
-  Rcache.invalidate t ~salt:"new-pack-fingerprint";
-  (* the table is empty and the old salt's keys never match again *)
-  Alcotest.(check int) "cleared" 0 (Rcache.stats t).Rcache.entries;
-  Alcotest.(check (option string)) "stale key misses" None (Rcache.find t stale);
-  Alcotest.(check (option string)) "fresh key misses" None
-    (Rcache.find t (key t "code"));
-  (* a key minted before the invalidation cannot resurrect its result *)
-  Rcache.add t stale "ZOMBIE";
-  Alcotest.(check int) "stale insert refused" 0 (Rcache.stats t).Rcache.entries;
-  (* the new generation works normally *)
-  let fresh = key t "code" in
-  Rcache.add t fresh "NEW";
-  Alcotest.(check (option string)) "new generation caches" (Some "NEW")
-    (Rcache.find t fresh)
 
 (* --- QCheck invariants ----------------------------------------------------- *)
 
@@ -203,31 +186,6 @@ let test_pool_hits_byte_identical () =
     samples;
   ignore (Pool.shutdown pool)
 
-let test_pool_invalidation_swaps () =
-  let scanner = Lazy.force catalog_scanner in
-  let rcache = Rcache.create ~max_bytes:(1 lsl 20) ~salt:"pack-v1" () in
-  let pool = Pool.create ~rcache ~jobs:1 ~queue_capacity:4 ~scanner () in
-  let req =
-    {
-      Protocol.id = "inv";
-      deadline_steps = None;
-      kind = Protocol.Scan { file = "inv.py"; source = "x = eval(input())" };
-    }
-  in
-  let b1 = body_of (submit_and_wait pool req) in
-  let b2 = body_of (submit_and_wait pool req) in
-  Alcotest.(check string) "hit before swap" b1 b2;
-  Alcotest.(check bool) "cache warm" true ((Rcache.stats rcache).Rcache.hits > 0);
-  (* a rule-pack swap invalidates: next probe misses, re-executes,
-     re-caches under the new fingerprint *)
-  Rcache.invalidate rcache ~salt:"pack-v2";
-  let misses_before = (Rcache.stats rcache).Rcache.misses in
-  let b3 = body_of (submit_and_wait pool req) in
-  Alcotest.(check string) "same scanner, same bytes" b1 b3;
-  Alcotest.(check bool) "swap forced a miss" true
-    ((Rcache.stats rcache).Rcache.misses > misses_before);
-  ignore (Pool.shutdown pool)
-
 (* --- snapshot / restore ----------------------------------------------------- *)
 
 let with_temp_file f =
@@ -256,11 +214,7 @@ let test_snapshot_roundtrip () =
         (fun b ->
           Alcotest.(check (option string)) "restored hit" (Some ("RESPONSE:" ^ b))
             (Rcache.find t2 (key t2 b)))
-        bodies;
-      (* restored entries are live LRU citizens: an invalidate clears them *)
-      Rcache.invalidate t2 ~salt:"next-pack";
-      Alcotest.(check int) "invalidate clears restored" 0
-        (Rcache.stats t2).Rcache.entries)
+        bodies)
 
 let test_snapshot_salt_refusal () =
   with_temp_file (fun path ->
@@ -379,7 +333,7 @@ let test_snapshot_failed_write () =
 (* --- concurrency ----------------------------------------------------------- *)
 
 let test_concurrent_domains () =
-  (* hammer one cache from several domains mixing find/add/invalidate;
+  (* hammer one cache from several domains mixing find and add;
      the property is absence of crashes plus invariants at the end *)
   let max_bytes = 64 * 1024 in
   let t = Rcache.create ~shards:4 ~max_bytes ~salt:"race" () in
@@ -402,7 +356,6 @@ let test_concurrent_domains () =
          bytes is a corruption, whoever inserted it *)
       let body = Printf.sprintf "body-for-%d-%s" i (String.make i 'p') in
       match rand 20 with
-      | 0 -> Rcache.invalidate t ~salt:"race" (* same salt: clear only *)
       | n when n < 8 -> Rcache.add t (key t body_key) body
       | _ -> (
         match Rcache.find t (key t body_key) with
@@ -432,17 +385,10 @@ let () =
             test_oversized_body_dropped;
           QCheck_alcotest.to_alcotest lru_invariants;
         ] );
-      ( "invalidation",
-        [
-          Alcotest.test_case "salt swap clears and fences" `Quick
-            test_invalidation;
-        ] );
       ( "pool",
         [
           Alcotest.test_case "corpus hits are byte-identical" `Quick
             test_pool_hits_byte_identical;
-          Alcotest.test_case "pack swap invalidates" `Quick
-            test_pool_invalidation_swaps;
         ] );
       ( "snapshot",
         [

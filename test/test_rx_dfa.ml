@@ -12,8 +12,9 @@
    empty matches), QCheck over a random pattern grammar x random
    subjects, and the full 609-sample corpus scanned with both tiers.
    A tiny-cache stress run forces the clear-and-restart overflow path
-   that full-size caches never hit, and a corpus work pin counts the
-   transitions the per-pattern machines materialize. *)
+   that full-size caches never hit, a corpus work pin counts the
+   transitions the per-pattern machines materialize, and a step pin
+   counts the steps their searches charge. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -400,6 +401,57 @@ let test_corpus_work () =
   Alcotest.check work_pp "misses, flushes, fallbacks at 4 states"
     corpus_dfa_work_4_states (dfa_work ~max_states:4 ())
 
+(* --- DFA step accounting on the corpus --------------------------------- *)
+
+(* Steps are the deadline's cost unit and the [steps] field of
+   [profile]; on the DFA tier one step is one scanned byte.  Pinned
+   totals over every DFA-tier catalog pattern and suppress pattern x
+   the 609 samples, for three sweeps: a counted [find_all] with no
+   fence, a counted [find_all] fenced at the sample's [Rx.Fused.run]
+   bound (unhosted patterns unfenced), and [Rx.matches], measured as
+   the allowance it consumes under [Rx.with_step_deadline].  A change
+   to how the runner charges a step — a segment flushed twice, a
+   sentinel step dropped, a skip that no longer lands where it did —
+   moves these totals. *)
+let corpus_dfa_steps = (1553167, 37573, 1532069)
+
+let dfa_steps () =
+  let patterns = catalog_dfa_patterns () in
+  let fused = Option.get (Rx.Fused.compile (Array.of_list patterns)) in
+  let samples = Corpus.Generator.all_samples () in
+  Domain.join
+    (Domain.spawn (fun () ->
+         List.iter Rx.dfa_cache_clear patterns;
+         let unfenced = ref 0 and fenced = ref 0 and boolean = ref 0 in
+         let allowance = 1 lsl 40 in
+         List.iter
+           (fun (s : Corpus.Generator.sample) ->
+             let code = s.Corpus.Generator.code in
+             let bounds = Rx.Fused.run fused code in
+             List.iteri
+               (fun i p ->
+                 let sweep ?until steps =
+                   try ignore (Rx.find_all ?until ~steps p code)
+                   with Rx.Budget_exceeded _ -> ()
+                 in
+                 sweep unfenced;
+                 if Rx.Fused.is_hosted fused i then
+                   sweep ~until:bounds.(i) fenced
+                 else sweep fenced;
+                 Rx.with_step_deadline ~steps:allowance (fun () ->
+                     (try ignore (Rx.matches p code : bool)
+                      with Rx.Budget_exceeded _ -> ());
+                     boolean :=
+                       !boolean + allowance
+                       - Option.get (Rx.deadline_remaining ())))
+               patterns)
+           samples;
+         (!unfenced, !fenced, !boolean)))
+
+let test_corpus_steps () =
+  Alcotest.check work_pp "unfenced, fenced and boolean steps" corpus_dfa_steps
+    (dfa_steps ())
+
 (* --- compile memo ------------------------------------------------------ *)
 
 let test_compile_memo () =
@@ -428,5 +480,10 @@ let () =
         [
           Alcotest.test_case "both tiers, 609 samples" `Slow test_corpus_differential;
           Alcotest.test_case "per-pattern work, 609 samples" `Slow test_corpus_work;
+        ] );
+      ( "steps",
+        [
+          Alcotest.test_case "DFA step accounting, 609 samples" `Slow
+            test_corpus_steps;
         ] );
     ]

@@ -732,9 +732,10 @@ let test_rx_deadline () =
 
 (* --- NDJSON connection loop under hostile frames --------------------------- *)
 
-(* Drives one socket connection end to end: write the frames, half-close,
-   read every response line until the server closes its side. *)
-let drive_connection ~max_request_bytes frames =
+(* Drives one socket connection end to end: write the frames (in
+   [piece]-byte writes), half-close, read every response line until the
+   server closes its side. *)
+let drive_connection ?(piece = max_int) ~max_request_bytes frames =
   let scanner = Lazy.force catalog_scanner in
   let pool = Pool.create ~jobs:1 ~queue_capacity:16 ~scanner () in
   let client, server = Unix.socketpair ~cloexec:true PF_UNIX SOCK_STREAM 0 in
@@ -752,7 +753,8 @@ let drive_connection ~max_request_bytes frames =
       let rec write off =
         if off < String.length line then
           match
-            Unix.write_substring client line off (String.length line - off)
+            Unix.write_substring client line off
+              (min piece (String.length line - off))
           with
           | n -> write (off + n)
           | exception Unix.Unix_error (EINTR, _, _) -> write off
@@ -814,6 +816,41 @@ let test_connection_too_large_resync () =
     Alcotest.(check bool) "message names the limit" true
       (contains_substring message (string_of_int bound))
   | _ -> Alcotest.failf "expected exactly one too_large error"
+
+(* A frame just under the bound, written in 64 KiB pieces, is carried
+   across reads and answered exactly once, with what [Pool.execute]
+   answers for the same request. *)
+let test_connection_large_frame () =
+  let bound = 2 lsl 20 in
+  let request reps =
+    {
+      Protocol.id = "large";
+      deadline_steps = None;
+      kind =
+        Protocol.Scan
+          {
+            file = "large.py";
+            source =
+              String.concat "" (List.init reps (fun _ -> "x = eval(s)\n"));
+          };
+    }
+  in
+  (* each source line encodes to 13 bytes ("\n" escapes to two) *)
+  let overhead = String.length (Protocol.encode_request (request 0)) in
+  let req = request ((bound - overhead) / 13) in
+  let frame = Protocol.encode_request req in
+  Alcotest.(check bool) "frame is just under the bound" true
+    (String.length frame <= bound && String.length frame > bound - 13);
+  let pool =
+    Pool.create ~jobs:1 ~queue_capacity:4 ~scanner:(Lazy.force catalog_scanner)
+      ()
+  in
+  let expected = Pool.execute pool req in
+  ignore (Pool.shutdown pool);
+  match drive_connection ~piece:65536 ~max_request_bytes:bound [ frame ] with
+  | [ reply ] ->
+    Alcotest.(check bool) "reply equals Pool.execute" true (reply = expected)
+  | replies -> Alcotest.failf "expected one reply, got %d" (List.length replies)
 
 (* The stdio front-end's framing over a pipe pair: a frame twice the
    bound is answered with [too_large] while it is still open — before
@@ -1063,6 +1100,8 @@ let () =
             test_connection_too_large_resync;
           Alcotest.test_case "pipe frame stays bounded" `Quick
             test_pipe_frame_bounded;
+          Alcotest.test_case "large frame in 64 KiB pieces" `Quick
+            test_connection_large_frame;
           QCheck_alcotest.to_alcotest hostile_frames;
           Alcotest.test_case "one write syscall per response" `Quick
             test_single_write_per_response;
