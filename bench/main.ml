@@ -79,6 +79,21 @@ let doubled_scanner =
    order Bechamel picks. *)
 let bench_sink = Telemetry.create ()
 
+(* The reference task for CI's ratio gates: a fixed table-driven walk
+   over a fixed 2 KiB buffer, the same kind of work as a DFA scan (the
+   shape of perfbench's [host_speed] task, scaled to a micro row).  A
+   gate on a row's ratio to this one, both timed in the same process,
+   cancels how fast the host happens to be during the run. *)
+let reference_table = Array.init (512 * 256) (fun i -> (i * 7919) land 511)
+let reference_input = Bytes.init 2048 (fun i -> Char.chr ((i * 31) land 255))
+
+let reference_work () =
+  let state = ref 0 in
+  Bytes.iter
+    (fun c -> state := reference_table.((!state * 256) + Char.code c))
+    reference_input;
+  !state
+
 (* The cold-start story: one pack built once, loaded per run.  A load is
    read + whole-file checksum + decode of the rule declarations into
    plans that compile on first use; the row is gated in CI (must come
@@ -136,6 +151,8 @@ let micro_tests =
                ignore
                  (Patchitpy.Scanner.fused_machine (Rulepack.scanner pack `Python))
              | Error e -> failwith (Rulepack.error_to_string e)));
+      Test.make ~name:"host-reference"
+        (Staged.stage (fun () -> ignore (Sys.opaque_identity (reference_work ()))));
       Test.make ~name:"scanner-scan-per-sample"
         (Staged.stage (fun () ->
              ignore (Patchitpy.Scanner.scan catalog_scanner sample_flask)));

@@ -437,16 +437,6 @@ let serve_cmd =
                       a worker."
                      default))
   in
-  let cache_file =
-    Arg.(value & opt (some string) None
-         & info [ "cache-file" ] ~docv:"PATH"
-             ~doc:"Persist the result cache to $(docv) on graceful \
-                   shutdown and restore it at the next boot, so a \
-                   restarted daemon answers repeat traffic from its \
-                   first second.  Snapshots bind the rule catalog's \
-                   fingerprint; a missing, corrupt or wrong-catalog \
-                   file just means a cold cache.")
-  in
   let quota_rps =
     Arg.(value & opt (some float) None
          & info [ "quota-rps" ] ~docv:"RATE"
@@ -471,7 +461,7 @@ let serve_cmd =
                       too_large error, an HTTP body over it with 413."
                      default))
   in
-  let run socket http jobs queue drain_timeout trace_dir cache_mb cache_file
+  let run socket http jobs queue drain_timeout trace_dir cache_mb
       quota_rps quota_burst max_request_mb lang rules_file only exclude
       rule_pack =
     if jobs < 1 then begin
@@ -547,7 +537,6 @@ let serve_cmd =
            trace_dir;
            max_request_bytes = max_request_mb * mib;
            cache_bytes = cache_mb * mib;
-           cache_file;
            quota;
          })
   in
@@ -560,7 +549,7 @@ let serve_cmd =
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(const run $ socket $ http $ jobs $ queue $ drain_timeout
-          $ trace_dir $ cache_mb $ cache_file $ quota_rps $ quota_burst
+          $ trace_dir $ cache_mb $ quota_rps $ quota_burst
           $ max_request_mb $ lang_arg $ rules_file_arg $ only_arg
           $ exclude_arg $ rule_pack_arg)
 

@@ -1,7 +1,7 @@
-(* Little-endian binary primitives shared by the rule-pack and
-   result-cache snapshot codecs.  Writers append to a Buffer; readers
-   consume a string through a cursor and raise [Truncated]/[Corrupt] —
-   callers wrap a whole decode in [protect] to get a result instead. *)
+(* Little-endian binary primitives for the rule-pack codec.  Writers
+   append to a Buffer; readers consume a string through a cursor and
+   raise [Truncated]/[Corrupt] — callers wrap a whole decode in
+   [protect] to get a result instead. *)
 
 exception Truncated
 exception Corrupt of string
@@ -57,13 +57,6 @@ let r_u32 r =
 
 let r_str r =
   let n = r_u32 r in
-  need r n;
-  let s = String.sub r.s r.pos n in
-  r.pos <- r.pos + n;
-  s
-
-(* Raw bytes without a length prefix (the caller knows the size). *)
-let r_raw r n =
   need r n;
   let s = String.sub r.s r.pos n in
   r.pos <- r.pos + n;

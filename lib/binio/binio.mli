@@ -1,12 +1,11 @@
 (** Little-endian binary encode/decode primitives.
 
-    Shared by the rule-pack and result-cache snapshot codecs.  Writers
-    append to a [Buffer.t].  Readers consume a string through a mutable
-    cursor; running off the end raises
-    {!Truncated} and malformed content {!Corrupt} — wrap a whole decode
-    in {!protect} to turn both into a [result].  Decoders never read
-    outside the reader's window, so adversarial bytes can only produce
-    typed errors. *)
+    Used by the rule-pack codec.  Writers append to a [Buffer.t].
+    Readers consume a string through a mutable cursor; running off the
+    end raises {!Truncated} and malformed content {!Corrupt} — wrap a
+    whole decode in {!protect} to turn both into a [result].  Decoders
+    never read outside the reader's window, so adversarial bytes can
+    only produce typed errors. *)
 
 exception Truncated
 exception Corrupt of string
@@ -28,7 +27,6 @@ val r_u8 : r -> int
 val r_u32 : r -> int
 
 val r_str : r -> string
-val r_raw : r -> int -> string
 
 val r_view : r -> int -> r
 (** A sub-reader over the next [n] bytes, sharing the backing string

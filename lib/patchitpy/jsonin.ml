@@ -52,9 +52,25 @@ let utf8_of_code buf code =
     Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
   end
 
-let parse_string st =
-  expect st '"';
-  let buf = Buffer.create 16 in
+(* The end of the run of plain bytes from [i]: the first '"', '\\' or
+   control byte, or the end of input. *)
+let rec plain_run src i =
+  if i >= String.length src then i
+  else
+    match String.unsafe_get src i with
+    | '"' | '\\' -> i
+    | c when Char.code c < 0x20 -> i
+    | _ -> plain_run src (i + 1)
+
+(* Decodes the rest of a string that has an escape or an error: [start]
+   is its first byte and [stop] the end of its first run of plain bytes.
+   Each later run between escapes is copied with one
+   [Buffer.add_substring]. *)
+let parse_escaped st start stop =
+  let src = st.src in
+  let buf = Buffer.create (stop - start + 16) in
+  Buffer.add_substring buf src start (stop - start);
+  st.pos <- stop;
   let hex4 () =
     let v = ref 0 in
     for _ = 1 to 4 do
@@ -67,11 +83,12 @@ let parse_string st =
     done;
     !v
   in
+  (* The cursor sits on a '"', '\\' or control byte, or at the end. *)
   let rec loop () =
     match peek st with
     | None -> fail st "unterminated string"
     | Some '"' -> advance st
-    | Some '\\' -> (
+    | Some '\\' ->
       advance st;
       (match peek st with
       | Some '"' -> Buffer.add_char buf '"'
@@ -92,15 +109,26 @@ let parse_string st =
       | Some c -> fail st (Printf.sprintf "invalid escape \\%c" c)
       | None -> fail st "dangling backslash");
       advance st;
-      loop ())
-    | Some c when Char.code c < 0x20 -> fail st "control character in string"
-    | Some c ->
-      Buffer.add_char buf c;
-      advance st;
+      let stop = plain_run src st.pos in
+      Buffer.add_substring buf src st.pos (stop - st.pos);
+      st.pos <- stop;
       loop ()
+    | Some _ -> fail st "control character in string"
   in
   loop ();
   Buffer.contents buf
+
+(* A string without escapes is one [String.sub], so a multi-megabyte
+   source costs a scan and a copy rather than a dispatch per byte. *)
+let parse_string st =
+  expect st '"';
+  let start = st.pos in
+  let stop = plain_run st.src start in
+  if stop < String.length st.src && String.unsafe_get st.src stop = '"' then begin
+    st.pos <- stop + 1;
+    String.sub st.src start (stop - start)
+  end
+  else parse_escaped st start stop
 
 let parse_number st =
   let start = st.pos in

@@ -31,6 +31,11 @@ type t = {
   rcache : Rcache.t option;
       (* the content-hash result cache probed at submission; hits are
          delivered synchronously without touching the queue *)
+  coalesce_lock : Mutex.t;
+  coalescing :
+    (Rcache.key, (string * (Protocol.response -> unit)) list) Hashtbl.t;
+      (* cache keys whose first miss is queued or executing, each with
+         the (request id, deliver) of the repeats waiting on it *)
   queue : job Bqueue.t;
   jobs : int;
   queue_capacity : int;
@@ -62,10 +67,9 @@ let result_cache_extras t =
   | Some cache ->
     let s = Rcache.stats cache in
     Printf.sprintf
-      "\"resultCache\":{\"enabled\":true,\"hits\":%d,\"misses\":%d,\"insertions\":%d,\"evictions\":%d,\"restored\":%d,\"entries\":%d,\"bytes\":%d,\"maxBytes\":%d,\"shards\":%d}"
+      "\"resultCache\":{\"enabled\":true,\"hits\":%d,\"misses\":%d,\"insertions\":%d,\"evictions\":%d,\"entries\":%d,\"bytes\":%d,\"maxBytes\":%d,\"shards\":%d}"
       s.Rcache.hits s.Rcache.misses s.Rcache.insertions s.Rcache.evictions
-      s.Rcache.restored s.Rcache.entries s.Rcache.bytes s.Rcache.max_bytes
-      s.Rcache.shards
+      s.Rcache.entries s.Rcache.bytes s.Rcache.max_bytes s.Rcache.shards
 
 let cache_extras () =
   let hits, entries = Rx.compile_cache_stats () in
@@ -74,10 +78,9 @@ let cache_extras () =
         bails,
         fused_candidates,
         fused_confirms,
-        fused_fallbacks,
-        cache_restored ) =
+        fused_fallbacks ) =
     match Telemetry.installed () with
-    | None -> (0, 0, 0, 0, 0, 0, 0)
+    | None -> (0, 0, 0, 0, 0, 0)
     | Some sink ->
       let report = Telemetry.Report.of_sink sink in
       let total name =
@@ -89,13 +92,11 @@ let cache_extras () =
         total "rx_dfa_fallback_total",
         total "scanner_fused_candidates_total",
         total "scanner_fused_confirms_total",
-        total "scanner_fused_fallbacks_total",
-        total "server_cache_restored_entries_total" )
+        total "scanner_fused_fallbacks_total" )
   in
   Printf.sprintf
-    "\"rxCompileCache\":{\"hits\":%d,\"entries\":%d},\"dfaCache\":{\"builds\":%d,\"flushes\":%d,\"bails\":%d},\"fusedScan\":{\"candidates\":%d,\"confirms\":%d,\"fallbacks\":%d},\"warmStart\":{\"cacheRestoredEntries\":%d}"
+    "\"rxCompileCache\":{\"hits\":%d,\"entries\":%d},\"dfaCache\":{\"builds\":%d,\"flushes\":%d,\"bails\":%d},\"fusedScan\":{\"candidates\":%d,\"confirms\":%d,\"fallbacks\":%d}"
     hits entries builds flushes bails fused_candidates fused_confirms fused_fallbacks
-    cache_restored
 
 let health_body t =
   let pack =
@@ -307,6 +308,8 @@ let create ?pack ?rcache ?warm_boot ~jobs ~queue_capacity ~scanner () =
       scanner;
       pack;
       rcache;
+      coalesce_lock = Mutex.create ();
+      coalescing = Hashtbl.create 64;
       queue = Bqueue.create ~capacity:queue_capacity;
       jobs;
       queue_capacity;
@@ -397,18 +400,59 @@ let submit ?trace t request ~deliver =
       (try deliver (Protocol.Reply { id = request.Protocol.id; kind; body })
        with _ -> ())
     | None ->
-      (match trace with
-      | None -> ()
-      | Some b -> Tr.add_span b Tr.Cache_lookup ~start:t0 ~stop:(Tr.now_ns ()));
-      (* Populate on the way out: the wrapper runs on the worker domain
-         at delivery time, so the insert costs the submitter nothing. *)
-      let deliver response =
-        (match response with
-        | Protocol.Reply { body; _ } -> Rcache.add cache key body
-        | Protocol.Error_reply _ -> ());
-        deliver response
+      (* Coalesce repeats of a key whose first miss is still queued or
+         executing: a repeat waits on the leader's response instead of
+         taking a queue slot of its own. *)
+      let leader =
+        Mutex.protect t.coalesce_lock (fun () ->
+            match Hashtbl.find_opt t.coalescing key with
+            | Some waiters ->
+              Hashtbl.replace t.coalescing key
+                ((request.Protocol.id, deliver) :: waiters);
+              false
+            | None ->
+              Hashtbl.replace t.coalescing key [];
+              true)
       in
-      enqueue ?trace t request ~deliver)
+      if not leader then
+        (* A waiter never reaches a worker domain either: its trace
+           builder is abandoned, as for a hit. *)
+        ignore (trace : Tr.t option)
+      else begin
+        (match trace with
+        | None -> ()
+        | Some b ->
+          Tr.add_span b Tr.Cache_lookup ~start:t0 ~stop:(Tr.now_ns ()));
+        (* Populate on the way out: the wrapper runs on the worker domain
+           at delivery time, so the insert costs the submitter nothing.
+           The cache is filled before the key leaves the in-flight table,
+           so a later repeat hits instead of missing again.  Waiters get
+           the leader's response, error replies included, under their
+           own ids. *)
+        let deliver response =
+          (match response with
+          | Protocol.Reply { body; _ } -> Rcache.add cache key body
+          | Protocol.Error_reply _ -> ());
+          let waiters =
+            Mutex.protect t.coalesce_lock (fun () ->
+                let waiters = Hashtbl.find t.coalescing key in
+                Hashtbl.remove t.coalescing key;
+                waiters)
+          in
+          (try deliver response with _ -> ());
+          List.iter
+            (fun (id, deliver) ->
+              let response =
+                match response with
+                | Protocol.Reply r -> Protocol.Reply { r with id }
+                | Protocol.Error_reply e ->
+                  Protocol.Error_reply { e with id = Some id }
+              in
+              try deliver response with _ -> ())
+            (List.rev waiters)
+        in
+        enqueue ?trace t request ~deliver
+      end)
 
 let pending t = Atomic.get t.in_flight
 

@@ -46,7 +46,7 @@ val create :
     canaries, must run here. *)
 
 val rcache : t -> Rcache.t option
-(** The result cache given to {!create}, for stats and invalidation. *)
+(** The result cache given to {!create}, for stats. *)
 
 val submit :
   ?trace:Telemetry.Trace.t ->
@@ -58,6 +58,10 @@ val submit :
     worker domain with the request's response, synchronously with the
     cached response on a result-cache hit, or synchronously with an
     [overloaded] error when the queue is full or the pool draining.
+    A cache miss whose key is already queued or executing takes no
+    queue slot: it waits for that first request and is delivered its
+    response, [timeout] and [overloaded] errors included, re-tagged
+    with its own id.
     [deliver] must be thread-safe against other deliveries to the same
     destination; exceptions it raises are swallowed.
 
@@ -66,8 +70,8 @@ val submit :
     ring: pass [trace] to carry over a builder that already holds an
     intake span, or omit it to have one created here.  The enqueue time
     is stamped at push, so the queue-wait phase is exact.  Overloaded
-    submissions and cache hits are not recorded (they never reach a
-    worker domain); a cache miss contributes a [cache-lookup] span to
+    submissions, cache hits and coalesced repeats are not recorded
+    (they never reach a worker domain); a cache miss contributes a [cache-lookup] span to
     the record. *)
 
 val prometheus_text : unit -> string

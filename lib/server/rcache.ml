@@ -32,16 +32,12 @@ type t = {
   misses : int Atomic.t;
   insertions : int Atomic.t;
   evictions : int Atomic.t;
-  restored : int Atomic.t;
 }
 
 let hits_counter = Telemetry.Counter.make "server_cache_hits_total"
 let misses_counter = Telemetry.Counter.make "server_cache_misses_total"
 let insertions_counter = Telemetry.Counter.make "server_cache_insertions_total"
 let evictions_counter = Telemetry.Counter.make "server_cache_evictions_total"
-
-let restored_counter =
-  Telemetry.Counter.make "server_cache_restored_entries_total"
 
 (* Hashtable buckets, LRU pointers, key and size words: a flat
    per-entry charge so byte budgets bound real memory, not just
@@ -72,7 +68,6 @@ let create ?(shards = 8) ~max_bytes ~salt () =
     misses = Atomic.make 0;
     insertions = Atomic.make 0;
     evictions = Atomic.make 0;
-    restored = Atomic.make 0;
   }
 
 type key = { k1 : int64; k2 : int64 }
@@ -176,7 +171,6 @@ type stats = {
   misses : int;
   insertions : int;
   evictions : int;
-  restored : int;
   entries : int;
   bytes : int;
   max_bytes : int;
@@ -196,121 +190,8 @@ let stats (t : t) =
     misses = Atomic.get t.misses;
     insertions = Atomic.get t.insertions;
     evictions = Atomic.get t.evictions;
-    restored = Atomic.get t.restored;
     entries = !entries;
     bytes = !bytes;
     max_bytes = t.max_bytes;
     shards = Array.length t.shards;
   }
-
-(* --- snapshot / restore ---------------------------------------------------- *)
-
-(* Layout mirrors the rule pack's:
-
-     magic (8 bytes) | version (u8) | salt (str) | entry count (u32)
-     | entries | XXH64 of everything above
-
-   An entry is the raw 128-bit key (two int64, little-endian) plus the
-   length-prefixed response body.  The key hashes are persisted as-is —
-   they bind the salt through [key]'s meta pass, so a snapshot replayed
-   into a cache running a different rule-pack fingerprint would never
-   be probed successfully anyway; the explicit salt check below just
-   turns that silent dead weight into a refusal.  Entries are written
-   least- to most-recently used per shard, so replaying [add]s on
-   restore reproduces the recency order. *)
-
-let snapshot_magic = "PITRCS\x00\x00"
-let snapshot_version = 2
-
-let save_snapshot t ~path =
-  let buf = Buffer.create (1 lsl 16) in
-  Buffer.add_string buf snapshot_magic;
-  Binio.w_u8 buf snapshot_version;
-  Binio.w_str buf t.salt;
-  let count = ref 0 in
-  let entries = Buffer.create (1 lsl 16) in
-  Array.iter
-    (fun shard ->
-      Mutex.protect shard.lock (fun () ->
-          let rec walk = function
-            | None -> ()
-            | Some node ->
-              let k1, k2 = node.nd_key in
-              let b = Bytes.create 16 in
-              Bytes.set_int64_le b 0 k1;
-              Bytes.set_int64_le b 8 k2;
-              Buffer.add_bytes entries b;
-              Binio.w_str entries node.nd_value;
-              incr count;
-              walk node.nd_prev
-          in
-          walk shard.lru))
-    t.shards;
-  Binio.w_u32 buf !count;
-  Buffer.add_buffer buf entries;
-  let checksum = Binio.hash64 (Buffer.contents buf) in
-  let trailer = Bytes.create 8 in
-  Bytes.set_int64_le trailer 0 checksum;
-  Buffer.add_bytes buf trailer;
-  match Binio.save_atomic ~path (fun oc -> Buffer.output_buffer oc buf) with
-  | () -> Ok !count
-  | exception Sys_error msg -> Error msg
-
-let restore_snapshot t ~path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error msg -> Error msg
-  | exception End_of_file -> Error "truncated cache snapshot"
-  | data ->
-    let mlen = String.length snapshot_magic in
-    if String.length data < mlen + 8 || String.sub data 0 mlen <> snapshot_magic
-    then Error "not a cache snapshot (bad magic)"
-    else begin
-      let dlen = String.length data - 8 in
-      if
-        not
-          (Int64.equal (Binio.hash64 ~len:dlen data)
-             (String.get_int64_le data dlen))
-      then Error "cache snapshot checksum mismatch"
-      else begin
-        let parse () =
-          let r = Binio.reader ~pos:mlen ~stop:dlen data in
-          let version = Binio.r_u8 r in
-          if version <> snapshot_version then
-            raise
-              (Binio.Corrupt
-                 (Printf.sprintf "snapshot version %d, this build reads %d"
-                    version snapshot_version));
-          let salt = Binio.r_str r in
-          if not (String.equal salt t.salt) then
-            raise
-              (Binio.Corrupt
-                 "snapshot was taken under a different rule-pack fingerprint");
-          let count = Binio.r_count r in
-          (* decode fully before touching the cache: a forged tail must
-             not leave a half-replayed snapshot behind *)
-          let acc = ref [] in
-          for _ = 1 to count do
-            let raw = Binio.r_raw r 16 in
-            let k1 = String.get_int64_le raw 0 in
-            let k2 = String.get_int64_le raw 8 in
-            let value = Binio.r_str r in
-            acc := (k1, k2, value) :: !acc
-          done;
-          if not (Binio.at_end r) then
-            raise (Binio.Corrupt "trailing bytes after the last entry");
-          List.iter (fun (k1, k2, value) -> add t { k1; k2 } value) (List.rev !acc);
-          count
-        in
-        match Binio.protect parse with
-        | Ok n ->
-          ignore (Atomic.fetch_and_add t.restored n : int);
-          Telemetry.Counter.incr ~by:n restored_counter;
-          Ok n
-        | Error msg -> Error msg
-      end
-    end

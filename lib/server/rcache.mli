@@ -51,7 +51,6 @@ type stats = {
   misses : int;
   insertions : int;
   evictions : int;
-  restored : int;  (** entries replayed from a snapshot at boot *)
   entries : int;
   bytes : int;  (** accounted bytes currently held, overhead included *)
   max_bytes : int;
@@ -59,22 +58,3 @@ type stats = {
 }
 
 val stats : t -> stats
-
-val save_snapshot : t -> path:string -> (int, string) result
-(** Persists the cache — salt and every entry (128-bit
-    key + response body), checksummed — to [path] via
-    {!Binio.save_atomic}, so a crash mid-write never leaves a torn
-    snapshot.  Returns the number of entries written, or [Error] when
-    any write fails (a full disk included); an existing [path] is then
-    left untouched.  The serve drain path calls this best-effort on
-    graceful shutdown. *)
-
-val restore_snapshot : t -> path:string -> (int, string) result
-(** Replays a {!save_snapshot} file into the cache and counts its
-    entries in [stats.restored] and
-    [server_cache_restored_entries_total].  Refuses — [Error], cache
-    untouched — a snapshot whose fingerprint salt differs from the
-    cache's, and any truncated, corrupt or version-skewed file; the
-    caller starts cold in every refusal case.  The whole file is
-    validated before the first entry lands, so a forged tail cannot
-    leave a half-replayed snapshot behind. *)

@@ -37,7 +37,6 @@ type config = {
   trace_dir : string option;
   max_request_bytes : int;
   cache_bytes : int;
-  cache_file : string option;
   quota : (float * float) option;
 }
 
@@ -278,21 +277,6 @@ let run ?pack ?warm_boot ~scanner config =
         in
         Some (Rcache.create ~max_bytes:config.cache_bytes ~salt ())
     in
-    (* Replay the previous run's snapshot before the first request can
-       arrive, so a restarted daemon answers repeat traffic from its
-       first second.  Refusals (fingerprint mismatch, corruption, no
-       file yet) mean an ordinary cold cache, never a failed boot. *)
-    (match (rcache, config.cache_file) with
-    | Some cache, Some path when Sys.file_exists path -> (
-      match Rcache.restore_snapshot cache ~path with
-      | Ok n ->
-        if n > 0 then
-          Printf.eprintf "serve: restored %d cached result(s) from %s\n%!" n
-            path
-      | Error msg ->
-        Printf.eprintf "serve: ignoring cache snapshot %s (%s); starting cold\n%!"
-          path msg)
-    | _ -> ());
     let pool =
       Pool.create ?pack ?rcache ?warm_boot ~jobs:config.jobs
         ~queue_capacity:config.queue_capacity ~scanner ()
@@ -363,18 +347,6 @@ let run ?pack ?warm_boot ~scanner config =
     let (_drained : bool) =
       Pool.shutdown ~drain_timeout:config.drain_timeout pool
     in
-    (* Workers have quiesced, so the cache is stable: persist it for
-       the next boot.  Best-effort, like the trace dump below — a
-       failed snapshot must not turn a clean drain into a non-zero
-       exit. *)
-    (match (rcache, config.cache_file) with
-    | Some cache, Some path -> (
-      match Rcache.save_snapshot cache ~path with
-      | Ok _ -> ()
-      | Error msg ->
-        Printf.eprintf "serve: could not save cache snapshot %s: %s\n%!" path
-          msg)
-    | _ -> ());
     (* Workers have quiesced (or been abandoned past the drain budget);
        dump whatever the flight recorder still holds.  Best-effort: a
        failed dump must not turn a clean drain into a non-zero exit. *)

@@ -33,12 +33,6 @@ type config = {
           at the next newline), an HTTP body over it a 413 *)
   cache_bytes : int;
       (** result-cache byte budget; 0 disables the cache *)
-  cache_file : string option;
-      (** when set, the result cache is restored from this snapshot
-          file at boot ({!Rcache.restore_snapshot} — a missing,
-          mismatched or corrupt file just means a cold start) and
-          persisted back on graceful drain ({!Rcache.save_snapshot},
-          best-effort, temp + rename) *)
   quota : (float * float) option;
       (** HTTP per-tenant token bucket as (rate per second, burst);
           [None] admits everything *)

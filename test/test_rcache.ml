@@ -1,6 +1,6 @@
 (* The content-hash result cache: LRU and byte-budget invariants under
    random op sequences, byte-identical hits through the pool over the
-   full corpus, snapshot round trips, and concurrent-domain races. *)
+   full corpus, and concurrent-domain races. *)
 
 module Rcache = Server.Rcache
 module Pool = Server.Pool
@@ -186,149 +186,67 @@ let test_pool_hits_byte_identical () =
     samples;
   ignore (Pool.shutdown pool)
 
-(* --- snapshot / restore ----------------------------------------------------- *)
-
-let with_temp_file f =
-  let path = Filename.temp_file "rcache-snap" ".bin" in
-  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) (fun () -> f path)
-
-let test_snapshot_roundtrip () =
-  with_temp_file (fun path ->
-      let t = mk ~shards:2 ~max_bytes:65536 () in
-      let bodies = List.init 20 (fun i -> Printf.sprintf "source-%d" i) in
-      List.iter (fun b -> Rcache.add t (key t b) ("RESPONSE:" ^ b)) bodies;
-      let saved =
-        match Rcache.save_snapshot t ~path with
-        | Ok n -> n
-        | Error e -> Alcotest.failf "save: %s" e
-      in
-      Alcotest.(check int) "all entries saved" 20 saved;
-      (* restore into a fresh cache with the same salt *)
-      let t2 = mk ~shards:2 ~max_bytes:65536 () in
-      (match Rcache.restore_snapshot t2 ~path with
-      | Ok n -> Alcotest.(check int) "all entries restored" 20 n
-      | Error e -> Alcotest.failf "restore: %s" e);
-      Alcotest.(check int) "stats counts restores" 20
-        (Rcache.stats t2).Rcache.restored;
-      List.iter
-        (fun b ->
-          Alcotest.(check (option string)) "restored hit" (Some ("RESPONSE:" ^ b))
-            (Rcache.find t2 (key t2 b)))
-        bodies)
-
-let test_snapshot_salt_refusal () =
-  with_temp_file (fun path ->
-      let t = mk () in
-      Rcache.add t (key t "a") "A";
-      (match Rcache.save_snapshot t ~path with
-      | Ok _ -> ()
-      | Error e -> Alcotest.failf "save: %s" e);
-      let other = Rcache.create ~shards:1 ~max_bytes:4096 ~salt:"other-pack" () in
-      (match Rcache.restore_snapshot other ~path with
-      | Ok _ -> Alcotest.fail "restore under a different salt must refuse"
-      | Error _ -> ());
-      Alcotest.(check int) "cache untouched after refusal" 0
-        (Rcache.stats other).Rcache.entries;
-      Alcotest.(check int) "no restores counted" 0
-        (Rcache.stats other).Rcache.restored)
-
-let test_snapshot_missing_file () =
-  let t = mk () in
-  match Rcache.restore_snapshot t ~path:"/nonexistent/rcache.snap" with
-  | Ok _ -> Alcotest.fail "restore from a missing file must error"
-  | Error _ ->
-    Alcotest.(check int) "cache untouched" 0 (Rcache.stats t).Rcache.entries
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () ->
-      really_input_string ic (in_channel_length ic))
-
-let write_file path s =
-  let oc = open_out_bin path in
-  Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () ->
-      output_string oc s)
-
-(* Truncations and single-bit flips over the snapshot file: every one
-   is a typed [Error] (the trailer checksum covers all of it) with the
-   cache left untouched — never a crash, never a partial replay. *)
-let test_snapshot_corruption_sweeps () =
-  with_temp_file (fun path ->
-      let t = mk ~shards:2 ~max_bytes:65536 () in
-      for i = 0 to 15 do
-        Rcache.add t (key t (string_of_int i)) (Printf.sprintf "R%d" i)
-      done;
-      (match Rcache.save_snapshot t ~path with
-      | Ok _ -> ()
-      | Error e -> Alcotest.failf "save: %s" e);
-      let good = read_file path in
-      let n = String.length good in
-      let attempt bytes label =
-        write_file path bytes;
-        let fresh = mk ~shards:2 ~max_bytes:65536 () in
-        (match Rcache.restore_snapshot fresh ~path with
-        | Ok _ -> Alcotest.failf "%s restored Ok" label
-        | Error _ -> ());
-        Alcotest.(check int) (label ^ ": cache untouched") 0
-          (Rcache.stats fresh).Rcache.entries
-      in
-      let step = max 1 (n / 97) in
-      let k = ref 0 in
-      while !k < n do
-        attempt (String.sub good 0 !k) (Printf.sprintf "truncation at %d" !k);
-        let b = Bytes.of_string good in
-        Bytes.set b !k (Char.chr (Char.code (Bytes.get b !k) lxor 0x40));
-        attempt (Bytes.to_string b) (Printf.sprintf "bit flip at %d" !k);
-        k := !k + step
-      done;
-      (* the pristine file still restores after all that *)
-      write_file path good;
-      let fresh = mk ~shards:2 ~max_bytes:65536 () in
-      match Rcache.restore_snapshot fresh ~path with
-      | Ok 16 -> ()
-      | Ok n -> Alcotest.failf "pristine file restored %d of 16" n
-      | Error e -> Alcotest.failf "pristine file refused: %s" e)
-
-let test_snapshot_empty_cache () =
-  with_temp_file (fun path ->
-      let t = mk () in
-      (match Rcache.save_snapshot t ~path with
-      | Ok n -> Alcotest.(check int) "zero entries saved" 0 n
-      | Error e -> Alcotest.failf "save: %s" e);
-      let t2 = mk () in
-      match Rcache.restore_snapshot t2 ~path with
-      | Ok n -> Alcotest.(check int) "zero entries restored" 0 n
-      | Error e -> Alcotest.failf "restore: %s" e)
-
-(* A write that fails on its final flush — [path.tmp] pointed at
-   /dev/full, where every write reports ENOSPC — must surface as [Error],
-   leave the previous snapshot byte-identical and remove the temporary
-   file. *)
-let test_snapshot_failed_write () =
-  if not (Sys.file_exists "/dev/full") then Alcotest.skip ();
-  with_temp_file (fun path ->
-      let t = mk () in
-      Rcache.add t (key t "a") "A";
-      (match Rcache.save_snapshot t ~path with
-      | Ok _ -> ()
-      | Error e -> Alcotest.failf "save: %s" e);
-      let good = read_file path in
-      let tmp = path ^ ".tmp" in
-      Unix.symlink "/dev/full" tmp;
-      let tmp_present () =
-        match Unix.lstat tmp with
-        | _ -> true
-        | exception Unix.Unix_error (Unix.ENOENT, _, _) -> false
-      in
-      Fun.protect
-        ~finally:(fun () -> if tmp_present () then Sys.remove tmp)
-        (fun () ->
-          Rcache.add t (key t "b") "B";
-          (match Rcache.save_snapshot t ~path with
-          | Ok _ -> Alcotest.fail "a write to a full device reported Ok"
-          | Error _ -> ());
-          Alcotest.(check string) "old snapshot untouched" good (read_file path);
-          Alcotest.(check bool) "temporary file removed" false (tmp_present ())))
+(* Repeats of a key whose first miss is still queued coalesce onto it
+   instead of taking queue slots.  The one worker is held in [warm_boot]
+   and the queue has one slot, so without coalescing the first request
+   fills the queue and the four repeats are [overloaded]. *)
+let test_pool_coalesces_inflight_misses () =
+  let sink = Telemetry.create () in
+  Telemetry.install sink;
+  Fun.protect ~finally:Telemetry.uninstall @@ fun () ->
+  let release = Atomic.make false in
+  let warm_boot () =
+    while not (Atomic.get release) do
+      Unix.sleepf 0.001
+    done
+  in
+  let rcache = Rcache.create ~max_bytes:(1024 * 1024) ~salt:"coalesce" () in
+  let pool =
+    Pool.create ~rcache ~warm_boot ~jobs:1 ~queue_capacity:1
+      ~scanner:(Lazy.force catalog_scanner) ()
+  in
+  let lock = Mutex.create () in
+  let replies = ref [] in
+  let deliver r = Mutex.protect lock (fun () -> replies := r :: !replies) in
+  let ids = List.init 5 (Printf.sprintf "dup-%d") in
+  List.iter
+    (fun id ->
+      Pool.submit pool
+        {
+          Protocol.id;
+          deadline_steps = None;
+          kind = Protocol.Scan { file = "f.py"; source = "h = hashlib.md5(d)\n" };
+        }
+        ~deliver)
+    ids;
+  Atomic.set release true;
+  let deadline = Unix.gettimeofday () +. 20. in
+  while
+    Mutex.protect lock (fun () -> List.length !replies) < 5
+    && Unix.gettimeofday () < deadline
+  do
+    Unix.sleepf 0.001
+  done;
+  ignore (Pool.shutdown pool);
+  let replies = Mutex.protect lock (fun () -> !replies) in
+  let reply_ids =
+    List.map
+      (function
+        | Protocol.Reply { id; _ } -> id
+        | Protocol.Error_reply { message; _ } ->
+          Alcotest.failf "unexpected error reply: %s" message)
+      replies
+  in
+  Alcotest.(check (list string)) "every id answered once" ids
+    (List.sort compare reply_ids);
+  let bodies = List.sort_uniq compare (List.map body_of replies) in
+  Alcotest.(check int) "one body for all" 1 (List.length bodies);
+  let report = Telemetry.Report.of_sink sink in
+  let counter name =
+    Option.value ~default:0 (List.assoc_opt name report.Telemetry.Report.counters)
+  in
+  Alcotest.(check int) "executed once" 1 (counter "server_requests_total");
+  Alcotest.(check int) "none overloaded" 0 (counter "server_overloaded_total")
 
 (* --- concurrency ----------------------------------------------------------- *)
 
@@ -389,21 +307,8 @@ let () =
         [
           Alcotest.test_case "corpus hits are byte-identical" `Quick
             test_pool_hits_byte_identical;
-        ] );
-      ( "snapshot",
-        [
-          Alcotest.test_case "save/restore round-trip" `Quick
-            test_snapshot_roundtrip;
-          Alcotest.test_case "different fingerprint refused" `Quick
-            test_snapshot_salt_refusal;
-          Alcotest.test_case "missing file errors" `Quick
-            test_snapshot_missing_file;
-          Alcotest.test_case "truncation and bit-flip sweeps" `Quick
-            test_snapshot_corruption_sweeps;
-          Alcotest.test_case "empty cache round-trips" `Quick
-            test_snapshot_empty_cache;
-          Alcotest.test_case "failed write keeps the old file" `Quick
-            test_snapshot_failed_write;
+          Alcotest.test_case "in-flight misses of one key coalesce" `Quick
+            test_pool_coalesces_inflight_misses;
         ] );
       ( "races",
         [

@@ -189,6 +189,62 @@ let test_large_request () =
   Alcotest.(check bool) "round-trips" true
     (Protocol.decode_request line = Ok req)
 
+(* Strings decode run by run; this pins the run boundaries against the
+   encoder: every corpus source, plus escapes at the first byte, at the
+   last byte and back to back, in every field that carries text. *)
+let test_string_decode_differential () =
+  let edge =
+    [ ""; "\""; "\\"; "\n"; "\"x"; "x\""; "\n\n"; "\\\"\\";
+      "\t\r\n"; "a\x01b"; "\x00"; "\x1f\x7f"; "caf\xc3\xa9";
+      "\"\\\n\r\t\x02\"";
+      String.concat ""
+        (List.init 300 (fun i -> String.make (i mod 7) 'a' ^ "\n")) ]
+  in
+  let sources =
+    List.map (fun (s : Corpus.Generator.sample) -> s.Corpus.Generator.code)
+      (Corpus.Generator.all_samples ())
+  in
+  Alcotest.(check int) "corpus size" 609 (List.length sources);
+  List.iter
+    (fun text ->
+      List.iter
+        (fun kind ->
+          let req = { Protocol.id = text; deadline_steps = None; kind } in
+          if Protocol.decode_request (Protocol.encode_request req) <> Ok req
+          then Alcotest.failf "round trip lost %S" text)
+        [ Protocol.Scan { file = text; source = text };
+          Protocol.Patch { file = "f.py"; source = text } ])
+    (edge @ sources);
+  (* \u forms the encoder never writes: lower and upper hex, one to
+     three UTF-8 bytes, first and last in the string, adjacent *)
+  List.iter
+    (fun (json, expect) ->
+      match Patchitpy.Jsonin.parse json with
+      | Ok (Patchitpy.Jsonin.Str got) ->
+        Alcotest.(check string) (Printf.sprintf "decodes %s" json) expect got
+      | Ok _ -> Alcotest.failf "%s is not a string" json
+      | Error e -> Alcotest.failf "%s: %s" json e)
+    [ ({|"\u0041"|}, "A"); ({|"\u00e9x"|}, "\xc3\xa9x");
+      ({|"x\u00E9"|}, "x\xc3\xa9");
+      ({|"\u20ac\u20AC"|}, "\xe2\x82\xac\xe2\x82\xac");
+      ({|"\u0000\/\b\f"|}, "\x00/\b\x0c"); ({|"ab\u000acd"|}, "ab\ncd") ];
+  (* errors keep their messages and offsets *)
+  List.iter
+    (fun (json, expect) ->
+      match Patchitpy.Jsonin.parse json with
+      | Ok _ -> Alcotest.failf "%S must be rejected" json
+      | Error e ->
+        Alcotest.(check string) (Printf.sprintf "error for %S" json) expect e)
+    [ ("\"abc", "at offset 4: unterminated string");
+      ("\"a\\n", "at offset 4: unterminated string");
+      ("\"", "at offset 1: unterminated string");
+      ("\"ab\\q\"", "at offset 4: invalid escape \\q");
+      ("[\"ok\",\"bad\\x\"]", "at offset 11: invalid escape \\x");
+      ("\"ab\x01c\"", "at offset 3: control character in string");
+      ("\"a\\nb\x1f\"", "at offset 5: control character in string");
+      ("\"\\u12\"", "at offset 5: invalid \\u escape");
+      ("\"abc\\", "at offset 5: dangling backslash") ]
+
 let test_raw_body_adversarial () =
   (* an id crafted to contain the body marker's text must not fool the
      raw slice: inside the encoded id every quote is escaped *)
@@ -1064,6 +1120,8 @@ let () =
           Alcotest.test_case "trace kind decoding" `Quick
             test_trace_kind_decoding;
           Alcotest.test_case "requests over 1 MiB" `Quick test_large_request;
+          Alcotest.test_case "string decode differential" `Quick
+            test_string_decode_differential;
           Alcotest.test_case "adversarial body marker" `Quick
             test_raw_body_adversarial;
         ] );
