@@ -107,7 +107,16 @@ let () = List.iter (fun (id, nm) -> Hashtbl.replace table id nm) registry
 let name id =
   match Hashtbl.find_opt table id with Some nm -> nm | None -> "Unknown CWE"
 
-let label id = Printf.sprintf "CWE-%03d" id
+(* [Printf.sprintf "CWE-%03d"] without the format interpreter: the JSON
+   writers label every finding with it. *)
+let label id =
+  if id < 0 then Printf.sprintf "CWE-%03d" id
+  else
+    let digits = string_of_int id in
+    match String.length digits with
+    | 1 -> "CWE-00" ^ digits
+    | 2 -> "CWE-0" ^ digits
+    | _ -> "CWE-" ^ digits
 
 let known = List.sort compare (List.map fst registry)
 

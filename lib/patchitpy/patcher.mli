@@ -45,13 +45,22 @@ val insert_imports : string -> string list -> string * string list
     already present, after the shebang/docstring/import prologue.
     Returns the new source and the imports actually added. *)
 
-val mentions : string list -> string -> bool
-(** [mentions lines] indexes the words of [lines] (maximal runs of
-    {!Rx.is_word_char} bytes); the returned predicate tells whether a
-    name occurs as a whole word in any of them.  For names matching
-    [[A-Za-z_]\w*] — every import root — this is exactly whether the
-    regex [\bname\b] matches some line.  The stale-import pass uses it
-    to decide which imports the rewritten code still references. *)
+val insert_import_edit : string -> string list -> (Edit.t * string list) option
+(** The insertion {!insert_imports} applies, as one {!Edit.t} at the
+    insertion point, with the imports it adds (sorted, deduplicated);
+    [None] when every import is already present.  An import is present
+    when some line of the source, [String.trim]med, equals it. *)
+
+val stale_import_edits : string -> Edit.t list * int
+(** The deletions that drop stale imports, and how many lines they
+    drop.  A binding line is one whose trimmed text is [import], then
+    [\s+], then a dotted name, then [\s*] (the regex in patcher.ml);
+    it is stale when its root
+    module (the name before the first ['.']) occurs as a whole word on
+    no other line than a binding line.  Each run of consecutive stale
+    lines is one deletion of the lines and their newlines (a run that
+    ends the file takes the newline before it instead).  Edits ascend
+    by offset. *)
 
 val changed : result -> bool
 (** Whether patching modified the source at all. *)

@@ -375,6 +375,8 @@ let compile_opt source =
 let pattern t = t.source
 let group_count t = t.ngroups
 let is_word_char = Rx_ast.is_word_char
+let is_space_char = Rx_ast.is_space_char
+let[@inline] index_from s from c = Rx_dfa.memchr s (Char.code c) from
 let start_literals t = Array.map fst t.start_prefixes
 
 let tier t = match t.dfa with None -> `Backtrack | Some _ -> `Dfa

@@ -125,6 +125,24 @@ val is_word_char : char -> bool
     exactly where one neighbour is a word character and the other is
     not (or is the subject edge). *)
 
+val is_space_char : char -> bool
+(** The [\s] class: [' '], ['\t'], ['\n'], ['\r'], ['\012'] (\f) and
+    ['\011'] (\v). *)
+
+val index_from : string -> int -> char -> int
+(** [index_from s i c] is the index of the first byte [c] in [s] at or
+    after [i], or [-1] when there is none or when [i] lies outside
+    [[0, String.length s)].  It is libc [memchr], the primitive the DFA
+    tier's skip lanes hunt with: a word or vector at a time, and
+    allocation-free, where [String.index_from] tests one byte per
+    step. *)
+
+val rarest_byte_offset : string -> int
+(** The offset of the byte of a nonempty literal that is rarest in
+    Python source, by the frequency table the DFA tier's literal lanes
+    use (the first such byte on ties): the byte an {!index_from} hunt
+    for the literal should anchor on. *)
+
 val group_count : t -> int
 (** Number of capturing groups in the pattern. *)
 

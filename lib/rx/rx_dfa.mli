@@ -244,3 +244,12 @@ val metered :
 
 val step_allowance_exceeded : exn
 (** The {!Rx_match.Budget_exceeded} a search raises past its [cap]. *)
+
+external memchr :
+  string -> (int[@untagged]) -> (int[@untagged]) -> (int[@untagged])
+  = "rx_memchr" "rx_memchr_unboxed"
+[@@noalloc]
+(** [memchr s c from]: libc memchr (rx_memchr.c), the index of the
+    first byte [c] in [s] at or after [from], or [-1] when there is
+    none or [from] lies outside [[0, length s)].  The skip lanes hunt
+    with it; {!Rx.index_from} exports it. *)

@@ -67,9 +67,10 @@ let result_cache_extras t =
   | Some cache ->
     let s = Rcache.stats cache in
     Printf.sprintf
-      "\"resultCache\":{\"enabled\":true,\"hits\":%d,\"misses\":%d,\"insertions\":%d,\"evictions\":%d,\"entries\":%d,\"bytes\":%d,\"maxBytes\":%d,\"shards\":%d}"
-      s.Rcache.hits s.Rcache.misses s.Rcache.insertions s.Rcache.evictions
-      s.Rcache.entries s.Rcache.bytes s.Rcache.max_bytes s.Rcache.shards
+      "\"resultCache\":{\"enabled\":true,\"hits\":%d,\"misses\":%d,\"coalesced\":%d,\"insertions\":%d,\"evictions\":%d,\"entries\":%d,\"bytes\":%d,\"maxBytes\":%d,\"shards\":%d}"
+      s.Rcache.hits s.Rcache.misses s.Rcache.coalesced s.Rcache.insertions
+      s.Rcache.evictions s.Rcache.entries s.Rcache.bytes s.Rcache.max_bytes
+      s.Rcache.shards
 
 let cache_extras () =
   let hits, entries = Rx.compile_cache_stats () in
@@ -414,10 +415,12 @@ let submit ?trace t request ~deliver =
               Hashtbl.replace t.coalescing key [];
               true)
       in
-      if not leader then
+      if not leader then begin
         (* A waiter never reaches a worker domain either: its trace
            builder is abandoned, as for a hit. *)
+        Rcache.note_coalesced cache;
         ignore (trace : Tr.t option)
+      end
       else begin
         (match trace with
         | None -> ()

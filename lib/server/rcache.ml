@@ -30,12 +30,14 @@ type t = {
   salt : string;
   hits : int Atomic.t;
   misses : int Atomic.t;
+  coalesced : int Atomic.t;
   insertions : int Atomic.t;
   evictions : int Atomic.t;
 }
 
 let hits_counter = Telemetry.Counter.make "server_cache_hits_total"
 let misses_counter = Telemetry.Counter.make "server_cache_misses_total"
+let coalesced_counter = Telemetry.Counter.make "server_cache_coalesced_total"
 let insertions_counter = Telemetry.Counter.make "server_cache_insertions_total"
 let evictions_counter = Telemetry.Counter.make "server_cache_evictions_total"
 
@@ -66,6 +68,7 @@ let create ?(shards = 8) ~max_bytes ~salt () =
     salt;
     hits = Atomic.make 0;
     misses = Atomic.make 0;
+    coalesced = Atomic.make 0;
     insertions = Atomic.make 0;
     evictions = Atomic.make 0;
   }
@@ -127,6 +130,10 @@ let find t k =
     Telemetry.Counter.incr misses_counter);
   result
 
+let note_coalesced t =
+  Atomic.incr t.coalesced;
+  Telemetry.Counter.incr coalesced_counter
+
 let add t k value =
   let size = String.length value + entry_overhead in
   if size <= t.shard_budget then begin
@@ -169,6 +176,7 @@ let add t k value =
 type stats = {
   hits : int;
   misses : int;
+  coalesced : int;
   insertions : int;
   evictions : int;
   entries : int;
@@ -188,6 +196,7 @@ let stats (t : t) =
   {
     hits = Atomic.get t.hits;
     misses = Atomic.get t.misses;
+    coalesced = Atomic.get t.coalesced;
     insertions = Atomic.get t.insertions;
     evictions = Atomic.get t.evictions;
     entries = !entries;

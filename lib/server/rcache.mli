@@ -19,7 +19,8 @@
     created, and the daemon creates it once at boot.
 
     Instruments: [server_cache_hits_total], [server_cache_misses_total],
-    [server_cache_insertions_total], [server_cache_evictions_total]. *)
+    [server_cache_coalesced_total], [server_cache_insertions_total],
+    [server_cache_evictions_total]. *)
 
 type t
 
@@ -41,6 +42,11 @@ val find : t -> key -> string option
 (** The cached response body, promoting the entry to most recently
     used; [None] on miss. *)
 
+val note_coalesced : t -> unit
+(** Counts a miss that the caller answered by waiting on an in-flight
+    miss of the same key: it is counted among the misses by {!find},
+    but is neither executed nor inserted. *)
+
 val add : t -> key -> string -> unit
 (** Caches a response body under [key], evicting least-recently-used
     entries while the shard is over budget.  Dropped silently when the
@@ -49,6 +55,9 @@ val add : t -> key -> string -> unit
 type stats = {
   hits : int;
   misses : int;
+  coalesced : int;
+      (** misses that waited on an in-flight miss of their key
+          ({!note_coalesced}); a subset of [misses] *)
   insertions : int;
   evictions : int;
   entries : int;

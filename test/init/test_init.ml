@@ -7,9 +7,9 @@
 
 let init_compiles = snd (Rx.compile_cache_stats ())
 
-(* The scan/patch path's own init-time patterns: the patcher's import
-   matchers ([Patcher.import_line_rx] and [import_binding_rx]). *)
-let scan_patch_init_patterns = 2
+(* The scan/patch path's own init-time patterns: none (the patcher's
+   import passes read import lines without regexes). *)
+let scan_patch_init_patterns = 0
 
 let test_init_compiles () =
   if init_compiles > scan_patch_init_patterns then

@@ -779,16 +779,21 @@ let prop_apply_is_splice =
 
 (* --- stale imports -------------------------------------------------------- *)
 
-(* The stale-import pass's word index must agree with the \bname\b regex
-   it replaced, line by line.  Names are import roots (a letter or '_',
-   then word characters); lines mix word bytes, dots, brackets, spaces
-   and non-ASCII bytes, and the tiny alphabets make near-misses
-   (prefixes, suffixes, digits, '_') the common case. *)
+(* The stale-import pass keeps "import NAME" exactly when some other
+   line mentions NAME as the \bNAME\b regex would find it.  Names are
+   import roots (a letter or '_', then word characters); lines mix word
+   bytes, dots, brackets, spaces and non-ASCII bytes, and the tiny
+   alphabets make near-misses (prefixes, suffixes, digits, '_') the
+   common case. *)
 let regex_mentions name line =
   Rx.matches (Rx.compile ("\\b" ^ name ^ "\\b")) line
 
+let import_kept name lines =
+  let source = String.concat "\n" (("import " ^ name) :: lines) in
+  snd (Patcher.stale_import_edits source) = 0
+
 let word_regex_agrees name line =
-  Patcher.mentions [ line ] name = regex_mentions name line
+  import_kept name [ line ] = regex_mentions name line
 
 let prop_mentions_is_word_regex =
   let name_gen =
@@ -807,25 +812,25 @@ let prop_mentions_is_word_regex =
                '\xa9'; '\xff'; '\x80' ])
         (int_range 0 24))
   in
-  QCheck.Test.make ~name:"word index = \\bname\\b regex" ~count:2000
+  QCheck.Test.make ~name:"whole-word search = \\bname\\b regex" ~count:2000
     (QCheck.make
        ~print:QCheck.Print.(pair string (list string))
        QCheck.Gen.(pair name_gen (list_size (int_range 0 4) line_gen)))
     (fun (name, lines) ->
       List.for_all (word_regex_agrees name) lines
-      && Patcher.mentions lines name = List.exists (regex_mentions name) lines)
+      && import_kept name lines = List.exists (regex_mentions name) lines)
 
 let test_mentions_corners () =
   List.iter
     (fun (name, line, expected) ->
       check_bool (Printf.sprintf "%S in %S" name line) expected
-        (Patcher.mentions [ line ] name);
+        (import_kept name [ line ]);
       check_bool (Printf.sprintf "regex agrees on %S in %S" name line) true
         (word_regex_agrees name line))
     [
       ("os", "os", true);
       ("os", "os.path.join(a, b)", true) (* dotted use, line start *);
-      ("os", "x = os", true) (* line end *);
+      ("os", "x = os", true) (* line end, last byte of the file *);
       ("os", "os2 = 1", false) (* digit suffix *);
       ("os", "_os = 1", false) (* underscore prefix *);
       ("os", "pos = 1", false);
@@ -835,9 +840,13 @@ let test_mentions_corners () =
       ("os", "\xc3\xa9os\xc3\xa9", true) (* non-ASCII bytes are not \w *);
       ("os", "caf\xc3\xa9os", true);
       ("os", "", false);
+      ("os", "import os as o", true) (* not a binding line: a use *);
     ];
-  check_bool "any line counts" true
-    (Patcher.mentions [ "x = 1"; "y = os.sep" ] "os")
+  check_bool "any line counts" true (import_kept "os" [ "x = 1"; "y = os.sep" ]);
+  check_bool "another binding line is no use" false
+    (import_kept "os" [ "import os.path" ]);
+  check_bool "a use at byte 0 counts" true
+    (snd (Patcher.stale_import_edits "os.sep\nimport os\n") = 0)
 
 let test_stale_imports_dropped () =
   let src =
@@ -851,6 +860,356 @@ let test_stale_imports_dropped () =
     "import os.path\n\nimport json\nobj = json.loads(blob)\n\
      p = os.path.join(a, b)\n"
     r.Patcher.patched
+
+(* --- differential: import passes and JSON escaping ------------------------ *)
+
+(* The import passes as they were before they read lines in place: split
+   the file into lines, trim every line per needed import, and index
+   every word of the non-binding lines.  Kept only as the reference the
+   in-place passes must equal, edit for edit. *)
+module Split_imports = struct
+  let line_starts_of lines =
+    let n = Array.length lines in
+    let starts = Array.make (max n 1) 0 in
+    for i = 1 to n - 1 do
+      starts.(i) <- starts.(i - 1) + String.length lines.(i - 1) + 1
+    done;
+    starts
+
+  let import_line_rx = Rx.compile {|^(?:import\s|from\s)|}
+
+  let insert_import_edit source imports =
+    let lines = String.split_on_char '\n' source in
+    let existing line = List.exists (fun l -> String.trim l = line) lines in
+    let to_add =
+      List.filter (fun imp -> not (existing imp)) (List.sort_uniq compare imports)
+    in
+    if to_add = [] then None
+    else begin
+      let arr = Array.of_list lines in
+      let n = Array.length arr in
+      let i = ref 0 in
+      let peek j = if j < n then Some arr.(j) else None in
+      (match peek !i with
+      | Some l when String.length l >= 2 && String.sub l 0 2 = "#!" -> incr i
+      | Some _ | None -> ());
+      (match peek !i with
+      | Some l ->
+        let t = String.trim l in
+        let quote =
+          if String.length t >= 3 && String.sub t 0 3 = "\"\"\"" then
+            Some "\"\"\""
+          else if String.length t >= 3 && String.sub t 0 3 = "'''" then
+            Some "'''"
+          else None
+        in
+        (match quote with
+        | None -> ()
+        | Some q ->
+          let count_q s =
+            let rec go from acc =
+              match
+                if from + 3 <= String.length s then
+                  Some (String.sub s from 3 = q)
+                else None
+              with
+              | None -> acc
+              | Some true -> go (from + 3) (acc + 1)
+              | Some false -> go (from + 1) acc
+            in
+            go 0 0
+          in
+          if count_q t >= 2 then incr i
+          else begin
+            let rec fwd j =
+              if j >= n then i := n
+              else if count_q arr.(j) >= 1 then i := j + 1
+              else fwd (j + 1)
+            in
+            fwd (!i + 1)
+          end)
+      | None -> ());
+      let rec advance () =
+        match peek !i with
+        | Some l ->
+          let t = String.trim l in
+          if t = "" || (String.length t > 0 && t.[0] = '#')
+             || Rx.matches import_line_rx t
+          then begin
+            incr i;
+            advance ()
+          end
+        | None -> ()
+      in
+      advance ();
+      let block = String.concat "\n" to_add in
+      let edit =
+        if !i >= n then
+          let len = String.length source in
+          { Edit.start = len; stop = len; repl = "\n" ^ block }
+        else
+          let off = (line_starts_of arr).(!i) in
+          { Edit.start = off; stop = off; repl = block ^ "\n" }
+      in
+      Some (edit, to_add)
+    end
+
+  let import_binding_rx = Rx.compile {|^import\s+([A-Za-z_][\w.]*)\s*$|}
+
+  let mentions lines =
+    let words = Hashtbl.create 64 in
+    List.iter
+      (fun line ->
+        let n = String.length line in
+        let i = ref 0 in
+        while !i < n do
+          if Rx.is_word_char (String.unsafe_get line !i) then begin
+            let start = !i in
+            while !i < n && Rx.is_word_char (String.unsafe_get line !i) do
+              incr i
+            done;
+            Hashtbl.replace words (String.sub line start (!i - start)) ()
+          end
+          else incr i
+        done)
+      lines;
+    fun name -> Hashtbl.mem words name
+
+  let stale_import_edits source =
+    let lines = String.split_on_char '\n' source in
+    let binding_of line =
+      let t = String.trim line in
+      match Rx.exec import_binding_rx t with
+      | Some m ->
+        let full = Option.value (Rx.group m 1) ~default:"" in
+        Some
+          (match String.index_opt full '.' with
+          | Some i -> String.sub full 0 i
+          | None -> full)
+      | None -> None
+    in
+    let bindings = List.map (fun line -> (line, binding_of line)) lines in
+    let used =
+      lazy
+        (mentions
+           (List.filter_map
+              (fun (line, binding) -> if binding = None then Some line else None)
+              bindings))
+    in
+    let stale =
+      Array.of_list
+        (List.map
+           (fun (_, binding) ->
+             match binding with
+             | Some name -> not (Lazy.force used name)
+             | None -> false)
+           bindings)
+    in
+    let arr = Array.of_list lines in
+    let n = Array.length arr in
+    let starts = line_starts_of arr in
+    let len = String.length source in
+    let edits = ref [] and removed = ref 0 in
+    let j = ref 0 in
+    while !j < n do
+      if stale.(!j) then begin
+        let a = !j in
+        while !j < n && stale.(!j) do
+          incr j;
+          incr removed
+        done;
+        let b = !j - 1 in
+        let e =
+          if b < n - 1 then
+            { Edit.start = starts.(a); stop = starts.(b + 1); repl = "" }
+          else if a > 0 then { Edit.start = starts.(a) - 1; stop = len; repl = "" }
+          else { Edit.start = 0; stop = len; repl = "" }
+        in
+        edits := e :: !edits
+      end
+      else incr j
+    done;
+    (List.rev !edits, !removed)
+end
+
+(* Needed-import lists every input is tried with: none, the catalog's
+   own, and lists with an import that has leading or trailing
+   whitespace, a \v, a newline inside, or no text at all. *)
+let needed_import_lists =
+  lazy
+    (let catalog =
+       List.sort_uniq compare
+         (List.concat_map (fun (r : Rule.t) -> r.Rule.imports) (Catalog.all ()))
+     in
+     [
+       [];
+       [ "import os" ];
+       [ "import json"; "import os"; "import json" ];
+       catalog;
+       [ " import os"; "import os "; "\x0bimport os"; "import os\x0b" ];
+       [ ""; "import a\nimport b"; "from x import y" ];
+     ])
+
+let check_import_passes label source =
+  let show_edits (edits, removed) =
+    String.concat " "
+      (List.map
+         (fun (e : Edit.t) ->
+           Printf.sprintf "[%d,%d)->%S" e.Edit.start e.Edit.stop e.Edit.repl)
+         edits)
+    ^ Printf.sprintf " removed %d" removed
+  in
+  let got = Patcher.stale_import_edits source in
+  let expected = Split_imports.stale_import_edits source in
+  if got <> expected then
+    Alcotest.failf "%s: stale-import edits on %S: %s, expected %s" label source
+      (show_edits got) (show_edits expected);
+  let deleted = Edit.apply source (fst got) in
+  List.iter
+    (fun imports ->
+      List.iter
+        (fun src ->
+          if Patcher.insert_import_edit src imports
+             <> Split_imports.insert_import_edit src imports
+          then
+            Alcotest.failf "%s: insertion of [%s] differs on %S" label
+              (String.concat "; " (List.map String.escaped imports))
+              src)
+        [ source; deleted ])
+    (Lazy.force needed_import_lists)
+
+let crlf s = String.concat "\r\n" (String.split_on_char '\n' s)
+
+let import_edge_cases =
+  [
+    "";
+    "import os";
+    "import os\n";
+    "x = 1\nimport pickle";
+    "import os\r\nimport sys\r\nos.sep\r\n";
+    "\timport os\t\nx = os\n";
+    "\x0bimport os\nx = 1\n";
+    "import os\x0b\nimport sys\x0c\n";
+    "\x0cimport pickle\x0c\nimport\x0bos\nimport\tsys\n";
+    " \t import json \r\n";
+    "import os \nimport sys\t\nx = 1\n";
+    "import a.b.c\nx = a\n";
+    "import a.b.c\nimport a\n";
+    "import os\nimport os.path\n";
+    "import os\nimport os.path\nimport os as o\n";
+    "os.getcwd()\nimport os\n";
+    "import os\nx = os";
+    "import os\nimport os\nx = 1\n";
+    "import os\nimport os\nx = os\n";
+    "\"\"\"Doc.\"\"\"\nx = 1\n";
+    "'''Doc.'''\nimport os\nx = 1\n";
+    "\"\"\"Doc\nx = 1\n";
+    "\"\"\"Doc\nmore\n\"\"\" tail\nimport sys\nx = 1\n";
+    "\"\"\"\"\nx = 1\n";
+    "\"\"\"\"\"\nx = 1\n";
+    "\"\"\"\"\"\"\nx = 1\n";
+    "'''''\nimport os\n";
+    "   \"\"\"indented\"\"\"\nx = 1\n";
+    "#!/usr/bin/env python";
+    "#!/usr/bin/env python\n";
+    "#!";
+    "#";
+    "#!/bin/py\n\"\"\"Doc.\"\"\"\n# c\n\nimport sys\nfrom a import b\nx = sys\n";
+    "    import os\nx = 1\n";
+    "import os . path\nimport _x\nimport 9x\nimport os-x\nimport os.\n\
+     import .os\nimport os # c\nimport os..a\nimport\x0bos\x0b\nx = 1\n";
+    "import os\nimport\nimportos\nfrom\tx import y\nfrom\n";
+    "\n\n\n";
+  ]
+
+let test_import_differential_edges () =
+  List.iteri
+    (fun i source ->
+      check_import_passes (Printf.sprintf "edge %d" i) source;
+      check_import_passes (Printf.sprintf "edge %d (CRLF)" i) (crlf source))
+    import_edge_cases
+
+let test_import_differential_corpus () =
+  List.iteri
+    (fun i (s : Corpus.Generator.sample) ->
+      check_import_passes (Printf.sprintf "sample %d" i) s.Corpus.Generator.code;
+      check_import_passes (Printf.sprintf "sample %d (CRLF)" i)
+        (crlf s.Corpus.Generator.code))
+    (Corpus.Generator.all_samples ());
+  List.iter
+    (fun (name, code) -> check_import_passes name code)
+    (Corpus.Generator.long_files ())
+
+(* Random files built from import-shaped fragments: binding and
+   non-binding import lines, docstring quotes, shebangs, comments, blank
+   and whitespace-only lines, and uses of the bound roots. *)
+let prop_import_passes_differential =
+  let fragment =
+    QCheck.Gen.oneofl
+      [ "import os"; "import os.path"; "  import sys"; "import sys\r";
+        "import a.b"; "from x import y"; "import os as o"; "os.sep";
+        "x = sys"; "a"; "\"\"\""; "'''"; "x = \"\"\"doc\"\"\""; "#!/bin/py";
+        "# c"; ""; "\r"; "\t"; "\x0b"; "\x0c"; "import"; "importos";
+        "pickle.loads(b)"; "import pickle" ]
+  in
+  QCheck.Test.make ~name:"import passes, random files"
+    ~count:3000
+    (QCheck.make ~print:QCheck.Print.string
+       QCheck.Gen.(
+         map2
+           (fun lines nl -> String.concat "\n" lines ^ if nl then "\n" else "")
+           (list_size (int_range 0 8) fragment)
+           bool))
+    (fun source ->
+      check_import_passes "random" source;
+      true)
+
+(* The escaper before it wrote runs: one [Buffer] call per byte. *)
+let reference_escape s =
+  let buf = Buffer.create (String.length s + 8) in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | c when Char.code c < 0x20 ->
+        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.contents buf
+
+let test_escape_all_bytes () =
+  for b = 0 to 255 do
+    let c = String.make 1 (Char.chr b) in
+    List.iter
+      (fun s ->
+        Alcotest.(check string)
+          (Printf.sprintf "byte %d in %S" b s)
+          (reference_escape s) (Jsonout.escape_string s))
+      [ c; "a" ^ c; c ^ "z"; "ab" ^ c ^ c ^ "yz" ]
+  done
+
+let test_cwe_label () =
+  let ids = List.init 2201 (fun i -> i - 200) in
+  Alcotest.(check (list string)) "ids -200..2000"
+    (List.map (Printf.sprintf "CWE-%03d") ids)
+    (List.map Cwe.label ids)
+
+let prop_escape_is_reference =
+  QCheck.Test.make ~name:"escape_string = per-byte escaper" ~count:2000
+    (QCheck.make ~print:QCheck.Print.string
+       QCheck.Gen.(
+         oneof
+           [
+             string_size ~gen:char (int_range 0 64);
+             string_size
+               ~gen:(oneofl [ 'a'; '"'; '\\'; '\n'; '\x01'; '\x1f'; ' '; '\x7f'; '\xe9' ])
+               (int_range 0 64);
+           ]))
+    (fun s -> Jsonout.escape_string s = reference_escape s)
 
 (* --- properties ----------------------------------------------------------- *)
 
@@ -937,11 +1296,23 @@ let () =
         @ qt [ prop_apply_is_splice ] );
       ( "imports",
         [
-          Alcotest.test_case "word index corners" `Quick test_mentions_corners;
+          Alcotest.test_case "whole-word search corners" `Quick
+            test_mentions_corners;
           Alcotest.test_case "unused imports dropped" `Quick
             test_stale_imports_dropped;
         ]
         @ qt [ prop_mentions_is_word_regex ] );
+      ( "differential",
+        [
+          Alcotest.test_case "import passes, edge cases" `Quick
+            test_import_differential_edges;
+          Alcotest.test_case "import passes, corpus and long files" `Quick
+            test_import_differential_corpus;
+          Alcotest.test_case "escape_string, all 256 bytes" `Quick
+            test_escape_all_bytes;
+          Alcotest.test_case "Cwe.label = CWE-%03d" `Quick test_cwe_label;
+        ]
+        @ qt [ prop_import_passes_differential; prop_escape_is_reference ] );
       ( "property",
         qt
           [

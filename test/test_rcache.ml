@@ -246,7 +246,11 @@ let test_pool_coalesces_inflight_misses () =
     Option.value ~default:0 (List.assoc_opt name report.Telemetry.Report.counters)
   in
   Alcotest.(check int) "executed once" 1 (counter "server_requests_total");
-  Alcotest.(check int) "none overloaded" 0 (counter "server_overloaded_total")
+  Alcotest.(check int) "none overloaded" 0 (counter "server_overloaded_total");
+  Alcotest.(check int) "four repeats coalesced" 4
+    (counter "server_cache_coalesced_total");
+  Alcotest.(check int) "coalesced in stats" 4
+    (Rcache.stats rcache).Rcache.coalesced
 
 (* --- concurrency ----------------------------------------------------------- *)
 

@@ -1,10 +1,11 @@
 (* Work pins: the exact minor-heap words one warm pass of
-   [Scanner.scan] and one warm pass of [Patcher.patch] allocate over
-   the 609 corpus samples.  Allocation is a count of work, not a time,
-   so it is the same on every run of an unchanged tree and this box's
-   timing noise cannot flake it; a change to either hot path that adds
-   or removes an allocation moves its pin.  A change that moves a pin
-   must say why in CHANGES.md.
+   [Scanner.scan], one warm pass of [Patcher.patch] and one warm pass
+   of the JSON writers allocate over the 609 corpus samples.
+   Allocation is a count of work, not a time, so it is the same on
+   every run of an unchanged tree and this box's timing noise cannot
+   flake it; a change to one of these hot paths that adds or removes an
+   allocation moves its pin.  A change that moves a pin must say why in
+   CHANGES.md.
 
    "Warm" means the pass runs once untimed first, so every lazy-DFA
    state and deferred compile it needs already exists; the pinned pass
@@ -13,7 +14,8 @@
    the process did is counted. *)
 
 let scan_words = 298_698
-let patch_words = 1_351_165
+let patch_words = 833_011
+let json_words = 292_720
 
 let samples () =
   List.map
@@ -53,6 +55,26 @@ let test_patch_words () =
   Alcotest.(check int) "a warm pass repeats exactly" second third;
   Alcotest.(check int) "minor words of one warm patch pass" patch_words second
 
+(* The JSON writers alone: [findings_to_json] and [patch_to_json] over
+   every sample's scan and patch results, computed before the counted
+   passes. *)
+let test_json_words () =
+  let scanner = Lazy.force scanner in
+  let results =
+    List.map
+      (fun src ->
+        ( Patchitpy.Scanner.scan_with_warnings scanner src,
+          Patchitpy.Patcher.patch ~scanner src ))
+      (samples ())
+  in
+  let json ((findings, warnings), patched) =
+    ( Patchitpy.Jsonout.findings_to_json ~warnings ~file:"sample.py" findings,
+      Patchitpy.Jsonout.patch_to_json ~file:"sample.py" patched )
+  in
+  let second, third = warm_words json results in
+  Alcotest.(check int) "a warm pass repeats exactly" second third;
+  Alcotest.(check int) "minor words of one warm JSON pass" json_words second
+
 let () =
   Alcotest.run "workpins"
     [
@@ -60,5 +82,6 @@ let () =
         [
           Alcotest.test_case "warm scan pass" `Quick test_scan_words;
           Alcotest.test_case "warm patch pass" `Quick test_patch_words;
+          Alcotest.test_case "warm JSON pass" `Quick test_json_words;
         ] );
     ]
