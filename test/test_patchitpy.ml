@@ -1302,7 +1302,7 @@ let () =
             test_stale_imports_dropped;
         ]
         @ qt [ prop_mentions_is_word_regex ] );
-      ( "differential",
+      ( "reference",
         [
           Alcotest.test_case "import passes, edge cases" `Quick
             test_import_differential_edges;
