@@ -440,19 +440,29 @@ let check_catalog_masks ~name f =
     (List.combine (Lazy.force catalog_subjects) (Lazy.force catalog_reference));
   !bails
 
-(* The state count the corpus drives is recorded next to
-   [Rx_fused.default_max_states]; it is also evidence that the fan-out
-   table interns exactly the states a full closure of pc 0 would. *)
+(* The state counts the corpus and the 30 long files drive are recorded
+   next to [Rx_fused.default_max_states]; they are also evidence that
+   the fan-out table interns exactly the states a full closure of pc 0
+   would. *)
 let corpus_fused_states = 2552
+let long_files_fused_states = 2557
 
 let test_catalog_default_cache () =
   let _, f = Lazy.force catalog_fused in
-  Rx.Fused.cache_clear f;
   List.iter
-    (fun (s : G.sample) -> ignore (Rx.Fused.run f s.G.code))
-    (G.all_samples ());
-  check_int "fused states the corpus drives" corpus_fused_states
-    (Rx.Fused.state_count f);
+    (fun (what, subjects, states) ->
+      Rx.Fused.cache_clear f;
+      List.iter (fun s -> ignore (Rx.Fused.run f s)) subjects;
+      check_int ("fused states driven by " ^ what) states
+        (Rx.Fused.state_count f))
+    [
+      ( "the long files",
+        List.map snd (G.long_files ()),
+        long_files_fused_states );
+      ( "the corpus",
+        List.map (fun (s : G.sample) -> s.G.code) (G.all_samples ()),
+        corpus_fused_states );
+    ];
   check_int "no search bails" 0 (check_catalog_masks ~name:"default" f)
 
 let test_catalog_small_cache () =
