@@ -948,3 +948,17 @@ module Fused = struct
       out
     end
 end
+
+module Private = struct
+  module Ast = Rx_ast
+  module Pike = Rx_pike
+  module Dfa = Rx_dfa
+
+  let class_program t =
+    Option.map
+      (fun d ->
+        Array.append d.fwd (Rx_pike.compile (Rx_dfa.reverse_node t.node)))
+      t.dfa
+
+  let fused_program f = Rx_fused.program f.fstatic
+end

@@ -320,3 +320,22 @@ module Fused : sig
       paths in tests.
       @raise Invalid_argument when [max_states < 2]. *)
 end
+
+(** {1 Engine internals, for tests} *)
+
+(** The engine's own modules and the programs its byte classes are
+    derived from, so that a test can check an internal table against a
+    reference implementation kept beside it.  Not for other callers. *)
+module Private : sig
+  module Ast = Rx_ast
+  module Pike = Rx_pike
+  module Dfa = Rx_dfa
+
+  val class_program : t -> Rx_pike.inst array option
+  (** The program a DFA-tier pattern's byte classes are derived from:
+      its forward Pike program followed by its reverse one.  [None] on
+      the backtracking tier. *)
+
+  val fused_program : fused -> Rx_pike.inst array
+  (** The composed program of a fused catalog. *)
+end

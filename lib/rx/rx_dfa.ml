@@ -94,8 +94,8 @@ let rec reverse_node (n : Rx_ast.node) : Rx_ast.node =
    whole catalog), so the distinct count is a small fraction of the
    consuming count. *)
 let predicates prog =
-  (* chars by code, [I_any] at 256; only classes need structural keys *)
-  let simple = Array.make 257 (-1) in
+  (* chars by code; only classes need structural keys *)
+  let chars = Array.make 256 (-1) and any = ref (-1) in
   let classes : (Rx_ast.cls, int) Hashtbl.t = Hashtbl.create 64 in
   let distinct = ref [] and next = ref 0 in
   let fresh inst =
@@ -104,16 +104,17 @@ let predicates prog =
     distinct := inst :: !distinct;
     id
   in
-  let simple_id i inst =
-    if simple.(i) < 0 then simple.(i) <- fresh inst;
-    simple.(i)
-  in
   let pred =
     Array.map
       (fun inst ->
         match inst with
-        | Rx_pike.I_char c -> simple_id (Char.code c) inst
-        | Rx_pike.I_any -> simple_id 256 inst
+        | Rx_pike.I_char c ->
+          let i = Char.code c in
+          if chars.(i) < 0 then chars.(i) <- fresh inst;
+          chars.(i)
+        | Rx_pike.I_any ->
+          if !any < 0 then any := fresh inst;
+          !any
         | Rx_pike.I_class cls -> (
           match Hashtbl.find_opt classes cls with
           | Some id -> id
@@ -126,37 +127,73 @@ let predicates prog =
   in
   (pred, Array.of_list (List.rev !distinct))
 
-(* [inst]'s acceptance over the whole byte alphabet, one byte per
-   value — filled item by item, with no per-byte walk of a class's
-   item list. *)
-let accept_table inst =
-  let t = Bytes.make 256 '\000' in
-  let set b = Bytes.unsafe_set t b '\001' in
-  (match inst with
-  | Rx_pike.I_char c -> set (Char.code c)
-  | Rx_pike.I_any ->
-    Bytes.fill t 0 256 '\001';
-    Bytes.set t (Char.code '\n') '\000'
+let digit_bytes = "0123456789"
+let word_bytes =
+  "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ_abcdefghijklmnopqrstuvwxyz"
+let space_bytes = "\t\n\011\012\r "
+
+(* A set kind's bytes, and whether the kind is their complement. *)
+let kind_bytes = function
+  | Rx_ast.Digit -> (digit_bytes, false)
+  | Rx_ast.Nondigit -> (digit_bytes, true)
+  | Rx_ast.Word -> (word_bytes, false)
+  | Rx_ast.Nonword -> (word_bytes, true)
+  | Rx_ast.Space -> (space_bytes, false)
+  | Rx_ast.Nonspace -> (space_bytes, true)
+
+let complement_item = function
+  | Rx_ast.Cset kind -> snd (kind_bytes kind)
+  | Rx_ast.Cchar _ | Rx_ast.Crange _ -> false
+
+(* A consuming instruction's acceptance as a byte set [S] walked in
+   place: [split_set inst f] calls [f] on every byte of [S], some
+   possibly twice, and [complemented inst] tells whether [inst] accepts
+   the bytes outside [S] rather than [S] itself.  A set and its
+   complement split a partition alike, so [.], [\S] and negated
+   classes walk only the bytes they reject.  A class that mixes a
+   complemented set kind with other items walks the bytes it
+   accepts. *)
+let complemented = function
+  | Rx_pike.I_any -> true
+  | Rx_pike.I_class { Rx_ast.negated; items = [ Rx_ast.Cset kind ] } ->
+    negated <> snd (kind_bytes kind)
   | Rx_pike.I_class { Rx_ast.negated; items } ->
-    List.iter
-      (function
-        | Rx_ast.Cchar c -> set (Char.code c)
-        | Rx_ast.Crange (lo, hi) ->
-          for b = Char.code lo to Char.code hi do
-            set b
-          done
-        | Rx_ast.Cset kind ->
-          for b = 0 to 255 do
-            if Rx_ast.set_matches kind (Char.chr b) then set b
-          done)
-      items;
-    if negated then
+    negated && not (List.exists complement_item items)
+  | _ -> false
+
+let split_set inst f =
+  let walk s = String.iter (fun c -> f (Char.code c)) s in
+  match inst with
+  | Rx_pike.I_char c -> f (Char.code c)
+  | Rx_pike.I_any -> f (Char.code '\n')
+  | Rx_pike.I_class { Rx_ast.items = [ Rx_ast.Cset kind ]; _ } ->
+    walk (fst (kind_bytes kind))
+  | Rx_pike.I_class ({ Rx_ast.items; _ } as cls) ->
+    if List.exists complement_item items then begin
       for b = 0 to 255 do
-        Bytes.unsafe_set t b
-          (if Bytes.unsafe_get t b = '\000' then '\001' else '\000')
+        if Rx_ast.class_matches cls (Char.chr b) then f b
       done
-  | _ -> ());
-  t
+    end
+    else
+      List.iter
+        (function
+          | Rx_ast.Cchar c -> f (Char.code c)
+          | Rx_ast.Crange (lo, hi) ->
+            for b = Char.code lo to Char.code hi do
+              f b
+            done
+          | Rx_ast.Cset kind -> walk (fst (kind_bytes kind)))
+        items
+  | _ -> ()
+
+(* The two splits that separate the assertion facts: word bytes, then
+   the newline. *)
+let fact_splits =
+  [|
+    Rx_pike.I_class
+      { Rx_ast.negated = false; items = [ Rx_ast.Cset Rx_ast.Word ] };
+    Rx_pike.I_char '\n';
+  |]
 
 (* A program's stepping tables, immutable and shared across domains. *)
 type tables = {
@@ -172,57 +209,103 @@ type tables = {
 
 (* Byte-class derivation: bytes are equivalent when every predicate
    treats them alike and they agree on the assertion facts.  Partition
-   refinement: start from the four fact blocks and split every block by
-   each predicate in turn, numbering blocks in the order bytes 0..255
-   first reach them.  The final numbering is therefore the order in
-   which bytes first show a new (fact, acceptance) signature — it does
-   not depend on how the predicates are listed or how often each
-   recurs.  A class answers for all its bytes, so the acceptance table
-   reads each predicate at the class's lowest byte.  Returns [prog]'s
-   predicate ids with the tables. *)
+   refinement over one array of the 256 bytes in which every block is
+   a contiguous run: a split walks only its set's bytes, moving each to
+   the front of its block, and then cuts every block it touched but did
+   not fill — so a single-char predicate costs O(1), not a pass over
+   the alphabet.  Classes are numbered in the order bytes 0..255 first
+   reach them, so the numbering depends neither on the order nor on the
+   multiplicity of the predicates.  A predicate accepts whole classes,
+   so its acceptance row is written through its set's bytes.  Returns
+   [prog]'s predicate ids with the tables.  Every scratch array holds
+   at most 256 words, so all of them are minor-heap allocations. *)
 let tables prog =
   let pred, preds = predicates prog in
-  let per_byte = Array.map accept_table preds in
-  let cls = Array.init 256 (fun b -> fact_of_char (Char.chr b)) in
-  let remap = Array.make 512 (-1) in
-  let renumber key =
-    Array.fill remap 0 512 (-1);
-    let next = ref 0 in
-    for b = 0 to 255 do
-      let k = key b in
-      if remap.(k) < 0 then begin
-        remap.(k) <- !next;
-        incr next
+  let elems = Array.init 256 Fun.id and pos = Array.init 256 Fun.id in
+  let blk = Array.make 256 0 in
+  (* block [k] is [elems.(lo.(k) .. hi.(k) - 1)]; its first
+     [marked.(k)] bytes are the ones the current split walked *)
+  let lo = Array.make 256 0 and hi = Array.make 256 256 in
+  let marked = Array.make 256 0 in
+  let touched = Array.make 256 0 and ntouched = ref 0 in
+  let seen = Array.make 256 (-1) in
+  let nblocks = ref 1 in
+  let mark round b =
+    if Array.unsafe_get seen b <> round then begin
+      seen.(b) <- round;
+      let k = blk.(b) in
+      let m = marked.(k) in
+      if m = 0 then begin
+        touched.(!ntouched) <- k;
+        incr ntouched
       end;
-      cls.(b) <- remap.(k)
-    done;
-    !next
+      let j = lo.(k) + m and i = pos.(b) in
+      let b' = elems.(j) in
+      elems.(j) <- b;
+      pos.(b) <- j;
+      elems.(i) <- b';
+      pos.(b') <- i;
+      marked.(k) <- m + 1
+    end
   in
-  let nclasses = ref (renumber (fun b -> cls.(b))) in
-  Array.iter
-    (fun t ->
-      nclasses :=
-        renumber (fun b -> (2 * cls.(b)) + Char.code (Bytes.unsafe_get t b)))
-    per_byte;
+  let split round inst =
+    split_set inst (mark round);
+    for t = 0 to !ntouched - 1 do
+      let k = touched.(t) in
+      let m = marked.(k) in
+      marked.(k) <- 0;
+      if m < hi.(k) - lo.(k) then begin
+        let k' = !nblocks in
+        incr nblocks;
+        lo.(k') <- lo.(k);
+        hi.(k') <- lo.(k) + m;
+        lo.(k) <- lo.(k) + m;
+        for j = lo.(k') to hi.(k') - 1 do
+          blk.(elems.(j)) <- k'
+        done
+      end
+    done;
+    ntouched := 0
+  in
+  Array.iteri split fact_splits;
+  Array.iteri (fun p inst -> split (p + Array.length fact_splits) inst) preds;
+  (* number the blocks by first appearance; [touched] is free again *)
+  let remap = touched in
+  Array.fill remap 0 256 (-1);
+  let classes = Bytes.create 256 in
+  let nclasses = ref 0 in
+  for b = 0 to 255 do
+    let k = blk.(b) in
+    if remap.(k) < 0 then begin
+      remap.(k) <- !nclasses;
+      incr nclasses
+    end;
+    Bytes.unsafe_set classes b (Char.unsafe_chr remap.(k))
+  done;
   let nclasses = !nclasses in
   let npred = Array.length preds in
-  let classes = Bytes.create 256 in
-  let repr = Array.make nclasses 0 in
   let class_fact = Array.make (nclasses + 1) fact_boundary in
-  for b = 255 downto 0 do
-    let c = cls.(b) in
-    Bytes.set classes b (Char.chr c);
-    repr.(c) <- b;
-    class_fact.(c) <- fact_of_char (Char.chr b)
+  for b = 0 to 255 do
+    class_fact.(Char.code (Bytes.unsafe_get classes b)) <-
+      fact_of_char (Char.unsafe_chr b)
   done;
   let accept = Bytes.make ((nclasses + 1) * npred) '\000' in
   Array.iteri
-    (fun p t ->
-      for c = 0 to nclasses - 1 do
-        Bytes.unsafe_set accept ((c * npred) + p) (Bytes.unsafe_get t repr.(c))
-      done)
-    per_byte;
-  let classes = Bytes.to_string classes in
+    (fun p inst ->
+      let set v b =
+        Bytes.unsafe_set accept
+          ((Char.code (Bytes.unsafe_get classes b) * npred) + p)
+          v
+      in
+      if complemented inst then begin
+        for c = 0 to nclasses - 1 do
+          Bytes.unsafe_set accept ((c * npred) + p) '\001'
+        done;
+        split_set inst (set '\000')
+      end
+      else split_set inst (set '\001'))
+    preds;
+  let classes = Bytes.unsafe_to_string classes in
   (pred, { classes; nclasses; class_fact; npred; accept })
 
 (* Immutable, per-pattern, shared across domains.  One class table
@@ -250,38 +333,34 @@ let build ~fwd ~rev =
    program counters stepped into this boundary, in priority order, not
    yet epsilon-closed — closure needs the next byte, so it happens when
    a transition out of the state is first taken).  A state with no
-   threads is dead. *)
-type state = { ctx : int; raw : int array }
+   threads is dead.  [hash] is [hash_threads] of the two, kept so the
+   interning table can reject a probe and rehash without rereading the
+   threads. *)
+type state = { ctx : int; raw : int array; hash : int }
 
-let dead = { ctx = 0; raw = [||] }
+let dead = { ctx = 0; raw = [||]; hash = 0 }
 let no_row : int array = [||]
 
-(* States intern by hashing the thread array itself: the table compares
-   the context fact and the pcs directly, so a lookup builds no key. *)
-module Itbl = Hashtbl.Make (struct
-  type t = state
+(* States intern by hashing the thread buffer itself: the table
+   compares the context fact and the pcs in place, so a lookup builds
+   no key and a hit allocates nothing. *)
+let hash_threads ctx buf len =
+  let h = ref (ctx + 1) in
+  for i = 0 to len - 1 do
+    h := (!h * 0x01000193) lxor Array.unsafe_get buf i
+  done;
+  let h = !h in
+  (h lxor (h lsr 23) lxor (h lsr 41)) land max_int
 
-  let equal a b =
-    a.ctx = b.ctx
-    &&
-    let ra = a.raw and rb = b.raw in
-    let n = Array.length ra in
-    n = Array.length rb
-    &&
-    let rec go i =
-      i = n || (Array.unsafe_get ra i = Array.unsafe_get rb i && go (i + 1))
-    in
-    go 0
-
-  let hash s =
-    let h = ref (s.ctx + 1) in
-    let raw = s.raw in
-    for i = 0 to Array.length raw - 1 do
-      h := (!h * 0x01000193) lxor Array.unsafe_get raw i
-    done;
-    let h = !h in
-    (h lxor (h lsr 23) lxor (h lsr 41)) land max_int
-end)
+let same_threads s ctx buf len =
+  s.ctx = ctx
+  && Array.length s.raw = len
+  &&
+  let raw = s.raw and i = ref 0 in
+  while !i < len && Array.unsafe_get raw !i = Array.unsafe_get buf !i do
+    incr i
+  done;
+  !i = len
 
 (* What closure does on reaching an [I_match]: [Stop] collecting (the
    forward machine — in leftmost-first semantics no lower-priority
@@ -301,6 +380,18 @@ type tally = { mutable misses : int; mutable flushes : int }
    transition rows and closure scratch.  Rows live in arrays parallel
    to [states] so the match loop reaches a row in one load; a state
    gets only the rows its machine's phases read.
+
+   The store costs nothing until states exist: [states], [rows],
+   [urows] and the interning table start at [initial_states] slots and
+   double as states are interned, up to [max_states]; a store holding
+   [max_states] states flushes on the next new one.  A fresh machine
+   is a few small minor-heap arrays, not [max_states]-slot arrays
+   that go straight to the major heap.
+
+   [itbl] is an open-addressing table of state ids ([-1] empty) with
+   linear probing, at least twice the store's capacity, so it is at
+   most half full.  A probe hashes and compares the successor buffer
+   in place; only a new state copies it.
 
    Row encodings (chosen so the hot loop's common case is one sign
    test):
@@ -326,11 +417,13 @@ type mach = {
   swap : bool; (* backward: facts swap boundary sides *)
   ncols : int;
   tally : tally;
+  unanchored : bool; (* whether states get [urows] *)
+  max_states : int;
   mutable nstates : int;
-  states : state array;
-  rows : int array array;
-  urows : int array array;
-  itbl : int Itbl.t;
+  mutable states : state array; (* its length is the current capacity *)
+  mutable rows : int array array;
+  mutable urows : int array array;
+  mutable itbl : int array;
   mutable fgen : int; (* flush generation *)
   mutable search_flushes : int; (* flushes since the search began *)
   start_sids : int array; (* [start]'s memo, by left-context fact *)
@@ -346,12 +439,20 @@ type mach = {
 }
 
 let max_search_flushes = 4
+let initial_states = 16
+
+(* The interning table's size for a store of [cap] slots: the least
+   power of two at least [2 * cap]. *)
+let table_size cap =
+  let rec go n = if n >= 2 * cap then n else go (2 * n) in
+  go 8
 
 let make_mach ?(unanchored = false) ~max_states ~swap ~on_match ~tally tb
     prog pred =
   if max_states < 2 then invalid_arg "Rx_dfa.make_mach: max_states < 2";
   let n = Array.length prog in
   let nslots = match on_match with Slots s -> s.nslots | Stop | Flag -> 0 in
+  let cap = min initial_states max_states in
   {
     prog;
     pred;
@@ -360,11 +461,13 @@ let make_mach ?(unanchored = false) ~max_states ~swap ~on_match ~tally tb
     swap;
     ncols = tb.nclasses + 1;
     tally;
+    unanchored;
+    max_states;
     nstates = 0;
-    states = Array.make max_states dead;
-    rows = Array.make max_states no_row;
-    urows = (if unanchored then Array.make max_states no_row else [||]);
-    itbl = Itbl.create (max_states / 8);
+    states = Array.make cap dead;
+    rows = Array.make cap no_row;
+    urows = (if unanchored then Array.make cap no_row else [||]);
+    itbl = Array.make (table_size cap) (-1);
     fgen = 0;
     search_flushes = 0;
     start_sids = Array.make 4 (-1);
@@ -421,10 +524,10 @@ let metered counters tally ~recorder ~steps_acc run =
    reached again.  A search that keeps flushing gives up. *)
 let flush m =
   Telemetry.Trace.ambient_instant Telemetry.Trace.Dfa_flush;
-  Itbl.reset m.itbl;
+  Array.fill m.itbl 0 (Array.length m.itbl) (-1);
   Array.fill m.states 0 m.nstates dead;
   Array.fill m.rows 0 m.nstates no_row;
-  if Array.length m.urows > 0 then Array.fill m.urows 0 m.nstates no_row;
+  if m.unanchored then Array.fill m.urows 0 m.nstates no_row;
   Array.fill m.start_sids 0 4 (-1);
   m.nstates <- 0;
   m.fgen <- m.fgen + 1;
@@ -432,30 +535,75 @@ let flush m =
   m.search_flushes <- m.search_flushes + 1;
   if m.search_flushes > max_search_flushes then raise Bail
 
-(* The state id of [(ctx, raw)], interned on first sight.
+(* The first empty slot of [tbl] on [hash]'s probe sequence. *)
+let free_slot tbl hash =
+  let mask = Array.length tbl - 1 in
+  let i = ref (hash land mask) in
+  while Array.unsafe_get tbl !i >= 0 do
+    i := (!i + 1) land mask
+  done;
+  !i
+
+let grown a cap fill =
+  let a' = Array.make cap fill in
+  Array.blit a 0 a' 0 (Array.length a);
+  a'
+
+(* Doubles the store, up to [max_states] slots, and rehashes the
+   interning table at its new size. *)
+let grow m =
+  let cap = min m.max_states (2 * Array.length m.states) in
+  m.states <- grown m.states cap dead;
+  m.rows <- grown m.rows cap no_row;
+  if m.unanchored then m.urows <- grown m.urows cap no_row;
+  let tbl = Array.make (table_size cap) (-1) in
+  for sid = 0 to m.nstates - 1 do
+    tbl.(free_slot tbl (Array.unsafe_get m.states sid).hash) <- sid
+  done;
+  m.itbl <- tbl
+
+(* The state id of the threads [buf.(0 .. len-1)] at left-context fact
+   [ctx], interned on first sight.  A hit allocates nothing; a new
+   state copies the threads out of [buf].
    @raise Restart when the store was full and got flushed.
    @raise Bail when that flush was one too many for the search. *)
-let find_or_add m ctx raw =
-  let s = { ctx; raw } in
-  match Itbl.find_opt m.itbl s with
-  | Some sid -> sid
-  | None ->
-    if m.nstates >= Array.length m.states then begin
-      flush m;
-      raise Restart
-    end;
+let find_or_add m ctx buf len =
+  let hash = hash_threads ctx buf len in
+  let tbl = m.itbl in
+  let mask = Array.length tbl - 1 in
+  (* a loop over locals rather than a local recursive function, which
+     would allocate its closure on every lookup *)
+  let i = ref (hash land mask) and found = ref (-2) in
+  while !found = -2 do
+    let sid = Array.unsafe_get tbl !i in
+    if sid < 0 then found := -1
+    else begin
+      let s = Array.unsafe_get m.states sid in
+      if s.hash = hash && same_threads s ctx buf len then found := sid
+      else i := (!i + 1) land mask
+    end
+  done;
+  if !found >= 0 then !found
+  else begin
+    if m.nstates = Array.length m.states then
+      if m.nstates < m.max_states then grow m
+      else begin
+        flush m;
+        raise Restart
+      end;
     let sid = m.nstates in
-    m.states.(sid) <- s;
+    m.states.(sid) <- { ctx; raw = Array.sub buf 0 len; hash };
     m.rows.(sid) <- Array.make m.ncols (-1);
-    if Array.length m.urows > 0 then m.urows.(sid) <- Array.make m.ncols (-1);
-    Itbl.add m.itbl s sid;
+    if m.unanchored then m.urows.(sid) <- Array.make m.ncols (-1);
+    m.itbl.(free_slot m.itbl hash) <- sid;
     m.nstates <- sid + 1;
     sid
+  end
 
 (* [find_or_add] retried once past a flush: the emptied store always
    has room. *)
-let intern m ctx raw =
-  try find_or_add m ctx raw with Restart -> find_or_add m ctx raw
+let intern m ctx buf len =
+  try find_or_add m ctx buf len with Restart -> find_or_add m ctx buf len
 
 let start_raw = [| 0 |]
 
@@ -466,7 +614,7 @@ let start m ctx =
   let s = Array.unsafe_get m.start_sids ctx in
   if s >= 0 then s
   else begin
-    let s = intern m ctx start_raw in
+    let s = intern m ctx start_raw 1 in
     m.start_sids.(ctx) <- s;
     s
   end
@@ -567,7 +715,7 @@ let materialize_u m sid c =
     (* inject the fresh start attempt at lowest priority — the DFA form
        of the backtracker's start loop *)
     m.out.(k) <- 0;
-    let sid' = find_or_add m cf (Array.sub m.out 0 (k + 1)) in
+    let sid' = find_or_add m cf m.out (k + 1) in
     let v = (sid' lsl 1) lor (if k = 0 then 1 else 0) in
     (Array.unsafe_get m.urows sid).(c) <- v;
     v
@@ -577,7 +725,7 @@ let materialize_u m sid c =
 let materialize_a m sid c =
   let cf, k = successors m (Array.unsafe_get m.states sid) c in
   let matched = m.nmatched > 0 in
-  let sid' = find_or_add m cf (Array.sub m.out 0 k) in
+  let sid' = find_or_add m cf m.out k in
   let v = (sid' lsl 1) lor (if matched then 1 else 0) in
   (Array.unsafe_get m.rows sid).(c) <- v;
   v
@@ -700,7 +848,7 @@ let miss m materialize arg sid c =
   let s = Array.unsafe_get m.states sid in
   match materialize arg sid c with
   | (_ : int) -> sid
-  | exception Restart -> intern m s.ctx s.raw
+  | exception Restart -> intern m s.ctx s.raw (Array.length s.raw)
 
 (* The one anchored runner: steps [m] from boundary [p] in state [!sid]
    until the threads die or the run has read boundary [edge], each

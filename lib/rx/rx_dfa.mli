@@ -138,9 +138,10 @@ val tables : Rx_pike.inst array -> int array * tables
     predicate id of consuming pc [pc] ([-1] elsewhere), and [tb] the
     classes every predicate of [prog] and the context facts induce. *)
 
-type state = { ctx : int; raw : int array }
+type state = { ctx : int; raw : int array; hash : int }
 (** A DFA state: the left-context fact and the pending threads, in
-    priority order, not yet closed.  Empty [raw] is the dead state. *)
+    priority order, not yet closed, with the hash the interning table
+    files it under.  Empty [raw] is the dead state. *)
 
 type on_match =
   | Stop  (** stop collecting: leftmost-first forward pass *)
@@ -152,9 +153,6 @@ type on_match =
 type tally = { mutable misses : int; mutable flushes : int }
 (** Cache-pressure counts since the last search's exit ({!metered}). *)
 
-module Itbl : Hashtbl.S with type key = state
-(** Interning table: hashes and compares the thread array itself. *)
-
 type mach = {
   prog : Rx_pike.inst array;
   pred : int array;  (** pc -> predicate id, as {!tables} returns it *)
@@ -163,13 +161,19 @@ type mach = {
   swap : bool;  (** backward: facts swap boundary sides *)
   ncols : int;  (** [tb.nclasses + 1]: one column per class + sentinel *)
   tally : tally;
+  unanchored : bool;  (** whether states get [urows] *)
+  max_states : int;  (** the store flushes when it holds this many *)
   mutable nstates : int;
-  states : state array;  (** the store; its length is the capacity *)
-  rows : int array array;
+  mutable states : state array;
+      (** the store; its length is the current capacity, which starts
+          small and doubles up to [max_states] *)
+  mutable rows : int array array;
       (** anchored rows: [-1] unmaterialized, else
           [(sid lsl 1) lor match_flag] *)
-  urows : int array array;  (** unanchored rows; forward pass only *)
-  itbl : int Itbl.t;
+  mutable urows : int array array;  (** unanchored rows; forward pass only *)
+  mutable itbl : int array;
+      (** interning table: state ids by thread hash, open addressing,
+          [-1] empty, at most half full *)
   mutable fgen : int;  (** flush generation *)
   mutable search_flushes : int;  (** reset when a search begins *)
   start_sids : int array;
@@ -197,20 +201,25 @@ val make_mach :
   int array ->
   mach
 (** [make_mach tb prog pred] is an empty machine over [prog];
-    [unanchored] allocates [urows] too.
+    [unanchored] gives its states [urows] too.  Its store starts at a
+    few slots and grows as states are interned, so an unused machine
+    costs a few small arrays.
     @raise Invalid_argument when [max_states < 2]. *)
 
-val find_or_add : mach -> int -> int array -> int
-(** The state id of [(ctx, raw)], interning it on first sight.  A full
-    store is flushed first, which also counts toward the search's
-    flush limit.
+val find_or_add : mach -> int -> int array -> int -> int
+(** [find_or_add m ctx buf len] is the state id of the threads
+    [buf.(0 .. len-1)] at left-context fact [ctx], interning them on
+    first sight.  A hit allocates nothing; only a new state copies
+    [buf].  A store holding [max_states] states is flushed first,
+    which also counts toward the search's flush limit.
     @raise Restart after a flush; @raise Bail past the limit. *)
 
-val intern : mach -> int -> int array -> int
+val intern : mach -> int -> int array -> int -> int
 (** {!find_or_add}, retried once past a flush. *)
 
 val start_raw : int array
-(** The thread set [[|0|]]: one fresh attempt at the program's entry. *)
+(** The thread set [[|0|]]: one fresh attempt at the program's entry;
+    intern it with length 1. *)
 
 val start : mach -> int -> int
 (** The start state for a left-context fact, memoized until a flush. *)

@@ -88,6 +88,7 @@ type static = {
 
 let nslots st = st.nslots
 let program_size st = Array.length st.prog
+let program st = st.prog
 
 (* Hard bound on a fused program; the composer in [Rx.Fused] caps
    total size well below this. *)
@@ -154,8 +155,8 @@ type cache = {
 
 (* A fused state holds threads of every rule at once, so it is an order
    of magnitude larger than a single pattern's; the default store is
-   sized up accordingly (rows are only allocated for states actually
-   interned, so an idle cache costs little).  The ceiling must also
+   sized up accordingly (the store grows as states are interned, so an
+   idle cache costs a few small arrays).  The ceiling must also
    hold the catalog's whole steady-state working set: the 609-sample
    corpus demands 2552 distinct states, and a ceiling under that
    flushes mid-traffic, rebuilding tables forever. *)
@@ -300,7 +301,7 @@ let materialize cache sid c =
   (* always re-arm every pattern: the machine never leaves its
      unanchored phase *)
   out.(!k) <- 0;
-  let sid' = find_or_add m cf (Array.sub out 0 (!k + 1)) in
+  let sid' = find_or_add m cf out (!k + 1) in
   let v = (sid' lsl 1) lor (if nmatched > 0 then 1 else 0) in
   (Array.unsafe_get m.rows sid).(c) <- v;
   if nmatched > 0 then begin

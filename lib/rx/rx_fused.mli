@@ -49,6 +49,10 @@ val build : Rx_pike.inst array array -> static
 val nslots : static -> int
 val program_size : static -> int
 
+val program : static -> Rx_pike.inst array
+(** The composed program: the fan-out preamble, then every slot's
+    rebased program. *)
+
 val make_cache : ?max_states:int -> static -> cache
 (** Default [max_states] is 4096 — a fused state carries threads of
     every pattern at once, so the store is sized an order of magnitude

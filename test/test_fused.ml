@@ -485,6 +485,57 @@ let test_catalog_small_cache () =
   check_bool "most searches completed" true
     (bails * 10 < List.length (Lazy.force catalog_subjects))
 
+(* A store that flushes when it holds [max_states] states, whatever
+   capacity it has grown to: for each bound, one pass over the 30 long
+   files from an empty cache, pinning (misses, flushes, bails, the
+   states left interned).  The bounds straddle the store's initial 16
+   slots and are not powers of two, so a store that flushed at its
+   doubled capacity instead of at the bound would move them; the pins
+   are those of the former store, which preallocated [max_states]
+   slots.  After every search the store holds at most the bound. *)
+let capacity_pins =
+  [
+    (3, (452, 150, 30, 0));
+    (24, (4493, 150, 30, 0));
+    (1000, (167928, 91, 9, 869));
+    (2000, (80695, 21, 0, 1919));
+  ]
+
+let test_catalog_capacities () =
+  let _, f = Lazy.force catalog_fused in
+  let files = List.map snd (G.long_files ()) in
+  Fun.protect
+    ~finally:(fun () -> Rx.Fused.cache_clear f)
+    (fun () ->
+      List.iter
+        (fun (k, want) ->
+          let sink = Telemetry.create () in
+          let bails = ref 0 in
+          Telemetry.with_sink sink (fun () ->
+              Rx.Fused.shrink_cache f ~max_states:k;
+              List.iter
+                (fun s ->
+                  (match Rx.Fused.run f s with
+                  | _ -> ()
+                  | exception Rx.Fused.Bail -> incr bails);
+                  if Rx.Fused.state_count f > k then
+                    Alcotest.failf "%d states in a %d-state store"
+                      (Rx.Fused.state_count f) k)
+                files);
+          let total name =
+            Option.value ~default:0
+              (List.assoc_opt name
+                 (Telemetry.Report.of_sink sink).Telemetry.Report.counters)
+          in
+          Alcotest.(check (pair int (pair int (pair int int))))
+            (Printf.sprintf "misses, flushes, bails, states at %d" k)
+            (let m, fl, b, st = want in
+             (m, (fl, (b, st))))
+            ( total "rx_fused_cache_misses_total",
+              ( total "rx_fused_cache_flushes_total",
+                (!bails, Rx.Fused.state_count f) ) ))
+        capacity_pins)
+
 (* --- bail differential --------------------------------------------------
 
    A bailed fused pass leaves the scan with no mask, so it sweeps every
@@ -693,6 +744,8 @@ qt [ qcheck_mask; qcheck_tiny_cache ]);
             test_catalog_default_cache;
           Alcotest.test_case "masks = backtracker, 64-state cache" `Slow
             test_catalog_small_cache;
+          Alcotest.test_case "flushes at non-power-of-two caps" `Slow
+            test_catalog_capacities;
         ] );
       ( "fence",
         [

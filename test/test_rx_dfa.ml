@@ -14,7 +14,9 @@
    A tiny-cache stress run forces the clear-and-restart overflow path
    that full-size caches never hit, a corpus work pin counts the
    transitions the per-pattern machines materialize, and a step pin
-   counts the steps their searches charge. *)
+   counts the steps their searches charge.  The byte classes the
+   tables are built on are checked against the former refinement over
+   the catalogs, the fused programs and random patterns. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -303,6 +305,200 @@ let qcheck_tiny_cache =
         Rx.dfa_cache_clear pat);
       true)
 
+(* --- byte classes against the former refinement ------------------------ *)
+
+(* The byte-class derivation [Rx_dfa.tables] replaced, kept here as the
+   reference: one 256-byte acceptance table per distinct predicate, and
+   a refinement that renumbers all 256 bytes once per predicate.  The
+   refinement in the library walks only each predicate's bytes; both
+   must give the same predicate ids, classes, facts and acceptance
+   table for every program. *)
+module Reference_classes = struct
+  module Ast = Rx.Private.Ast
+  module Pike = Rx.Private.Pike
+  module Dfa = Rx.Private.Dfa
+
+  let fact_of_char c =
+    if c = '\n' then Dfa.fact_newline
+    else if Ast.is_word_char c then Dfa.fact_word
+    else 1
+
+  let predicates prog =
+    let simple = Array.make 257 (-1) in
+    let classes : (Ast.cls, int) Hashtbl.t = Hashtbl.create 64 in
+    let distinct = ref [] and next = ref 0 in
+    let fresh inst =
+      let id = !next in
+      incr next;
+      distinct := inst :: !distinct;
+      id
+    in
+    let simple_id i inst =
+      if simple.(i) < 0 then simple.(i) <- fresh inst;
+      simple.(i)
+    in
+    let pred =
+      Array.map
+        (fun inst ->
+          match inst with
+          | Pike.I_char c -> simple_id (Char.code c) inst
+          | Pike.I_any -> simple_id 256 inst
+          | Pike.I_class cls -> (
+            match Hashtbl.find_opt classes cls with
+            | Some id -> id
+            | None ->
+              let id = fresh inst in
+              Hashtbl.add classes cls id;
+              id)
+          | _ -> -1)
+        prog
+    in
+    (pred, Array.of_list (List.rev !distinct))
+
+  let accept_table inst =
+    let t = Bytes.make 256 '\000' in
+    let set b = Bytes.unsafe_set t b '\001' in
+    (match inst with
+    | Pike.I_char c -> set (Char.code c)
+    | Pike.I_any ->
+      Bytes.fill t 0 256 '\001';
+      Bytes.set t (Char.code '\n') '\000'
+    | Pike.I_class { Ast.negated; items } ->
+      List.iter
+        (function
+          | Ast.Cchar c -> set (Char.code c)
+          | Ast.Crange (lo, hi) ->
+            for b = Char.code lo to Char.code hi do
+              set b
+            done
+          | Ast.Cset kind ->
+            for b = 0 to 255 do
+              if Ast.set_matches kind (Char.chr b) then set b
+            done)
+        items;
+      if negated then
+        for b = 0 to 255 do
+          Bytes.unsafe_set t b
+            (if Bytes.unsafe_get t b = '\000' then '\001' else '\000')
+        done
+    | _ -> ());
+    t
+
+  let tables prog =
+    let pred, preds = predicates prog in
+    let per_byte = Array.map accept_table preds in
+    let cls = Array.init 256 (fun b -> fact_of_char (Char.chr b)) in
+    let remap = Array.make 512 (-1) in
+    let renumber key =
+      Array.fill remap 0 512 (-1);
+      let next = ref 0 in
+      for b = 0 to 255 do
+        let k = key b in
+        if remap.(k) < 0 then begin
+          remap.(k) <- !next;
+          incr next
+        end;
+        cls.(b) <- remap.(k)
+      done;
+      !next
+    in
+    let nclasses = ref (renumber (fun b -> cls.(b))) in
+    Array.iter
+      (fun t ->
+        nclasses :=
+          renumber (fun b -> (2 * cls.(b)) + Char.code (Bytes.unsafe_get t b)))
+      per_byte;
+    let nclasses = !nclasses in
+    let npred = Array.length preds in
+    let classes = Bytes.create 256 in
+    let repr = Array.make nclasses 0 in
+    let class_fact = Array.make (nclasses + 1) Dfa.fact_boundary in
+    for b = 255 downto 0 do
+      let c = cls.(b) in
+      Bytes.set classes b (Char.chr c);
+      repr.(c) <- b;
+      class_fact.(c) <- fact_of_char (Char.chr b)
+    done;
+    let accept = Bytes.make ((nclasses + 1) * npred) '\000' in
+    Array.iteri
+      (fun p t ->
+        for c = 0 to nclasses - 1 do
+          Bytes.unsafe_set accept ((c * npred) + p)
+            (Bytes.unsafe_get t repr.(c))
+        done)
+      per_byte;
+    let classes = Bytes.to_string classes in
+    (pred, { Dfa.classes; nclasses; class_fact; npred; accept })
+end
+
+let check_classes what prog =
+  let want_pred, want = Reference_classes.tables prog in
+  let pred, got = Rx.Private.Dfa.tables prog in
+  let open Rx.Private.Dfa in
+  Alcotest.(check (array int)) (what ^ ": predicate ids") want_pred pred;
+  Alcotest.(check string) (what ^ ": classes") want.classes got.classes;
+  check_int (what ^ ": class count") want.nclasses got.nclasses;
+  Alcotest.(check (array int)) (what ^ ": class facts") want.class_fact
+    got.class_fact;
+  check_int (what ^ ": predicate count") want.npred got.npred;
+  Alcotest.(check string) (what ^ ": acceptance") (Bytes.to_string want.accept)
+    (Bytes.to_string got.accept)
+
+(* Set kinds under every polarity, alone and mixed with other items. *)
+let class_corners =
+  [
+    {|\S+\s\W\w\D\d|};
+    {|[\Sa-c]+|};
+    {|[^\W_]x|};
+    {|[^\d\s]|};
+    {|[^\S\n]+|};
+    {|[\D\s]y|};
+    {|.[^"']"|};
+    {|\bq[^a-z]?$|};
+  ]
+
+(* Every python and JS catalog pattern and suppress pattern (forward
+   and reverse programs, as the per-pattern tables see them), the
+   fused program of each catalog, and [class_corners]. *)
+let test_catalog_classes () =
+  let checked = ref 0 in
+  List.iter
+    (fun src ->
+      check_classes src
+        (Option.get (Rx.Private.class_program (Rx.compile src))))
+    class_corners;
+  List.iter
+    (fun rules ->
+      List.iter
+        (fun (r : Patchitpy.Rule.t) ->
+          List.iter
+            (fun p ->
+              Option.iter
+                (fun prog ->
+                  check_classes (Rx.pattern p) prog;
+                  incr checked)
+                (Rx.Private.class_program p))
+            (r.Patchitpy.Rule.pattern
+            :: Option.to_list r.Patchitpy.Rule.suppress))
+        rules;
+      let scanner = Patchitpy.Scanner.compile rules in
+      Option.iter
+        (fun f ->
+          check_classes "fused catalog" (Rx.Private.fused_program f);
+          incr checked)
+        (Patchitpy.Scanner.fused_machine scanner))
+    Patchitpy.[ Catalog.all (); Catalog.javascript () ];
+  check_bool "the catalogs yield over 100 programs" true (!checked > 100)
+
+let qcheck_classes =
+  QCheck.Test.make ~count:1000
+    ~name:"byte classes equal the former refinement's"
+    (QCheck.make gen_pattern ~print:(Printf.sprintf "pattern %S"))
+    (fun src ->
+      Option.iter (check_classes src)
+        (Rx.Private.class_program (Rx.compile src));
+      true)
+
 (* --- corpus differential ----------------------------------------------- *)
 
 (* The whole catalog over the whole corpus, once per tier: the reference
@@ -353,6 +549,11 @@ let test_corpus_differential () =
 let corpus_dfa_work = (5981, 0, 0)
 let corpus_dfa_work_4_states = (207943, 28890, 3424)
 
+(* 20 is past the store's initial 16 slots and not a power of two: the
+   store grows once and flushes when it holds 20 states, as the former
+   store that preallocated 20 slots did. *)
+let corpus_dfa_work_20_states = (34602, 834, 0)
+
 let catalog_dfa_patterns () =
   List.fold_left
     (fun acc (r : Patchitpy.Rule.t) ->
@@ -399,7 +600,9 @@ let test_corpus_work () =
   Alcotest.check work_pp "misses, flushes, fallbacks at the default cache"
     corpus_dfa_work (dfa_work ());
   Alcotest.check work_pp "misses, flushes, fallbacks at 4 states"
-    corpus_dfa_work_4_states (dfa_work ~max_states:4 ())
+    corpus_dfa_work_4_states (dfa_work ~max_states:4 ());
+  Alcotest.check work_pp "misses, flushes, fallbacks at 20 states"
+    corpus_dfa_work_20_states (dfa_work ~max_states:20 ())
 
 (* --- DFA step accounting on the corpus --------------------------------- *)
 
@@ -476,6 +679,10 @@ let () =
           Alcotest.test_case "compile memo" `Quick test_compile_memo;
         ] );
       ("qcheck", qt [ qcheck_differential; qcheck_tiny_cache ]);
+      ( "classes",
+        Alcotest.test_case "catalog and fused programs" `Quick
+          test_catalog_classes
+        :: qt [ qcheck_classes ] );
       ( "corpus",
         [
           Alcotest.test_case "both tiers, 609 samples" `Slow test_corpus_differential;
