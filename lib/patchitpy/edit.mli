@@ -11,9 +11,6 @@ type t = {
   repl : string;  (** the replacement text *)
 }
 
-val delta : t -> int
-(** Byte-length change: [length repl - (stop - start)]. *)
-
 val valid : string -> t list -> bool
 (** The edits are sorted by [start], pairwise non-overlapping, and in
     bounds for the given old source. *)

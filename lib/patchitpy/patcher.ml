@@ -406,9 +406,9 @@ let patch ?scanner ?rules ?(rounds = default_rounds) ?(manage_imports = true)
      inside.  Rounds do not track dirty regions: a full fused scan costs
      a few microseconds per sample, less than the region bookkeeping
      (see DESIGN.md, "Patch rounds"). *)
-  let advance st edits =
+  let advance source edits =
     Telemetry.Trace.ambient_span Telemetry.Trace.Patch_round @@ fun () ->
-    Scanner.scan_state scanner (Edit.apply (Scanner.state_source st) edits)
+    Scanner.scan_state scanner (Edit.apply source edits)
   in
   (* [rev_acc] holds the applications newest-first; a single reverse at
      the end replaces the seed's quadratic [acc @ apps] per round.
@@ -426,7 +426,9 @@ let patch ?scanner ?rules ?(rounds = default_rounds) ?(manage_imports = true)
       else begin
         Telemetry.Histogram.observe applications_per_round_histogram
           (List.length apps);
-        run (advance st edits) (List.rev_append apps rev_acc) (used + 1) (n - 1)
+        run
+          (advance (Scanner.state_source st) edits)
+          (List.rev_append apps rev_acc) (used + 1) (n - 1)
       end
     end
   in
@@ -442,44 +444,18 @@ let patch ?scanner ?rules ?(rounds = default_rounds) ?(manage_imports = true)
   let st, imports_added =
     if applications = [] || not manage_imports then (st, [])
     else begin
-      (* Both import passes fold into ONE scan advance: the stale
-         deletions are computed on the current source, the insertion
-         point on the string with deletions applied (so the prologue
-         walk sees what the sequential pipeline saw), and the insert
-         edit is then mapped back through the deletions so all edits
-         share the current state's coordinates.  Byte-identical to
-         applying the two passes sequentially, at half the re-scans. *)
+      (* Both import passes share ONE scan advance: the stale deletions
+         are applied first, so the insertion's prologue walk sees the
+         source without them, as a sequential pipeline would. *)
       let src = Scanner.state_source st in
       let stale_edits, removed = stale_import_edits src in
       Telemetry.Counter.incr imports_removed_counter ~by:removed;
-      let deleted =
-        if stale_edits = [] then src else Edit.apply src stale_edits
+      let text, added =
+        insert_imports (Edit.apply src stale_edits) needed_imports
       in
-      let insert, added =
-        match insert_import_edit deleted needed_imports with
-        | None -> ([], [])
-        | Some (edit, added) ->
-          (* preimage of the insertion offset through the deletions: the
-             offset in [src] that lands where [edit.start] is in
-             [deleted] (at a collapsed deletion, its start — the insert
-             then sorts before the deletion and yields the same bytes) *)
-          let rec back shift = function
-            | [] -> edit.Edit.start - shift
-            | (e : Edit.t) :: rest ->
-              if e.Edit.start + shift < edit.Edit.start then
-                back (shift + Edit.delta e) rest
-              else edit.Edit.start - shift
-          in
-          let p = back 0 stale_edits in
-          ([ { edit with Edit.start = p; stop = p } ], added)
-      in
-      let combined =
-        List.sort
-          (fun (a : Edit.t) (b : Edit.t) ->
-            compare (a.Edit.start, a.Edit.stop) (b.Edit.start, b.Edit.stop))
-          (stale_edits @ insert)
-      in
-      ((if combined = [] then st else advance st combined), added)
+      ((if stale_edits = [] && added = [] then st
+        else advance text []),
+       added)
     end
   in
   Telemetry.Counter.incr imports_added_counter ~by:(List.length imports_added);

@@ -182,5 +182,4 @@ let handle_connection t ~peer fd =
       Netio.write_all fd (route t ~peer ~headers req);
       if keep then serve ()
   in
-  (try serve () with Unix.Unix_error _ -> ());
-  try Unix.close fd with Unix.Unix_error _ -> ()
+  try serve () with Unix.Unix_error _ -> ()

@@ -27,7 +27,7 @@ type t
 val create : ?quota:Quota.t -> ?limits:Http.limits -> pool:Pool.t -> unit -> t
 
 val handle_connection : t -> peer:string -> Unix.file_descr -> unit
-(** Serves one connection to completion (keep-alive loop included) and
-    closes the descriptor.  Runs on the calling thread; the listener
-    spawns one thread per connection.  [peer] is the fallback tenant
+(** Serves one connection to completion (keep-alive loop included);
+    closing the descriptor is the caller's.  Runs on the calling
+    thread; the listener spawns one thread per connection.  [peer] is the fallback tenant
     identity for quota accounting. *)

@@ -31,11 +31,6 @@ type t = {
   rcache : Rcache.t option;
       (* the content-hash result cache probed at submission; hits are
          delivered synchronously without touching the queue *)
-  coalesce_lock : Mutex.t;
-  coalescing :
-    (Rcache.key, (string * (Protocol.response -> unit)) list) Hashtbl.t;
-      (* cache keys whose first miss is queued or executing, each with
-         the (request id, deliver) of the repeats waiting on it *)
   queue : job Bqueue.t;
   jobs : int;
   queue_capacity : int;
@@ -67,10 +62,9 @@ let result_cache_extras t =
   | Some cache ->
     let s = Rcache.stats cache in
     Printf.sprintf
-      "\"resultCache\":{\"enabled\":true,\"hits\":%d,\"misses\":%d,\"coalesced\":%d,\"insertions\":%d,\"evictions\":%d,\"entries\":%d,\"bytes\":%d,\"maxBytes\":%d,\"shards\":%d}"
+      "\"resultCache\":{\"enabled\":true,\"hits\":%d,\"misses\":%d,\"coalesced\":%d,\"insertions\":%d,\"evictions\":%d,\"entries\":%d,\"bytes\":%d,\"maxBytes\":%d}"
       s.Rcache.hits s.Rcache.misses s.Rcache.coalesced s.Rcache.insertions
       s.Rcache.evictions s.Rcache.entries s.Rcache.bytes s.Rcache.max_bytes
-      s.Rcache.shards
 
 let cache_extras () =
   let hits, entries = Rx.compile_cache_stats () in
@@ -309,8 +303,6 @@ let create ?pack ?rcache ?warm_boot ~jobs ~queue_capacity ~scanner () =
       scanner;
       pack;
       rcache;
-      coalesce_lock = Mutex.create ();
-      coalescing = Hashtbl.create 64;
       queue = Bqueue.create ~capacity:queue_capacity;
       jobs;
       queue_capacity;
@@ -390,8 +382,8 @@ let submit ?trace t request ~deliver =
     let module Tr = Telemetry.Trace in
     let t0 = if Tr.enabled () then Tr.now_ns () else 0 in
     let key = Rcache.key cache ~kind ~file ~options ~body:source in
-    match Rcache.find cache key with
-    | Some body ->
+    match Rcache.claim cache key (request.Protocol.id, deliver) with
+    | Rcache.Hit body ->
       (* A hit is delivered synchronously from the submitting thread —
          no queue, no worker domain.  The trace builder (if any) is
          abandoned, like an overloaded submission: finishing it here
@@ -400,62 +392,36 @@ let submit ?trace t request ~deliver =
       ignore (trace : Tr.t option);
       (try deliver (Protocol.Reply { id = request.Protocol.id; kind; body })
        with _ -> ())
-    | None ->
-      (* Coalesce repeats of a key whose first miss is still queued or
-         executing: a repeat waits on the leader's response instead of
-         taking a queue slot of its own. *)
-      let leader =
-        Mutex.protect t.coalesce_lock (fun () ->
-            match Hashtbl.find_opt t.coalescing key with
-            | Some waiters ->
-              Hashtbl.replace t.coalescing key
-                ((request.Protocol.id, deliver) :: waiters);
-              false
-            | None ->
-              Hashtbl.replace t.coalescing key [];
-              true)
+    | Rcache.Joined ->
+      (* A repeat of a key whose first miss is still queued or executing
+         waits on the leader's response instead of taking a queue slot;
+         it never reaches a worker domain, so its builder is abandoned
+         too. *)
+      ignore (trace : Tr.t option)
+    | Rcache.Lead ->
+      (match trace with
+      | None -> ()
+      | Some b -> Tr.add_span b Tr.Cache_lookup ~start:t0 ~stop:(Tr.now_ns ()));
+      (* Settle on the way out: the wrapper runs on the worker domain at
+         delivery time, so the insert costs the submitter nothing, and
+         the body is cached in the same step that releases the key, so a
+         later repeat hits.  Waiters get the leader's response, error
+         replies included, under their own ids. *)
+      let deliver response =
+        let waiters = Rcache.settle cache key response in
+        (try deliver response with _ -> ());
+        List.iter
+          (fun (id, deliver) ->
+            let response =
+              match response with
+              | Protocol.Reply r -> Protocol.Reply { r with id }
+              | Protocol.Error_reply e ->
+                Protocol.Error_reply { e with id = Some id }
+            in
+            try deliver response with _ -> ())
+          waiters
       in
-      if not leader then begin
-        (* A waiter never reaches a worker domain either: its trace
-           builder is abandoned, as for a hit. *)
-        Rcache.note_coalesced cache;
-        ignore (trace : Tr.t option)
-      end
-      else begin
-        (match trace with
-        | None -> ()
-        | Some b ->
-          Tr.add_span b Tr.Cache_lookup ~start:t0 ~stop:(Tr.now_ns ()));
-        (* Populate on the way out: the wrapper runs on the worker domain
-           at delivery time, so the insert costs the submitter nothing.
-           The cache is filled before the key leaves the in-flight table,
-           so a later repeat hits instead of missing again.  Waiters get
-           the leader's response, error replies included, under their
-           own ids. *)
-        let deliver response =
-          (match response with
-          | Protocol.Reply { body; _ } -> Rcache.add cache key body
-          | Protocol.Error_reply _ -> ());
-          let waiters =
-            Mutex.protect t.coalesce_lock (fun () ->
-                let waiters = Hashtbl.find t.coalescing key in
-                Hashtbl.remove t.coalescing key;
-                waiters)
-          in
-          (try deliver response with _ -> ());
-          List.iter
-            (fun (id, deliver) ->
-              let response =
-                match response with
-                | Protocol.Reply r -> Protocol.Reply { r with id }
-                | Protocol.Error_reply e ->
-                  Protocol.Error_reply { e with id = Some id }
-              in
-              try deliver response with _ -> ())
-            (List.rev waiters)
-        in
-        enqueue ?trace t request ~deliver
-      end)
+      enqueue ?trace t request ~deliver)
 
 let pending t = Atomic.get t.in_flight
 

@@ -37,7 +37,7 @@ val create :
     the [health] reply reports it so clients can tell which rules a
     daemon is running.  [rcache] puts a content-hash result cache in
     front of the queue: {!submit} probes it for [scan]/[patch]
-    requests and delivers hits synchronously; misses populate it at
+    requests and delivers hits synchronously; misses fill it at
     delivery time.  Its salt must be the rule-pack fingerprint of
     [scanner]'s catalog.  [warm_boot] runs once inside every worker
     domain before it takes its first job.  Transition caches are
@@ -58,10 +58,12 @@ val submit :
     worker domain with the request's response, synchronously with the
     cached response on a result-cache hit, or synchronously with an
     [overloaded] error when the queue is full or the pool draining.
-    A cache miss whose key is already queued or executing takes no
-    queue slot: it waits for that first request and is delivered its
+    A cacheable request makes one {!Rcache.claim}: a [Hit] is
+    delivered here; a [Joined] repeat of a key already queued or
+    executing takes no queue slot and is delivered the leader's
     response, [timeout] and [overloaded] errors included, re-tagged
-    with its own id.
+    with its own id; a [Lead] is enqueued, and its delivery makes one
+    {!Rcache.settle} that caches the body and answers the repeats.
     [deliver] must be thread-safe against other deliveries to the same
     destination; exceptions it raises are swallowed.
 

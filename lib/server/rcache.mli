@@ -8,12 +8,19 @@
     responses are deterministic for a fixed rule catalog — without
     touching a worker domain or the queue.
 
-    Concurrency: the table is sharded and lock-striped; each shard is
-    an independent LRU with its own byte budget, so front-end threads
-    and worker domains probe and insert concurrently with at most
-    one-shard contention.  Keys are 128 bits (two independent XXH64
-    passes), so collisions are ignorable without storing or comparing
-    request bodies.
+    The cache also decides what a miss does.  Every key it knows is
+    either a cached body or an in-flight miss with the repeats waiting
+    on it, so {!claim} answers "cached, in flight, or run it" in one
+    step, and {!settle} closes the miss: it caches the leader's body
+    and hands back the repeats to answer.
+
+    Concurrency: one hashtable and one global LRU list under one
+    mutex.  Probes run on the submitting front-end threads, which all
+    live in the main domain and so never run in parallel with each
+    other; only a worker domain's {!settle}, one per miss, can contend
+    with them.  Keys are 128 bits (two independent XXH64 passes), so
+    collisions are ignorable without storing or comparing request
+    bodies.
 
     A cache is valid for one rule catalog: its salt is fixed when it is
     created, and the daemon creates it once at boot.
@@ -24,11 +31,10 @@
 
 type t
 
-val create : ?shards:int -> max_bytes:int -> salt:string -> unit -> t
-(** [shards] (default 8, rounded up to a power of two) locks stripe the
-    table; [max_bytes] is the whole-cache budget for cached response
-    bytes plus per-entry overhead, split evenly across shards; [salt]
-    is the rule-pack fingerprint the cached results are valid for. *)
+val create : max_bytes:int -> salt:string -> unit -> t
+(** [max_bytes] is the whole-cache budget for cached response bytes
+    plus a flat per-entry overhead; [salt] is the rule-pack fingerprint
+    the cached results are valid for. *)
 
 type key
 
@@ -40,30 +46,49 @@ val key :
 
 val find : t -> key -> string option
 (** The cached response body, promoting the entry to most recently
-    used; [None] on miss. *)
-
-val note_coalesced : t -> unit
-(** Counts a miss that the caller answered by waiting on an in-flight
-    miss of the same key: it is counted among the misses by {!find},
-    but is neither executed nor inserted. *)
+    used; [None] on miss, an in-flight key included. *)
 
 val add : t -> key -> string -> unit
-(** Caches a response body under [key], evicting least-recently-used
-    entries while the shard is over budget.  Dropped silently when the
-    body alone exceeds the shard budget. *)
+(** Caches a response body under [key], replacing a cached one, and
+    evicts least-recently-used entries while the cache is over budget.
+    Dropped silently when the body alone exceeds the budget, and when
+    [key] is in flight: its {!settle} fills it and its waiters stay. *)
+
+type waiter = string * (Protocol.response -> unit)
+(** A repeat's request id and delivery callback. *)
+
+type claim =
+  | Hit of string  (** the cached body; counted as a hit *)
+  | Joined
+      (** the key was in flight: the waiter now waits on it; counted
+          as a miss and as coalesced *)
+  | Lead
+      (** nothing was cached or in flight: the key is now in flight
+          and the caller runs the request, then calls {!settle};
+          counted as a miss *)
+
+val claim : t -> key -> waiter -> claim
+(** Probes [key] and, on a miss, joins or opens its in-flight entry,
+    all under the one lock.  The waiter is kept only when [Joined].
+    An in-flight key holds no bytes, is not counted in [entries] and is
+    never evicted. *)
+
+val settle : t -> key -> Protocol.response -> waiter list
+(** Closes the in-flight miss of [key]: a [Reply] body is cached as by
+    {!add}, an [Error_reply] is not.  Returns the joined waiters,
+    oldest first, for the caller to answer. *)
 
 type stats = {
   hits : int;
   misses : int;
   coalesced : int;
-      (** misses that waited on an in-flight miss of their key
-          ({!note_coalesced}); a subset of [misses] *)
+      (** misses that joined an in-flight miss of their key; a subset
+          of [misses] *)
   insertions : int;
   evictions : int;
-  entries : int;
+  entries : int;  (** cached bodies; in-flight keys are not counted *)
   bytes : int;  (** accounted bytes currently held, overhead included *)
   max_bytes : int;
-  shards : int;
 }
 
 val stats : t -> stats

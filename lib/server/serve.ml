@@ -3,14 +3,13 @@
    Three front-ends feed one pool.  The stdio and socket front-ends
    share one NDJSON framing ([connection_loop]): the stdio front-end
    reads request lines from stdin and writes responses to stdout; the
-   socket front-end accepts connections on a Unix-domain socket, one
-   reader thread per connection, responses written back to the
-   submitting connection (behind a mutex — workers complete out of
-   order).
-   The HTTP front-end accepts loopback TCP connections and routes them
-   through {!Gateway}.  Threads do the blocking I/O; domains do the
-   scanning — OCaml 5 runs both side by side, and a blocked thread
-   costs no worker time.
+   socket front-end serves connections on a Unix-domain socket, with
+   responses written back to the submitting connection (behind a mutex
+   — workers complete out of order).  The HTTP front-end serves
+   loopback TCP connections through {!Gateway}.  Both listeners are one
+   accept loop ([listen]) with one reader thread per connection.
+   Threads do the blocking I/O; domains do the scanning — OCaml 5 runs
+   both side by side, and a blocked thread costs no worker time.
 
    Every response, on every front-end, is serialized into one buffer
    and written with a single [Netio.write_all] call under the
@@ -164,22 +163,7 @@ let connection_loop pool ~max_request_bytes ~input ~output =
   in
   await_deliveries ()
 
-let listener_loop pool ~max_request_bytes lfd =
-  let serve fd =
-    connection_loop pool ~max_request_bytes ~input:fd ~output:fd;
-    try Unix.close fd with Unix.Unix_error _ -> ()
-  in
-  let rec loop () =
-    match Unix.accept ~cloexec:true lfd with
-    | fd, _ ->
-      ignore (Thread.create serve fd);
-      loop ()
-    | exception Unix.Unix_error (EINTR, _, _) -> loop ()
-    | exception Unix.Unix_error _ -> () (* listener closed: drain started *)
-  in
-  loop ()
-
-(* --- HTTP front-end -------------------------------------------------------- *)
+(* --- listeners ------------------------------------------------------------ *)
 
 (* Replies go out as soon as they are written: without TCP_NODELAY a
    pipelined reply waits behind the client's delayed ACK (~1 ms
@@ -188,28 +172,40 @@ let listener_loop pool ~max_request_bytes lfd =
 let set_nodelay fd =
   try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ()
 
-let http_listener_loop gateway lfd =
+(* The one accept loop, for both front doors: binds and listens on
+   [addr] and serves each accepted connection on its own thread with
+   [serve ~peer fd], closing [fd] once [serve] returns.  [peer] is the
+   peer address without the ephemeral port, so an HTTP client that
+   reconnects keeps its quota bucket.  Returns the listening socket;
+   closing it ends the loop. *)
+let listen addr serve =
+  let domain = Unix.domain_of_sockaddr addr in
+  let tcp = domain <> PF_UNIX in
+  let lfd = Unix.socket ~cloexec:true domain SOCK_STREAM 0 in
+  if tcp then Unix.setsockopt lfd SO_REUSEADDR true;
+  Unix.bind lfd addr;
+  Unix.listen lfd 64;
+  let connection (fd, peer) =
+    Fun.protect
+      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+      (fun () -> serve ~peer fd)
+  in
   let rec loop () =
     match Unix.accept ~cloexec:true lfd with
     | fd, addr ->
-      set_nodelay fd;
-      (* The per-connection quota fallback identity is the peer
-         address without the ephemeral port, so reconnecting does not
-         mint a fresh bucket. *)
+      if tcp then set_nodelay fd;
       let peer =
         match addr with
         | Unix.ADDR_INET (a, _) -> Unix.string_of_inet_addr a
         | Unix.ADDR_UNIX p -> p
       in
-      ignore
-        (Thread.create
-           (fun () -> Gateway.handle_connection gateway ~peer fd)
-           ());
+      ignore (Thread.create connection (fd, peer));
       loop ()
     | exception Unix.Unix_error (EINTR, _, _) -> loop ()
-    | exception Unix.Unix_error _ -> ()
+    | exception Unix.Unix_error _ -> () (* listener closed: drain started *)
   in
-  loop ()
+  ignore (Thread.create loop ());
+  lfd
 
 (* --- stale socket handling ------------------------------------------------- *)
 
@@ -290,44 +286,35 @@ let run ?pack ?warm_boot ~scanner config =
              ~output:Unix.stdout;
            Atomic.set stdin_eof true)
          ());
-    let listener =
-      match config.socket with
-      | None -> None
-      | Some path ->
-        let lfd = Unix.socket ~cloexec:true PF_UNIX SOCK_STREAM 0 in
-        Unix.bind lfd (ADDR_UNIX path);
-        Unix.listen lfd 64;
-        ignore
-          (Thread.create
-             (fun () -> listener_loop pool ~max_request_bytes lfd)
-             ());
-        Some (path, lfd)
-    in
-    let http_listener =
-      match config.http_port with
-      | None -> None
-      | Some port ->
-        let quota =
+    let listeners =
+      List.filter_map Fun.id
+        [
           Option.map
-            (fun (rate, burst) -> Quota.create ~rate ~burst ())
-            config.quota
-        in
-        let limits =
-          { Http.default_limits with max_body_bytes = max_request_bytes }
-        in
-        let gateway = Gateway.create ?quota ~limits ~pool () in
-        let lfd = Unix.socket ~cloexec:true PF_INET SOCK_STREAM 0 in
-        Unix.setsockopt lfd SO_REUSEADDR true;
-        Unix.bind lfd (ADDR_INET (Unix.inet_addr_loopback, port));
-        Unix.listen lfd 64;
-        ignore (Thread.create (fun () -> http_listener_loop gateway lfd) ());
-        Some lfd
+            (fun path ->
+              listen (ADDR_UNIX path) (fun ~peer:_ fd ->
+                  connection_loop pool ~max_request_bytes ~input:fd ~output:fd))
+            config.socket;
+          Option.map
+            (fun port ->
+              let quota =
+                Option.map
+                  (fun (rate, burst) -> Quota.create ~rate ~burst ())
+                  config.quota
+              in
+              let limits =
+                { Http.default_limits with max_body_bytes = max_request_bytes }
+              in
+              let gateway = Gateway.create ?quota ~limits ~pool () in
+              listen
+                (ADDR_INET (Unix.inet_addr_loopback, port))
+                (Gateway.handle_connection gateway))
+            config.http_port;
+        ]
     in
     let rec serve_until_stop () =
       if Atomic.get stop then ()
       else if
-        listener = None && http_listener = None
-        && Atomic.get stdin_eof
+        listeners = [] && Atomic.get stdin_eof
         && Pool.pending pool = 0
       then () (* stdio batch mode: all input answered *)
       else begin
@@ -336,14 +323,12 @@ let run ?pack ?warm_boot ~scanner config =
       end
     in
     serve_until_stop ();
-    (match listener with
-    | Some (path, lfd) ->
-      (try Unix.close lfd with Unix.Unix_error _ -> ());
-      (try Sys.remove path with Sys_error _ -> ())
-    | None -> ());
-    (match http_listener with
-    | Some lfd -> ( try Unix.close lfd with Unix.Unix_error _ -> ())
-    | None -> ());
+    List.iter
+      (fun lfd -> try Unix.close lfd with Unix.Unix_error _ -> ())
+      listeners;
+    Option.iter
+      (fun path -> try Sys.remove path with Sys_error _ -> ())
+      config.socket;
     let (_drained : bool) =
       Pool.shutdown ~drain_timeout:config.drain_timeout pool
     in

@@ -374,19 +374,7 @@ module Report = struct
 
   (* --- serialization ----------------------------------------------------- *)
 
-  let escape s =
-    let buf = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.contents buf
+  let escape = Trace.json_escape
 
   let json_rule_fields (b : Rules.block) i =
     Printf.sprintf

@@ -329,8 +329,6 @@ let slowest n =
 
 (* --- exporters ------------------------------------------------------------ *)
 
-(* Identical to [Telemetry.Report.escape]; re-stated because the parent
-   module depends on this one. *)
 let json_escape s =
   let buf = Buffer.create (String.length s + 8) in
   String.iter

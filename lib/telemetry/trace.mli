@@ -169,6 +169,10 @@ val service_ns : record -> int
 
 (** {2 Exporters} *)
 
+val json_escape : string -> string
+(** JSON string-content escaping: quotes, backslashes and control
+    characters.  [Telemetry.Report.escape] is this function. *)
+
 val to_chrome : ?extra:(string * string) list -> record list -> string
 (** One single-line Chrome [trace_event] JSON document (loadable in
     Perfetto / [chrome://tracing]): an ["X"] event per record and per

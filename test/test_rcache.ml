@@ -8,8 +8,7 @@ module Protocol = Server.Protocol
 
 let catalog_scanner = lazy (Patchitpy.Scanner.compile Patchitpy.(Catalog.all ()))
 
-let mk ?(shards = 1) ?(max_bytes = 4096) () =
-  Rcache.create ~shards ~max_bytes ~salt:"test-salt" ()
+let mk ?(max_bytes = 4096) () = Rcache.create ~max_bytes ~salt:"test-salt" ()
 
 let key t body = Rcache.key t ~kind:"scan" ~file:"f.py" ~options:"" ~body
 
@@ -37,13 +36,12 @@ let test_hit_miss_insert () =
   Alcotest.(check int) "misses" 4 s.Rcache.misses;
   Alcotest.(check int) "insertions" 1 s.Rcache.insertions;
   (* the salt (the rule-pack fingerprint) is keyed too *)
-  let other = Rcache.create ~shards:1 ~max_bytes:4096 ~salt:"other-pack" () in
+  let other = Rcache.create ~max_bytes:4096 ~salt:"other-pack" () in
   Alcotest.(check (option string)) "salt differs" None
     (Rcache.find t (key other "print(1)"))
 
 let test_lru_eviction () =
-  (* one shard so the LRU order is global and observable *)
-  let t = mk ~shards:1 ~max_bytes:1024 () in
+  let t = mk ~max_bytes:1024 () in
   let body i = Printf.sprintf "body-%03d-%s" i (String.make 100 'x') in
   (* fill past the budget; oldest entries must fall off *)
   for i = 0 to 19 do
@@ -77,10 +75,121 @@ let test_lru_eviction () =
      (Rcache.stats t).Rcache.entries <= 2)
 
 let test_oversized_body_dropped () =
-  let t = mk ~shards:1 ~max_bytes:512 () in
+  let t = mk ~max_bytes:512 () in
   Rcache.add t (key t "big") (String.make 4096 'x');
   Alcotest.(check int) "not inserted" 0 (Rcache.stats t).Rcache.entries;
   Alcotest.(check int) "no bytes held" 0 (Rcache.stats t).Rcache.bytes
+
+let test_large_body_cached () =
+  (* the whole budget serves one entry: a body far past an eighth of it
+     is kept *)
+  let t = mk ~max_bytes:4096 () in
+  let body = String.make 3000 'y' in
+  Rcache.add t (key t "large") body;
+  Alcotest.(check (option string)) "cached" (Some body)
+    (Rcache.find t (key t "large"));
+  Alcotest.(check int) "one entry" 1 (Rcache.stats t).Rcache.entries
+
+let test_exact_lru_order () =
+  (* the budget holds exactly four entries of one size: every insert
+     past it evicts the least recently used entry of the whole cache *)
+  let body i = Printf.sprintf "body-%03d-%s" i (String.make 200 'z') in
+  let size = String.length (body 0) + 96 in
+  let t = mk ~max_bytes:(4 * size) () in
+  let add i = Rcache.add t (key t (string_of_int i)) (body i) in
+  let cached i = Rcache.find t (key t (string_of_int i)) <> None in
+  List.iter add [ 0; 1; 2; 3 ];
+  let s = Rcache.stats t in
+  Alcotest.(check int) "four fit" 4 s.Rcache.entries;
+  Alcotest.(check int) "budget full" (4 * size) s.Rcache.bytes;
+  Alcotest.(check int) "nothing evicted" 0 s.Rcache.evictions;
+  (* order, oldest first: 0 1 2 3; touching 0 makes it 1 2 3 0 *)
+  ignore (Rcache.find t (key t "0"));
+  add 4;
+  add 5;
+  (* 1 and 2 fell off, in that order; 3 is now the oldest *)
+  Alcotest.(check (list bool)) "survivors"
+    [ true; false; false; true; true; true ]
+    (List.map cached [ 0; 1; 2; 3; 4; 5 ]);
+  Alcotest.(check int) "two evicted" 2 (Rcache.stats t).Rcache.evictions;
+  (* the probes above left the order 0 3 4 5 *)
+  add 6;
+  Alcotest.(check (list bool)) "oldest next" [ false; true; true; true; true ]
+    (List.map cached [ 0; 3; 4; 5; 6 ])
+
+(* --- claim and settle ------------------------------------------------------ *)
+
+let reply id body = Protocol.Reply { id; kind = "scan"; body }
+let waiter id : Rcache.waiter = (id, fun _ -> ())
+let waiter_ids = List.map fst
+
+let claim_name = function
+  | Rcache.Hit body -> "hit " ^ body
+  | Rcache.Joined -> "joined"
+  | Rcache.Lead -> "lead"
+
+let test_claim_settle () =
+  let t = mk () in
+  let k = key t "x = 1" in
+  let claim id = claim_name (Rcache.claim t k (waiter id)) in
+  Alcotest.(check string) "first claim leads" "lead" (claim "a");
+  Alcotest.(check string) "repeat joins" "joined" (claim "b");
+  Alcotest.(check string) "another repeat joins" "joined" (claim "c");
+  let waiters = Rcache.settle t k (reply "a" "BODY") in
+  Alcotest.(check (list string)) "waiters oldest first" [ "b"; "c" ]
+    (waiter_ids waiters);
+  Alcotest.(check string) "settled reply is a hit" "hit BODY" (claim "d");
+  let s = Rcache.stats t in
+  Alcotest.(check (list int)) "hits, misses, coalesced, insertions"
+    [ 1; 3; 2; 1 ]
+    [ s.Rcache.hits; s.Rcache.misses; s.Rcache.coalesced; s.Rcache.insertions ];
+  (* an error settles the key without caching it *)
+  let k = key t "y = 2" in
+  let claim id = claim_name (Rcache.claim t k (waiter id)) in
+  Alcotest.(check string) "lead" "lead" (claim "e");
+  Alcotest.(check string) "joined" "joined" (claim "f");
+  let waiters =
+    Rcache.settle t k
+      (Protocol.Error_reply
+         { id = Some "e"; error = Protocol.Timeout; message = "late" })
+  in
+  Alcotest.(check (list string)) "error waiters" [ "f" ] (waiter_ids waiters);
+  Alcotest.(check int) "error not cached" 1 (Rcache.stats t).Rcache.entries;
+  Alcotest.(check string) "next claim leads again" "lead" (claim "g")
+
+let test_in_flight_holds_nothing () =
+  let body i = Printf.sprintf "body-%d-%s" i (String.make 200 'w') in
+  let size = String.length (body 0) + 96 in
+  let t = mk ~max_bytes:(2 * size) () in
+  let pending = key t "pending" in
+  Alcotest.(check string) "lead" "lead"
+    (claim_name (Rcache.claim t pending (waiter "lead")));
+  let s = Rcache.stats t in
+  Alcotest.(check (list int)) "no entry, no bytes" [ 0; 0 ]
+    [ s.Rcache.entries; s.Rcache.bytes ];
+  Alcotest.(check (option string)) "find misses" None (Rcache.find t pending);
+  (* churn the whole budget several times over *)
+  for i = 0 to 9 do
+    Rcache.add t (key t (string_of_int i)) (body i)
+  done;
+  Alcotest.(check int) "two cached" 2 (Rcache.stats t).Rcache.entries;
+  Alcotest.(check string) "still in flight" "joined"
+    (claim_name (Rcache.claim t pending (waiter "repeat")));
+  Alcotest.(check (list string)) "waiter kept" [ "repeat" ]
+    (waiter_ids (Rcache.settle t pending (reply "lead" "P")))
+
+let test_add_keeps_waiters () =
+  let t = mk () in
+  let k = key t "z = 3" in
+  ignore (Rcache.claim t k (waiter "lead"));
+  ignore (Rcache.claim t k (waiter "repeat"));
+  Rcache.add t k "ADDED";
+  Alcotest.(check (option string)) "in flight still misses" None
+    (Rcache.find t k);
+  Alcotest.(check (list string)) "waiters kept" [ "repeat" ]
+    (waiter_ids (Rcache.settle t k (reply "lead" "SETTLED")));
+  Alcotest.(check (option string)) "settled body cached" (Some "SETTLED")
+    (Rcache.find t k)
 
 (* --- QCheck invariants ----------------------------------------------------- *)
 
@@ -98,7 +207,7 @@ let lru_invariants =
     (QCheck.make gen_ops)
     (fun ops ->
       let max_bytes = 2048 in
-      let t = Rcache.create ~shards:1 ~max_bytes ~salt:"s" () in
+      let t = Rcache.create ~max_bytes ~salt:"s" () in
       let last = Array.make 8 None in
       let version = ref 0 in
       List.for_all
@@ -146,7 +255,7 @@ let test_pool_hits_byte_identical () =
      which in turn must equal the uncached [execute] output. *)
   let scanner = Lazy.force catalog_scanner in
   let rcache =
-    Rcache.create ~shards:8 ~max_bytes:(256 * 1024 * 1024) ~salt:"corpus" ()
+    Rcache.create ~max_bytes:(256 * 1024 * 1024) ~salt:"corpus" ()
   in
   let pool = Pool.create ~rcache ~jobs:1 ~queue_capacity:16 ~scanner () in
   let samples = Corpus.Generator.all_samples () in
@@ -258,7 +367,7 @@ let test_concurrent_domains () =
   (* hammer one cache from several domains mixing find and add;
      the property is absence of crashes plus invariants at the end *)
   let max_bytes = 64 * 1024 in
-  let t = Rcache.create ~shards:4 ~max_bytes ~salt:"race" () in
+  let t = Rcache.create ~max_bytes ~salt:"race" () in
   let wrong = Atomic.make 0 in
   let worker seed () =
     let state = ref seed in
@@ -305,7 +414,18 @@ let () =
           Alcotest.test_case "byte-budget eviction" `Quick test_lru_eviction;
           Alcotest.test_case "oversized body dropped" `Quick
             test_oversized_body_dropped;
+          Alcotest.test_case "body past an eighth of the budget cached"
+            `Quick test_large_body_cached;
+          Alcotest.test_case "exact LRU order over the whole budget" `Quick
+            test_exact_lru_order;
           QCheck_alcotest.to_alcotest lru_invariants;
+        ] );
+      ( "claim",
+        [
+          Alcotest.test_case "lead, join, settle, hit" `Quick test_claim_settle;
+          Alcotest.test_case "in-flight key holds nothing" `Quick
+            test_in_flight_holds_nothing;
+          Alcotest.test_case "add keeps waiters" `Quick test_add_keeps_waiters;
         ] );
       ( "pool",
         [

@@ -14,7 +14,7 @@
    the process did is counted. *)
 
 let scan_words = 298_698
-let patch_words = 833_011
+let patch_words = 823_666
 let json_words = 292_720
 
 let samples () =
